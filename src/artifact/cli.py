@@ -43,6 +43,16 @@ def _jnum(value):
     return float(f"{float(value):.12g}")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -449,21 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser(
         "scan-chern", help="tabulate the topological invariant along the field axis"
     )
-    scan.add_argument("--lambda-min", type=float, required=True, dest="lambda_min")
-    scan.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
+    scan.add_argument("--lambda-min", type=_finite_float, required=True, dest="lambda_min")
+    scan.add_argument("--lambda-max", type=_finite_float, required=True, dest="lambda_max")
     scan.add_argument("--steps", type=int, required=True)
     scan.add_argument("--grid", type=_parse_grid, default=(64, 64))
     scan.add_argument("--n-sites", type=int, default=1024, dest="n_sites")
-    scan.add_argument("--tol", type=float, default=1e-6)
+    scan.add_argument("--tol", type=_finite_float, default=1e-6)
     scan.add_argument("--quad-limit", type=int, default=200, dest="quad_limit")
     _add_output_flags(scan)
     scan.set_defaults(run=_run_scan_chern)
 
     gap = sub.add_parser("gap-map", help="tabulate the spectral gap on a coupling grid")
-    gap.add_argument("--gamma-min", type=float, default=0.0, dest="gamma_min")
-    gap.add_argument("--gamma-max", type=float, default=2.0, dest="gamma_max")
-    gap.add_argument("--lambda-min", type=float, default=0.0, dest="lambda_min")
-    gap.add_argument("--lambda-max", type=float, default=2.0, dest="lambda_max")
+    gap.add_argument("--gamma-min", type=_finite_float, default=0.0, dest="gamma_min")
+    gap.add_argument("--gamma-max", type=_finite_float, default=2.0, dest="gamma_max")
+    gap.add_argument("--lambda-min", type=_finite_float, default=0.0, dest="lambda_min")
+    gap.add_argument("--lambda-max", type=_finite_float, default=2.0, dest="lambda_max")
     gap.add_argument("--grid", type=_parse_grid, default=(101, 101))
     _add_output_flags(gap)
     gap.set_defaults(run=_run_gap_map)
@@ -471,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     metric = sub.add_parser(
         "metric-scan", help="tabulate geometric tensor components along the field axis"
     )
-    metric.add_argument("--gamma", type=float, required=True)
-    metric.add_argument("--lambda-min", type=float, required=True, dest="lambda_min")
-    metric.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
+    metric.add_argument("--gamma", type=_finite_float, required=True)
+    metric.add_argument("--lambda-min", type=_finite_float, required=True, dest="lambda_min")
+    metric.add_argument("--lambda-max", type=_finite_float, required=True, dest="lambda_max")
     metric.add_argument("--steps", type=int, required=True)
     metric.add_argument("--n-sites", type=int, default=1024, dest="n_sites")
     _add_output_flags(metric)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import model, oracle
 from .errors import (
@@ -110,6 +109,8 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     CriticalPoint
         On the gapless lines.
     """
+    from scipy.integrate import quad  # imported here: it dominates `import artifact`
+
     if model.gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
     alpha_f = model._alpha_fermi(gamma, lam)

@@ -59,6 +59,10 @@ class ModelParams:
     n_sites: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("phi", "gamma", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
         if self.gamma < 0.0:

@@ -5,6 +5,12 @@ rotated chain, parity-resolved free-fermion spectra, Fock-space embedding
 of the product ground states, discrete Wilson loops, and the per-excited-
 state decomposition of the geometric tensor.
 
+Exact diagonalization runs in real arithmetic.  The rotation phi enters
+the chain only as the diagonal gauge H(phi) = U H(0) U^dag with
+U = diag(exp(-i phi popcount)), so the real phi = 0 parity blocks are
+solved, the energies carry no phi dependence, and U is applied to the
+eigenvectors afterwards.
+
 Basis convention: basis index b has site j stored in bit N-1-j, a set bit
 is a down spin, which is identified with an occupied fermion level.  The
 all-up state is index 0.
@@ -16,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -68,13 +75,34 @@ def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
     return pop
 
 
+class _Sector(NamedTuple):
+    """One parity block at phi = 0: its basis states and sparse bond sums."""
+
+    index: np.ndarray
+    pop: np.ndarray
+    hop: sp.csr_matrix
+    pair: sp.csr_matrix
+
+
+class _Operators(NamedTuple):
+    hop: sp.csr_matrix
+    pp: sp.csr_matrix
+    mm: sp.csr_matrix
+    pop: np.ndarray
+    sectors: tuple[_Sector, _Sector]
+
+
 @lru_cache(maxsize=None)
-def _spin_operators(n_sites: int):
-    """Sparse bond sums: hopping, raising-pair, lowering-pair, z diagonal."""
+def _spin_operators(n_sites: int) -> _Operators:
+    """Sparse bond sums (hopping, raising-pair, lowering-pair) and popcounts.
+
+    The pieces are also sliced once into the even and odd parity blocks,
+    kept sparse, with the two pair terms merged as at phi = 0.
+    """
     n = n_sites
     dim = 1 << n
     b = np.arange(dim, dtype=np.int64)
-    zdiag = (n - 2 * _popcounts(b, n)).astype(np.float64)
+    pop = _popcounts(b, n)
     hop_r, hop_c = [], []
     pp_r, pp_c = [], []
     mm_r, mm_c = [], []
@@ -104,34 +132,48 @@ def _spin_operators(n_sites: int):
         m = sp.coo_matrix((np.ones(r.size), (r, c)), shape=(dim, dim))
         return m.tocsr()
 
-    return assemble(hop_r, hop_c), assemble(pp_r, pp_c), assemble(mm_r, mm_c), zdiag
+    hop, pp, mm = assemble(hop_r, hop_c), assemble(pp_r, pp_c), assemble(mm_r, mm_c)
+    pair = pp + mm
+    sectors = []
+    for parity in (0, 1):
+        index = np.where(pop % 2 == parity)[0]
+        sectors.append(
+            _Sector(index, pop[index], hop[index][:, index], pair[index][:, index])
+        )
+    return _Operators(hop, pp, mm, pop, tuple(sectors))
 
 
-def _hamiltonian_sparse(phi: float, gamma: float, lam: float, n_sites: int):
-    hop, pp, mm, zdiag = _spin_operators(n_sites)
-    if phi == 0.0:
-        h = -0.5 * (hop + gamma * (pp + mm)) + sp.diags(-0.5 * lam * zdiag)
-    else:
-        ph = np.exp(2j * phi)
-        h = -0.5 * (
-            hop.astype(complex) + gamma * (ph * pp + np.conj(ph) * mm)
-        ) + sp.diags((-0.5 * lam * zdiag).astype(complex))
+def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix:
+    """Real phi = 0 Hamiltonian in the full basis."""
+    ops = _spin_operators(n_sites)
+    zdiag = n_sites - 2.0 * ops.pop
+    h = -0.5 * (ops.hop + gamma * (ops.pp + ops.mm)) + sp.diags(-0.5 * lam * zdiag)
     return h.tocsr()
 
 
-@lru_cache(maxsize=None)
-def _parity_index(n_sites: int):
-    dim = 1 << n_sites
-    pop = _popcounts(np.arange(dim, dtype=np.int64), n_sites)
-    even = np.where(pop % 2 == 0)[0]
-    odd = np.where(pop % 2 == 1)[0]
-    return even, odd
+def _sector_blocks(gamma: float, lam: float, n_sites: int):
+    """Dense real phi = 0 blocks, paired with their sectors (even first)."""
+    blocks = []
+    for sector in _spin_operators(n_sites).sectors:
+        h = (-0.5 * (sector.hop + gamma * sector.pair)).toarray()
+        np.fill_diagonal(h, -0.5 * lam * (n_sites - 2.0 * sector.pop))
+        blocks.append((sector, h))
+    return blocks
 
 
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    out = vec * np.conj(vec[i] / abs(vec[i]))
-    return out / np.linalg.norm(out)
+def _rotated_vector(
+    sector: _Sector, v: np.ndarray, phi: float, n_sites: int
+) -> np.ndarray:
+    """Embed a real phi = 0 sector eigenvector and rotate it to phi by U.
+
+    The phase is fixed so that the component largest in the real vector is
+    real positive; that choice cannot flip with phi.
+    """
+    i = int(np.argmax(np.abs(v)))
+    v = v * (math.copysign(1.0, v[i]) / np.linalg.norm(v))
+    vec = np.zeros(1 << n_sites, dtype=complex)
+    vec[sector.index] = v * np.exp(-1j * phi * (sector.pop - sector.pop[i]))
+    return vec
 
 
 @dataclass(frozen=True)
@@ -206,7 +248,11 @@ def build_spin_hamiltonian(
         Unless 2 <= N <= 12.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    return _hamiltonian_sparse(params.phi, params.gamma, params.lam, n).toarray()
+    h = _hamiltonian_sparse(params.gamma, params.lam, n).toarray()
+    if params.phi == 0.0:
+        return h
+    u = np.exp(-1j * params.phi * _spin_operators(n).pop)
+    return u[:, None] * h * u.conj()
 
 
 def hamiltonian_derivatives(
@@ -218,22 +264,25 @@ def hamiltonian_derivatives(
     -(1/2) sum_j sigma^z_j independent of phi and gamma.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    hop, pp, mm, zdiag = _spin_operators(n)
+    ops = _spin_operators(n)
     ph = np.exp(2j * params.phi)
     g = params.gamma
-    d_phi = (-0.5 * g) * (2j * ph * pp - 2j * np.conj(ph) * mm)
-    d_gamma = -0.5 * (ph * pp + np.conj(ph) * mm)
-    d_lam = sp.diags(-0.5 * zdiag)
+    d_phi = (-0.5 * g) * (2j * ph * ops.pp - 2j * np.conj(ph) * ops.mm)
+    d_gamma = -0.5 * (ph * ops.pp + np.conj(ph) * ops.mm)
+    d_lam = sp.diags(-0.5 * (n - 2.0 * ops.pop))
     return d_phi.tocsr(), d_gamma.tocsr(), d_lam.tocsr()
 
 
 def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
-    """Exact spectrum by parity-blocked dense diagonalization.
+    """Exact spectrum by parity-blocked dense diagonalization in real arithmetic.
 
     The chain conserves the number parity of down spins, so the 2^N matrix
     splits into two blocks of 2^(N-1); both are solved in full and the
     merged spectrum is returned with the ground vector of the winning
-    sector.
+    sector.  The rotation enters only as the diagonal gauge
+    H(phi) = U H(0) U^dag, U = diag(exp(-i phi popcount)): the real phi = 0
+    blocks are diagonalized, so the energies do not depend on phi, and U is
+    applied to the ground vector.
 
     Raises
     ------
@@ -241,10 +290,7 @@ def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
         Unless 2 <= N <= 12.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    h = _hamiltonian_sparse(params.phi, params.gamma, params.lam, n)
-    even, odd = _parity_index(n)
-    h_even = h[even][:, even].toarray()
-    h_odd = h[odd][:, odd].toarray()
+    (even, h_even), (odd, h_odd) = _sector_blocks(params.gamma, params.lam, n)
     w_even = scipy.linalg.eigvalsh(h_even)
     w_odd = scipy.linalg.eigvalsh(h_odd)
     energies = np.sort(np.concatenate([w_even, w_odd]))
@@ -253,23 +299,18 @@ def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
     else:
         sector, block = odd, h_odd
     _, v0 = scipy.linalg.eigh(block, subset_by_index=[0, 0])
-    vec = np.zeros(1 << n, dtype=complex)
-    vec[sector] = v0[:, 0]
-    return SpinSpectrum(n_sites=n, energies=energies, ground_vector=_gauge_fix(vec))
+    vec = _rotated_vector(sector, v0[:, 0], params.phi, n)
+    return SpinSpectrum(n_sites=n, energies=energies, ground_vector=vec)
 
 
 def _ed_vector(phi: float, gamma: float, lam: float, n_sites: int) -> np.ndarray:
     """Gauge-fixed ground vector only, via per-sector lowest eigenpairs."""
-    h = _hamiltonian_sparse(phi, gamma, lam, n_sites)
-    even, odd = _parity_index(n_sites)
-    w_e, v_e = scipy.linalg.eigh(h[even][:, even].toarray(), subset_by_index=[0, 0])
-    w_o, v_o = scipy.linalg.eigh(h[odd][:, odd].toarray(), subset_by_index=[0, 0])
-    vec = np.zeros(1 << n_sites, dtype=complex)
+    (even, h_even), (odd, h_odd) = _sector_blocks(gamma, lam, n_sites)
+    w_e, v_e = scipy.linalg.eigh(h_even, subset_by_index=[0, 0])
+    w_o, v_o = scipy.linalg.eigh(h_odd, subset_by_index=[0, 0])
     if w_e[0] <= w_o[0]:
-        vec[even] = v_e[:, 0]
-    else:
-        vec[odd] = v_o[:, 0]
-    return _gauge_fix(vec)
+        return _rotated_vector(even, v_e[:, 0], phi, n_sites)
+    return _rotated_vector(odd, v_o[:, 0], phi, n_sites)
 
 
 def free_fermion_parity_spectrum(
@@ -503,6 +544,10 @@ def qgt_matrix_elements(
 ) -> list[SpectralTerm]:
     """Per-excited-state geometric tensor terms from full dense ED.
 
+    The gauge U multiplies both the eigenvectors and the coupling
+    derivatives and cancels in <m|dH|0>, so the terms depend on (gamma, lam)
+    only and are evaluated in the real phi = 0 frame.
+
     Raises
     ------
     SizeLimit
@@ -511,13 +556,13 @@ def qgt_matrix_elements(
         When the finite-size gap E_1 - E_0 is below 1e-10.
     """
     n = _resolve_ed_size(params, n_sites, _QGT_MAX)
-    h = _hamiltonian_sparse(params.phi, params.gamma, params.lam, n).toarray()
+    h = _hamiltonian_sparse(params.gamma, params.lam, n).toarray()
     w, vectors = scipy.linalg.eigh(h)
     if w[1] - w[0] < 1e-10:
         raise DegenerateGroundState(f"E1 - E0 = {w[1] - w[0]:.3e}")
-    derivs = hamiltonian_derivatives(params, n)
+    derivs = hamiltonian_derivatives(ModelParams(0.0, params.gamma, params.lam), n)
     v0 = vectors[:, 0]
-    amps = np.stack([vectors.conj().T @ (d @ v0) for d in derivs])
+    amps = np.stack([vectors.T @ (d @ v0) for d in derivs])
     terms = []
     for m in range(1, w.size):
         gap = float(w[m] - w[0])

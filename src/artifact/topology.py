@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import model
 from .errors import (
@@ -106,6 +105,11 @@ class QuadratureConfig:
             raise ValueError("gamma_ref must be positive")
 
 
+def _check_finite_field(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+
+
 def chern_number(lam: float, config: QuadratureConfig | None = None) -> ChernResult:
     """Chern number by adaptive quadrature of the angle winding.
 
@@ -117,12 +121,17 @@ def chern_number(lam: float, config: QuadratureConfig | None = None) -> ChernRes
 
     Raises
     ------
+    ValueError
+        If lam is not finite.
     TooCloseToCritical
         If |lam - 1| <= 1e-3.
     QuadratureNotConverged
         If the subdivision cap is hit or the error estimate stays above
         the configured absolute tolerance.
     """
+    from scipy.integrate import quad  # imported here: it dominates `import artifact`
+
+    _check_finite_field(lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
     cfg = config if config is not None else QuadratureConfig()
@@ -220,6 +229,9 @@ def chern_discrete(
 
     Raises
     ------
+    ValueError
+        If lam is not finite, a grid side is below 16 or gamma_ref is not
+        positive.
     BadSize
         Unless N is even with N >= 256.
     GaplessOnGrid
@@ -228,6 +240,7 @@ def chern_discrete(
         If a cell phase reaches pi or a link modulus collapses, making
         the phase assignment ambiguous.
     """
+    _check_finite_field(lam)
     n_phi, n_beta = int(grid[0]), int(grid[1])
     if n_phi < 16 or n_beta < 16:
         raise ValueError(f"grid sizes must be >= 16, got {grid}")
@@ -281,8 +294,9 @@ def classify_phase(lam: float) -> PhasePoint:
     Raises
     ------
     ValueError
-        For negative lam, or if the snapped integer is not -1 or 0.
+        For negative or non-finite lam, or if the snapped integer is not -1 or 0.
     """
+    _check_finite_field(lam)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     gap_one = model.gap(1.0, lam)

@@ -74,11 +74,6 @@ def test_criterion_05_spin_ed_matches_parity_sectors():
             phi = rng.uniform(0.0, np.pi)
             gamma = rng.uniform(0.0, 1.5)
             lam = rng.uniform(0.0, 2.5)
-            if n == 12:
-                # the spectrum carries no phi dependence (asserted separately)
-                # and the phi = 0 matrix is real, which keeps the two 2048-dim
-                # parity blocks inside the one-minute budget
-                phi = 0.0
             params = ModelParams(phi, gamma, lam)
             dev = abs(
                 ed_ground(params, n).ground_energy

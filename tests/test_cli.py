@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 
 def _load(path):
@@ -146,6 +150,29 @@ def test_metric_scan_usage_errors(cli):
     base = ("metric-scan", "--gamma", 1.0, "--lambda-min", 0.2, "--lambda-max", 0.8)
     assert cli(*base, "--steps", 1).returncode == 2
     assert cli(*base, "--steps", 3, "--n-sites", 5).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("metric-scan", "--gamma", "nan", "--lambda-min", 0.5, "--lambda-max", 1.0, "--steps", 3),
+        ("gap-map", "--gamma-max", "inf", "--grid", "3x3"),
+    ],
+)
+def test_non_finite_arguments_exit_2(cli, args):
+    res = cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "finite" in res.stderr
+
+
+def test_import_defers_scipy_integrate():
+    code = "import sys, artifact.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_oracle_verify_report(cli, tmp_path):

@@ -142,3 +142,12 @@ def test_params_validation():
         ModelParams(0.0, 0.5, 0.5, 5)
     with pytest.raises(BadSize):
         ModelParams(0.0, 0.5, 0.5, 2)
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [(0.0, math.nan, 0.5), (0.0, 0.5, math.nan), (0.0, math.inf, 0.5), (0.0, 0.5, math.inf)],
+)
+def test_params_reject_non_finite(couplings):
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(*couplings)

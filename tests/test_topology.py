@@ -149,6 +149,13 @@ def test_classify_phase():
         classify_phase(-0.1)
 
 
+@pytest.mark.parametrize("fn", [chern_number, chern_discrete, classify_phase])
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_field_rejected(fn, lam):
+    with pytest.raises(ValueError, match="finite"):
+        fn(lam)
+
+
 def test_detect_transition_brackets_critical_field():
     lo, hi = detect_transition(0.5, 1.5, 1e-3)
     assert (lo, hi) == (0.9990234375, 1.0)
