@@ -2,8 +2,6 @@
 
 Exit codes: 0 success, 1 oracle check breach, 2 bad usage or configuration,
 3 runtime failure on one or more scan rows (partial output is kept).
-Row computations honor the ARTIFACT_WORKERS environment variable; any value
-above 1 fans rows out to a process pool, preserving input order.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -64,19 +60,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ARTIFACT_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(1, count)
-
-
 def _map_rows(fn, tasks):
-    if _worker_count() > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=_worker_count()) as pool:
-            return list(pool.map(fn, tasks))
+    """Serial row map shared by the scans; a named function so traces can time it."""
     return [fn(task) for task in tasks]
 
 
@@ -411,10 +396,7 @@ def _run_oracle_verify(args) -> int:
         measured = oracle.wilson_loop_berry_phase(loop, 64)
         mid = model.ModelParams(phi0 + delta / 2, gamma + delta / 2, lam, 64)
         alphas = 2.0 * np.pi * np.arange(1, 32) / 64.0
-        flux = sum(
-            geometry.berry_curvature_mode(float(a), mid, model.Band.PARTICLE).imag
-            for a in alphas
-        )
+        flux = sum(geometry.berry_curvature_mode(float(a), mid).imag for a in alphas)
         predicted = delta * delta * flux
         rel = abs(measured - predicted) / abs(predicted)
         worst_wilson = max(worst_wilson, rel)

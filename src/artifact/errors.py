@@ -29,10 +29,6 @@ class GridMismatch(ArtifactError):
     """Two states live on different momentum grids."""
 
 
-class BandMismatch(ArtifactError):
-    """Two states disagree on which modes are particle-like vs hole-like."""
-
-
 class StencilCrossesCritical(ArtifactError):
     """A finite-difference stencil point lands on the gapless set."""
 

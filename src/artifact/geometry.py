@@ -23,7 +23,7 @@ from .errors import (
     StencilCrossesCritical,
 )
 from .ground_state import _overlap_arrays, _pair_arrays
-from .model import Band, ModelParams
+from .model import ModelParams
 
 __all__ = [
     "GeometricTensor",
@@ -76,11 +76,10 @@ class CurvatureDensity:
     lam: float
 
 
-def berry_curvature_mode(alpha: float, params: ModelParams, band: Band) -> complex:
-    """Single-mode curvature contribution, +/- i sin(theta) dtheta/dgamma.
+def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
+    """Single-mode curvature contribution, i sin(theta) dtheta/dgamma.
 
-    The sign is + for the Particle band and - for the Hole band; the
-    derivative of the pairing angle is taken in closed form.
+    The derivative of the pairing angle is taken in closed form.
 
     Raises
     ------
@@ -92,17 +91,15 @@ def berry_curvature_mode(alpha: float, params: ModelParams, band: Band) -> compl
     r2 = a * a + b * b
     if r2 < 1e-24:
         raise GaplessMode(f"mode at alpha={alpha} is gapless")
-    f = a * b * math.sin(alpha) / r2**1.5
-    return 1j * f if band is Band.PARTICLE else -1j * f
+    return 1j * a * b * math.sin(alpha) / r2**1.5
 
 
 def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
-    """Continuum curvature density with the particle/hole split.
+    """Continuum curvature density i * integral of sin(theta) dtheta/dgamma.
 
-    Integrates sin(theta) dtheta/dgamma over the momentum interval,
-    counting the hole stretch [0, alpha_F) with reversed sign; adaptive
-    quadrature at relative tolerance 1e-9, split at the Fermi angle so the
-    near-critical peak sits at a panel edge.
+    Integrates over alpha in [0, pi] by adaptive quadrature at relative
+    tolerance 1e-9, split at alpha_F, where the dispersion of a gamma < 1
+    chain has its minimum, so the near-critical peak sits at a panel edge.
 
     Raises
     ------
@@ -120,11 +117,10 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
         b = gamma * math.sin(alpha)
         return a * b * math.sin(alpha) / (a * a + b * b) ** 1.5
 
-    particle, _ = quad(f, alpha_f, math.pi, epsabs=1e-14, epsrel=1e-9, limit=200)
-    hole = 0.0
+    total, _ = quad(f, alpha_f, math.pi, epsabs=1e-14, epsrel=1e-9, limit=200)
     if alpha_f > 0.0:
-        hole, _ = quad(f, 0.0, alpha_f, epsabs=1e-14, epsrel=1e-9, limit=200)
-    return CurvatureDensity(1j * (particle - hole), float(gamma), float(lam))
+        total += quad(f, 0.0, alpha_f, epsabs=1e-14, epsrel=1e-9, limit=200)[0]
+    return CurvatureDensity(1j * total, float(gamma), float(lam))
 
 
 def _shift(mu: int, amount: float) -> tuple[float, float, float]:
@@ -187,10 +183,9 @@ def qgt_finite_diff(
 
     Rings up to 10 sites differentiate the exact-diagonalization ground
     vector (so the result is comparable with the spectral sum); larger
-    rings differentiate the closed-form product state with the band tags
-    frozen at the center point.  The estimate is recomputed at half the
-    step and the pair must agree before the finer answer is returned,
-    Hermitized.
+    rings differentiate the closed-form product state.  The estimate is
+    recomputed at half the step and the pair must agree before the finer
+    answer is returned, Hermitized.
 
     Parameters
     ----------
@@ -235,11 +230,9 @@ def qgt_finite_diff(
 
         braket = np.vdot
     else:
-        hole_upto = model._fermi_cutoff_any(gamma, lam, n)
-
         def state_at(offset):
             _, u, v = _pair_arrays(
-                phi + offset[0], gamma + offset[1], lam + offset[2], n, hole_upto
+                phi + offset[0], gamma + offset[1], lam + offset[2], n
             )
             return u, v
 

@@ -3,8 +3,7 @@
 After the fermion mapping the ground state factorizes into independent
 two-level pair blocks (alpha, -alpha) plus the two unpaired momenta at
 alpha = 0 and alpha = pi.  Each pair block is described by two complex
-amplitudes on the empty and doubly occupied states; hole-tagged blocks
-carry the amplitudes swapped and re-phased relative to particle blocks.
+amplitudes on the empty and doubly occupied states.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .errors import BadSize, BandMismatch, CriticalPoint, GridMismatch
-from .model import Band, Mode, ModelParams
+from .errors import BadSize, CriticalPoint, GridMismatch
+from .model import Mode, ModelParams
 
 __all__ = [
     "ModeAmplitudes",
@@ -37,34 +36,27 @@ _GAP_FLOOR = 1e-12
 class ModeAmplitudes:
     """Amplitudes of one pair block on (empty, doubly occupied).
 
-    Particle blocks carry (cos(theta/2), i e^{-2 i phi} sin(theta/2));
-    hole blocks carry the swapped form (-i e^{+2 i phi} sin(theta/2),
-    cos(theta/2)).
+    The lower state of the block is (cos(theta/2), i e^{-2 i phi}
+    sin(theta/2)) with theta the pairing angle.
     """
 
     u: complex
     v: complex
-    band: Band
 
 
-def mode_amplitudes(alpha: float, params: ModelParams, band: Band) -> ModeAmplitudes:
-    """Pair-block amplitudes at momentum ``alpha`` for the given band tag.
+def mode_amplitudes(alpha: float, params: ModelParams) -> ModeAmplitudes:
+    """Pair-block amplitudes of the ground state at momentum ``alpha``.
 
     Raises
     ------
     GaplessMode
         Propagated from the pairing angle at a band touching.
     """
-    theta = model.bogoliubov_angle(alpha, params.gamma, params.lam)
-    return _amplitudes_from_theta(float(theta), params.phi, band)
-
-
-def _amplitudes_from_theta(theta: float, phi: float, band: Band) -> ModeAmplitudes:
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    if band is Band.PARTICLE:
-        return ModeAmplitudes(complex(c), 1j * np.exp(-2j * phi) * s, band)
-    return ModeAmplitudes(-1j * np.exp(2j * phi) * s, complex(c), band)
+    theta = float(model.bogoliubov_angle(alpha, params.gamma, params.lam))
+    return ModeAmplitudes(
+        complex(math.cos(0.5 * theta)),
+        1j * np.exp(-2j * params.phi) * math.sin(0.5 * theta),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +77,6 @@ class GroundState:
         Momentum, pairing angle, and quasiparticle energy per pair.
     u, v : ndarray of complex
         Amplitudes on the empty / doubly occupied pair states.
-    hole_mask : ndarray of bool
-        True where the pair is hole-tagged (k <= fermi cutoff).
     zero_mode_occupied, pi_mode_occupied : bool
         Occupations of the unpaired momenta alpha = 0 and alpha = pi.
     occupation_mask : ndarray of bool or None
@@ -101,7 +91,6 @@ class GroundState:
     energies: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-    hole_mask: np.ndarray = field(repr=False)
     zero_mode_occupied: bool
     pi_mode_occupied: bool
     occupation_mask: np.ndarray | None = field(default=None, repr=False)
@@ -111,32 +100,16 @@ class GroundState:
         return int(self.params.n_sites)
 
     @property
-    def fermi_cutoff(self) -> int:
-        holes = self.ks[self.hole_mask]
-        return int(holes.max()) if holes.size else 0
-
-    @property
     def modes(self) -> tuple[Mode, ...]:
         return tuple(
-            Mode(
-                int(k),
-                float(a),
-                float(e),
-                float(t),
-                Band.HOLE if h else Band.PARTICLE,
-            )
-            for k, a, e, t, h in zip(
-                self.ks, self.alphas, self.energies, self.thetas, self.hole_mask
-            )
+            Mode(int(k), float(a), float(e), float(t))
+            for k, a, e, t in zip(self.ks, self.alphas, self.energies, self.thetas)
         )
 
     @property
     def amplitudes(self) -> tuple[ModeAmplitudes, ...]:
         return tuple(
-            ModeAmplitudes(
-                complex(uu), complex(vv), Band.HOLE if h else Band.PARTICLE
-            )
-            for uu, vv, h in zip(self.u, self.v, self.hole_mask)
+            ModeAmplitudes(complex(uu), complex(vv)) for uu, vv in zip(self.u, self.v)
         )
 
     def to_json(self) -> str:
@@ -156,18 +129,11 @@ class GroundState:
                     "alpha": float(a),
                     "theta": float(t),
                     "energy": float(e),
-                    "band": ("Hole" if h else "Particle"),
                     "u": [float(np.real(uu)), float(np.imag(uu))],
                     "v": [float(np.real(vv)), float(np.imag(vv))],
                 }
-                for k, a, t, e, h, uu, vv in zip(
-                    self.ks,
-                    self.alphas,
-                    self.thetas,
-                    self.energies,
-                    self.hole_mask,
-                    self.u,
-                    self.v,
+                for k, a, t, e, uu, vv in zip(
+                    self.ks, self.alphas, self.thetas, self.energies, self.u, self.v
                 )
             ],
             "occupation_mask": (
@@ -194,7 +160,6 @@ class GroundState:
             energies=np.array([m["energy"] for m in modes]),
             u=np.array([complex(m["u"][0], m["u"][1]) for m in modes]),
             v=np.array([complex(m["v"][0], m["v"][1]) for m in modes]),
-            hole_mask=np.array([m["band"] == "Hole" for m in modes], dtype=bool),
             zero_mode_occupied=d["zero_mode_occupied"],
             pi_mode_occupied=d["pi_mode_occupied"],
             occupation_mask=None if mask is None else np.array(mask, dtype=bool),
@@ -211,31 +176,26 @@ def _pair_arrays(
     gamma: float,
     lam: float,
     n_sites: int,
-    hole_upto: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (theta, u, v) pair arrays with the hole set frozen to k <= hole_upto.
+    """Raw (theta, u, v) pair arrays of the ground state.
 
     No parameter validation: finite-difference stencils may step to gamma
     or lam slightly below zero, where the closed forms continue smoothly.
     """
-    ks, alphas = _pair_grid(n_sites)
+    _, alphas = _pair_grid(n_sites)
     theta = np.arctan2(gamma * np.sin(alphas), lam - np.cos(alphas))
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-    u = c.astype(complex)
-    v = 1j * np.exp(-2j * phi) * s
-    hole = ks <= hole_upto
-    u[hole] = -1j * np.exp(2j * phi) * s[hole]
-    v[hole] = c[hole]
-    return theta, u, v
+    return theta, c.astype(complex), 1j * np.exp(-2j * phi) * s
 
 
 def build_ground_state(params: ModelParams, n_sites: int | None = None) -> GroundState:
     """Exact ground state at the given couplings.
 
-    The hole set is k <= fermi_cutoff; the unpaired alpha = 0 level is
-    occupied exactly when lam < 1 and the alpha = pi level never is (for
-    lam >= 0).
+    Every pair block carries (cos(theta/2), i e^{-2 i phi} sin(theta/2))
+    with theta = atan2(gamma sin(alpha), lam - cos(alpha)); the unpaired
+    alpha = 0 level is occupied exactly when lam < 1 and the alpha = pi
+    level never is (for lam >= 0).
 
     Parameters
     ----------
@@ -262,9 +222,8 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
         raise CriticalPoint(
             f"gapless couplings gamma={params.gamma}, lam={params.lam}"
         )
-    k_t = model._fermi_cutoff_any(params.gamma, params.lam, n)
     ks, alphas = _pair_grid(n)
-    theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n, k_t)
+    theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n)
     return GroundState(
         params=params,
         ks=ks,
@@ -273,7 +232,6 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
         energies=np.asarray(model.dispersion(alphas, params.gamma, params.lam)),
         u=u,
         v=v,
-        hole_mask=ks <= k_t,
         zero_mode_occupied=params.lam < 1.0,
         pi_mode_occupied=params.lam < -1.0,
     )
@@ -294,12 +252,12 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     params = ModelParams(0.0, 0.0, lam, n_sites)
     k_t = model.fermi_cutoff(0.0, lam, n_sites)
     ks, alphas = _pair_grid(n_sites)
-    hole = ks <= k_t
+    filled = ks <= k_t
     # exact number states at gamma = 0: occupied pairs are pure |11>,
     # empty ones pure |00>; the degenerate boundary shell follows the mask
-    theta = np.where(hole, np.pi, 0.0)
-    u = np.where(hole, 0.0, 1.0).astype(complex)
-    v = np.where(hole, 1j, 0.0)
+    theta = np.where(filled, np.pi, 0.0)
+    u = np.where(filled, 0.0, 1.0).astype(complex)
+    v = np.where(filled, 1j, 0.0)
     zero_occ = lam <= 1.0
     grid_k = np.arange(-(n_sites // 2) + 1, n_sites // 2 + 1)
     mask = np.abs(grid_k) <= k_t
@@ -313,7 +271,6 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
         energies=np.abs(lam - np.cos(alphas)),
         u=u,
         v=v,
-        hole_mask=hole,
         zero_mode_occupied=zero_occ,
         pi_mode_occupied=False,
         occupation_mask=mask,
@@ -343,24 +300,22 @@ def _overlap_arrays(
 
 
 def overlap(a: GroundState, b: GroundState) -> complex:
-    """Inner product <a|b> of two product states on the same grid.
+    """Fock-space inner product <a|b> of two product states on the same grid.
+
+    States whose unpaired occupations differ are orthogonal (for lam >= 0
+    they differ in fermion parity), so their overlap is exactly 0j;
+    otherwise it is the product of the pair block overlaps.
 
     Raises
     ------
     GridMismatch
         If the states live on rings of different length.
-    BandMismatch
-        If any pair block carries different band tags, or the unpaired
-        occupations differ (the product form then mixes inequivalent
-        fermion sectors).
     """
     if a.n_sites != b.n_sites:
         raise GridMismatch(f"n_sites {a.n_sites} != {b.n_sites}")
-    if not np.array_equal(a.hole_mask, b.hole_mask):
-        raise BandMismatch("pair band tags differ")
     if (
         a.zero_mode_occupied != b.zero_mode_occupied
         or a.pi_mode_occupied != b.pi_mode_occupied
     ):
-        raise BandMismatch("unpaired occupations differ")
+        return 0j
     return _overlap_arrays(a.u, a.v, b.u, b.v)

@@ -8,7 +8,6 @@ momentum alpha and the three couplings, which is what this module provides.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import BadSize, DegenerateRatio, GaplessMode
 
 __all__ = [
-    "Band",
     "ModelParams",
     "Mode",
     "dispersion",
@@ -26,13 +24,6 @@ __all__ = [
     "gap",
     "momentum_grid",
 ]
-
-
-class Band(str, enum.Enum):
-    """Quasiparticle band tag for a paired momentum mode."""
-
-    PARTICLE = "Particle"
-    HOLE = "Hole"
 
 
 @dataclass(frozen=True)
@@ -90,15 +81,12 @@ class Mode:
         Positive quasiparticle energy of the mode.
     theta : float
         Pairing angle in [0, pi].
-    band : Band
-        Particle or hole tag of the mode in the ground state.
     """
 
     k: int
     alpha: float
     energy: float
     theta: float
-    band: Band
 
 
 def _check_size(n_sites: int) -> None:
@@ -152,11 +140,12 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
 
 
 def _alpha_fermi(gamma: float, lam: float) -> float:
-    """Continuum Fermi edge of the hole region, with the gamma=1 limit built in.
+    """Interior stationary point of the dispersion, gamma = 1 limit built in.
 
     For gamma != 1 this is arccos(lam / (1 - gamma^2)) when the ratio lies
-    in [-1, 1] and 0 otherwise.  At gamma == 1 the ratio degenerates; the
-    limit is pi/2 for lam == 0 and 0 for lam > 0.
+    in [-1, 1] and 0 otherwise.  For gamma < 1 it is where the dispersion
+    has its minimum, and at gamma = 0 it is the Fermi edge.  At gamma == 1
+    the ratio degenerates; the limit is pi/2 for lam == 0 and 0 for lam > 0.
     """
     if gamma == 1.0:
         return math.pi / 2.0 if lam == 0.0 else 0.0
@@ -167,12 +156,13 @@ def _alpha_fermi(gamma: float, lam: float) -> float:
 
 
 def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
-    """Largest hole-mode index floor(N * alpha_F / (2 pi)).
+    """Largest grid index inside the Fermi edge, floor(N * alpha_F / (2 pi)).
 
     alpha_F = arccos(lam / (1 - gamma^2)) when that ratio lies in [-1, 1],
-    else 0.  A tiny positive snap (1e-9) is added before the floor so that
-    ratios landing exactly on a grid momentum keep that momentum in the
-    hole set.
+    else 0; at gamma = 0 it is the Fermi edge of the filled sea, and for
+    0 < gamma < 1 it is where the dispersion has its minimum.  A tiny
+    positive snap (1e-9) is added before the floor so that ratios landing
+    exactly on a grid momentum count that momentum as inside the edge.
 
     Raises
     ------
@@ -190,13 +180,6 @@ def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
         )
     alpha_f = _alpha_fermi(gamma, lam)
     return int(math.floor(n_sites * alpha_f / (2.0 * math.pi) + 1e-9))
-
-
-def _fermi_cutoff_any(gamma: float, lam: float, n_sites: int) -> int:
-    """fermi_cutoff with the gamma = 1 limit applied instead of raised."""
-    if gamma == 1.0:
-        return n_sites // 4 if lam == 0.0 else 0
-    return fermi_cutoff(gamma, lam, n_sites)
 
 
 def gap(gamma: float, lam: float) -> float:

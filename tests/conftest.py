@@ -1,20 +1,14 @@
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def _run_cli(*args, env_extra=None, timeout=600):
-    env = os.environ.copy()
-    env.setdefault("ARTIFACT_WORKERS", "1")
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "artifact.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
         timeout=timeout,
     )
 

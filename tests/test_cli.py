@@ -75,7 +75,7 @@ def test_scan_chern_deterministic_bytes(cli, tmp_path):
     paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
     assert cli(*args, "--out", paths[0]).returncode == 0
     assert cli(*args, "--out", paths[1]).returncode == 0
-    assert cli(*args, "--out", paths[2], env_extra={"ARTIFACT_WORKERS": "2"}).returncode == 0
+    assert cli(*args, "--out", paths[2]).returncode == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from artifact import (
-    Band,
     CriticalPoint,
     GaplessMode,
     ModelParams,
     StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
-    fermi_cutoff,
     metric_real,
     mode_amplitudes,
     qgt_finite_diff,
@@ -19,26 +17,16 @@ from artifact import (
 P = ModelParams
 
 
-def _cutoff(g, lam, n):
-    # gamma = 1 makes the cutoff ratio degenerate; the limit is 0 for lam > 0
-    if g == 1.0:
-        return n // 4 if lam == 0.0 else 0
-    return fermi_cutoff(g, lam, n)
-
-
 def _mode_sum(g, lam, n, phi=0.0):
     p = P(phi, g, lam, n)
-    kt = _cutoff(g, lam, n)
-    total = 0.0
-    for k in range(1, n // 2):
-        band = Band.HOLE if k <= kt else Band.PARTICLE
-        total += berry_curvature_mode(2.0 * np.pi * k / n, p, band).imag
-    return total
+    return sum(
+        berry_curvature_mode(2.0 * np.pi * k / n, p).imag for k in range(1, n // 2)
+    )
 
 
-def _single_mode_fd(alpha, phi, g, lam, band, h=1e-5):
+def _single_mode_fd(alpha, phi, g, lam, h=1e-5):
     def state(p, q):
-        amp = mode_amplitudes(alpha, P(p, q, lam), band)
+        amp = mode_amplitudes(alpha, P(p, q, lam))
         return np.array([amp.u, amp.v])
 
     d_phi = (state(phi + h, g) - state(phi - h, g)) / (2.0 * h)
@@ -47,32 +35,25 @@ def _single_mode_fd(alpha, phi, g, lam, band, h=1e-5):
 
 
 def test_mode_zero_at_zero_anisotropy():
-    assert berry_curvature_mode(0.8, P(0.0, 0.0, 2.0), Band.PARTICLE) == 0.0
+    assert berry_curvature_mode(0.8, P(0.0, 0.0, 2.0)) == 0.0
 
 
 def test_mode_matches_finite_difference():
-    flat = berry_curvature_mode(np.pi / 2, P(0.2, 1.0, 0.0), Band.PARTICLE)
-    assert abs(flat - _single_mode_fd(np.pi / 2, 0.2, 1.0, 0.0, Band.PARTICLE)) < 1e-8
-    generic = berry_curvature_mode(1.1, P(0.3, 0.7, 0.4), Band.PARTICLE)
-    assert abs(generic - _single_mode_fd(1.1, 0.3, 0.7, 0.4, Band.PARTICLE)) < 1e-8
+    flat = berry_curvature_mode(np.pi / 2, P(0.2, 1.0, 0.0))
+    assert abs(flat - _single_mode_fd(np.pi / 2, 0.2, 1.0, 0.0)) < 1e-8
+    generic = berry_curvature_mode(1.1, P(0.3, 0.7, 0.4))
+    assert abs(generic - _single_mode_fd(1.1, 0.3, 0.7, 0.4)) < 1e-8
     assert generic.imag == pytest.approx(-0.12138580635270088, abs=1e-9)
-
-
-def test_mode_band_sign_flip():
-    p = P(0.0, 0.7, 0.4)
-    part = berry_curvature_mode(1.1, p, Band.PARTICLE)
-    hole = berry_curvature_mode(1.1, p, Band.HOLE)
-    assert hole == -part
 
 
 def test_mode_gapless():
     with pytest.raises(GaplessMode):
-        berry_curvature_mode(0.0, P(0.0, 0.7, 1.0), Band.PARTICLE)
+        berry_curvature_mode(0.0, P(0.0, 0.7, 1.0))
 
 
 def test_mode_phi_independent():
     values = [
-        berry_curvature_mode(1.1, P(phi, 0.7, 0.4), Band.PARTICLE).imag
+        berry_curvature_mode(1.1, P(phi, 0.7, 0.4)).imag
         for phi in (0.0, 0.6, 1.2, 1.8, 2.4)
     ]
     assert max(values) - min(values) < 1e-10
@@ -83,20 +64,22 @@ def test_density_vanishing_anisotropy():
 
 
 def test_density_purely_imaginary_frozen_values():
-    # regression values; the quadrature is validated independently against
-    # finite-N mode sums and the finite-difference tensor below
+    # regression values; the mode sum is the trapezoidal rule of a smooth
+    # periodic integrand, so at N = 4096 it matches the quadrature to rounding
     frozen = {
-        (0.5, 0.5): 0.8980798434348196,
+        (0.5, 0.5): 0.26523127887688697,
         (1.0, 0.3): 0.12057851184870061,
         (0.3, 1.5): 0.29887079994993143,
-        (1.5, 0.8): -0.14449786771964282,
+        (1.5, 0.8): 0.2930045379020395,
         (0.8, 1.2): 0.8057551947527715,
-        (1.0, 0.0): 0.6666666666666666,
+        (1.0, 0.0): 0.0,
     }
     for (g, lam), expect in frozen.items():
         d = berry_curvature_density(g, lam)
         assert d.value.real == 0.0
         assert d.value.imag == pytest.approx(expect, abs=1e-9)
+        riemann = 2.0 * np.pi / 4096 * _mode_sum(g, lam, 4096)
+        assert abs(riemann - d.value.imag) < 1e-12
 
 
 def test_density_matches_riemann_sum():
@@ -105,18 +88,11 @@ def test_density_matches_riemann_sum():
     assert abs(riemann - d) < 1e-5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the N=4096 finite-difference tensor keeps an O(1/N) Fermi-kink "
-    "remnant: measured normalized deviation at (gamma=0.5, lam=0.5) is 4.32e-4 "
-    "against the 1e-5 target; the deviation halves under N doubling, which is "
-    "asserted by the convergence test",
-)
 def test_density_matches_finite_difference_tensor():
     t = qgt_finite_diff(P(0.0, 0.5, 0.5, 4096), 4096)
     fd = (2.0 * np.pi / 4096) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
     d = berry_curvature_density(0.5, 0.5).value.imag
-    assert abs(abs(fd) - abs(d)) < 1e-5
+    assert abs(fd - d) < 1e-5
 
 
 def test_density_critical_point():
@@ -126,14 +102,6 @@ def test_density_critical_point():
         berry_curvature_density(0.0, 0.5)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="measured |density| at gamma=0.1 over lam in {0.9, 0.95, 0.99} is "
-    "1.677, 1.622, 1.145: the magnitude falls because the hole window "
-    "arccos(lam/(1-gamma^2)) closes at lam = 0.99 exactly; the values agree "
-    "with exact finite-N mode sums to a few 1e-3 (machine precision at 0.99), "
-    "so the decrease is a property of the quantity, not of the quadrature",
-)
 def test_density_growth_into_critical_point():
     mags = [abs(berry_curvature_density(0.1, lam).value.imag) for lam in (0.9, 0.95, 0.99)]
     assert mags[0] < mags[1] < mags[2]
@@ -148,13 +116,6 @@ def test_qgt_consistency_with_mode_sum():
         assert (2.0 * np.pi / n) * abs(im_fd - _mode_sum(g, lam, n)) < 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="same O(1/N) kink remnant as the density comparison: at (gamma=0.5, "
-    "lam=0.5, N=1024) the normalized curvature from -2 Im G differs from the "
-    "continuum density by 3.96e-3 relative (0.58 absolute on an O(150) value), "
-    "far above the 1e-4 target",
-)
 def test_qgt_curvature_normalized():
     t = qgt_finite_diff(P(0.0, 0.5, 0.5, 1024), 1024)
     lhs = -2.0 * t.matrix[0, 1].imag

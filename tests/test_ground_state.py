@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import (
-    Band,
-    BandMismatch,
     CriticalPoint,
     GridMismatch,
     GroundState,
@@ -14,6 +14,7 @@ from artifact import (
     dispersion,
     ed_ground,
     embed_ground_state,
+    gap,
     ground_energy,
     isotropic_ground_state,
     mode_amplitudes,
@@ -25,18 +26,15 @@ P = ModelParams
 
 
 def test_mode_amplitudes_examples():
-    flat = mode_amplitudes(math.pi / 2, P(0.0, 0.0, 2.0), Band.PARTICLE)
+    flat = mode_amplitudes(math.pi / 2, P(0.0, 0.0, 2.0))
     assert flat.u == pytest.approx(1.0, abs=1e-15)
     assert flat.v == pytest.approx(0.0, abs=1e-15)
-    part = mode_amplitudes(math.pi / 2, P(0.0, 1.0, 0.0), Band.PARTICLE)
+    part = mode_amplitudes(math.pi / 2, P(0.0, 1.0, 0.0))
     assert part.u == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
     assert part.v == pytest.approx(1j * math.sin(math.pi / 4), abs=1e-15)
-    hole = mode_amplitudes(math.pi / 2, P(0.0, 1.0, 0.0), Band.HOLE)
-    assert hole.v == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
-    assert hole.u == pytest.approx(-1j * math.sin(math.pi / 4), abs=1e-15)
 
 
-def test_mode_amplitudes_norm_and_band_swap():
+def test_mode_amplitudes_norm():
     rng = np.random.default_rng(13)
     checked = 0
     while checked < 50:
@@ -46,26 +44,21 @@ def test_mode_amplitudes_norm_and_band_swap():
         alpha = rng.uniform(0.05, np.pi - 0.05)
         if dispersion(alpha, g, lam) < 1e-6:
             continue
-        p = P(phi, g, lam)
-        part = mode_amplitudes(alpha, p, Band.PARTICLE)
-        hole = mode_amplitudes(alpha, p, Band.HOLE)
-        assert abs(part.u) ** 2 + abs(part.v) ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert abs(hole.u) == pytest.approx(abs(part.v), abs=1e-15)
-        assert abs(hole.v) == pytest.approx(abs(part.u), abs=1e-15)
+        amp = mode_amplitudes(alpha, P(phi, g, lam))
+        assert abs(amp.u) ** 2 + abs(amp.v) ** 2 == pytest.approx(1.0, abs=1e-12)
         checked += 1
 
 
-def test_build_hole_assignment():
-    s = build_ground_state(P(0.0, 1.0, 0.0, 8))
-    assert s.fermi_cutoff == 2
-    assert set(s.ks[s.hole_mask].tolist()) == {1, 2}
-    assert s.zero_mode_occupied
-
-
 def test_build_all_particle():
-    s = build_ground_state(P(0.0, 0.5, 2.0, 8))
-    assert not s.hole_mask.any()
-    assert not s.zero_mode_occupied
+    # every pair carries (cos(theta/2), i e^{-2i phi} sin(theta/2)), also
+    # below the field where theta passes pi/2 inside the Fermi edge
+    for lam, zero_occupied in ((0.0, True), (2.0, False)):
+        p = P(0.4, 1.0, lam, 8)
+        s = build_ground_state(p)
+        phase = 1j * np.exp(-2j * p.phi)
+        assert np.allclose(s.u, np.cos(s.thetas / 2), atol=1e-15)
+        assert np.allclose(s.v, phase * np.sin(s.thetas / 2), atol=1e-15)
+        assert s.zero_mode_occupied == zero_occupied
 
 
 def test_build_critical_point():
@@ -127,14 +120,15 @@ def test_overlap_phase_rotation_single_pair():
 def test_overlap_cross_sector():
     a = build_ground_state(P(0.0, 1.0, 0.0, 8))
     b = build_ground_state(P(0.0, 1.0, 0.1, 8))
-    with pytest.raises(BandMismatch):
-        overlap(a, b)
     fock = np.vdot(embed_ground_state(a), embed_ground_state(b))
-    assert abs(fock) < 1.0
     # frozen from the Fock-space evaluation of the two product states
-    assert abs(fock) == pytest.approx(0.7321324272248046, abs=1e-12)
-    pair_product = np.prod(np.conj(a.u) * b.u + np.conj(a.v) * b.v)
-    assert pair_product == pytest.approx(fock, abs=1e-9)
+    assert abs(fock) == pytest.approx(0.9974960775806171, abs=1e-12)
+    assert overlap(a, b) == pytest.approx(fock, abs=1e-12)
+    # across the transition the alpha = 0 level empties: the fermion
+    # parities differ and the states are orthogonal
+    c = build_ground_state(P(0.0, 1.0, 1.5, 8))
+    assert overlap(a, c) == 0j
+    assert np.vdot(embed_ground_state(a), embed_ground_state(c)) == 0j
 
 
 def test_overlap_grid_mismatch():
@@ -161,19 +155,34 @@ def test_ring_eigenstate_without_holes():
     assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the documented hole-pair amplitude layout (-i e^{2i phi} sin, cos) is "
-    "kept verbatim but is not the upper-band eigenvector of the pair block; at "
-    "(gamma=1, lam=0, N=8) the embedded state gives <H> = -3.0 against a ring "
-    "minimum of -4.0.  Every phase-difference observable built on these "
-    "amplitudes (overlaps, curvature, the Chern number) is unaffected",
-)
-def test_ring_eigenstate_with_holes():
+def test_ring_eigenstate_inside_fermi_edge():
+    # at (gamma=1, lam=0, N=8) the pairs k = 1, 2 sit inside the Fermi edge
     p = P(0.0, 1.0, 0.0, 8)
     v = embed_ground_state(build_ground_state(p))
     h = quadratic_ring_hamiltonian(p)
     assert np.vdot(v, h @ v).real == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+# Subnormal couplings slow LAPACK's eigvalsh on the ring Hamiltonian about
+# 60-fold (23 s at N = 10), so they are left out.
+couplings = st.tuples(
+    st.floats(0.0, math.pi, exclude_max=True, allow_subnormal=False),
+    st.floats(0.0, 1.5, allow_subnormal=False),
+    st.floats(0.0, 2.5, allow_subnormal=False),
+)
+
+
+@PROPERTY
+@given(st.sampled_from([4, 6, 8, 10]), couplings, couplings)
+def test_product_state_is_fock_ground_state(n, a, b):
+    assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
+    pa, pb = P(*a, n), P(*b, n)
+    sa, sb = build_ground_state(pa), build_ground_state(pb)
+    va, vb = embed_ground_state(sa), embed_ground_state(sb)
+    h = quadratic_ring_hamiltonian(pa)
+    assert np.vdot(va, h @ va).real == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
+    assert overlap(sa, sb) == pytest.approx(np.vdot(va, vb), abs=1e-12)
 
 
 def test_json_roundtrip():
@@ -181,5 +190,4 @@ def test_json_roundtrip():
     t = GroundState.from_json(s.to_json())
     assert np.allclose(t.u, s.u, atol=1e-15)
     assert np.allclose(t.v, s.v, atol=1e-15)
-    assert (t.hole_mask == s.hole_mask).all()
     assert t.params == s.params
