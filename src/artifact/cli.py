@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import geometry, model, oracle, topology
-from .errors import ArtifactError, CriticalPoint, StencilCrossesCritical
+from .errors import ArtifactError, CriticalPoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -245,13 +245,9 @@ def _metric_row(task):
     }
     try:
         params = model.ModelParams(0.0, gamma, lam, n_sites)
-        tensor = geometry.qgt_finite_diff(params, n_sites)
+        tensor = geometry.qgt_product(params, n_sites)
     except CriticalPoint as exc:
         row["status"] = "skipped"
-        row["error"] = str(exc)
-        return row
-    except StencilCrossesCritical as exc:
-        row["status"] = "near-critical"
         row["error"] = str(exc)
         return row
     except ArtifactError as exc:
@@ -280,7 +276,6 @@ def _run_metric_scan(args) -> int:
     rows = _map_rows(_metric_row, tasks)
     ok = [row for row in rows if row["status"] == "ok"]
     skipped = [row for row in rows if row["status"] == "skipped"]
-    near = [row for row in rows if row["status"] == "near-critical"]
     failed = [row for row in rows if row["status"] == "failed"]
     monotone = None
     if len(ok) >= 2:
@@ -306,14 +301,13 @@ def _run_metric_scan(args) -> int:
         "rows_written": len(rows),
         "ok": len(ok),
         "skipped_critical": [_jnum(row["lambda"]) for row in skipped],
-        "near_critical": [_jnum(row["lambda"]) for row in near],
         "failed": [_jnum(row["lambda"]) for row in failed],
         "g_lambda_lambda_monotone": monotone,
     }
     _emit(args, fieldnames, rows, summary, config)
     print(
         f"metric-scan: {len(rows)} rows, {len(ok)} ok, {len(skipped)} skipped at "
-        f"critical field, {len(near)} near-critical, {len(failed)} failed; "
+        f"critical field, {len(failed)} failed; "
         f"g_lambda_lambda strictly increasing: "
         + ("n/a" if monotone is None else ("yes" if monotone else "no")),
         file=sys.stderr,

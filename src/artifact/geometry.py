@@ -1,9 +1,11 @@
 """Quantum geometric tensor and Berry curvature of the ground-state family.
 
-Coordinates are always ordered (phi, gamma, lam).  The tensor comes from
-central finite differences of overlaps (product states on large rings, ED
-vectors on small ones) or from the spectral sum over excited states; the
-curvature comes from the closed form of the pairing angle.
+Coordinates are always ordered (phi, gamma, lam).  The tensor of the
+product ground state is a closed-form sum of per-mode Bloch-sphere tensors
+at any ring size.  On rings of up to 10 sites the spin-chain tensor also
+comes from two exact-diagonalization oracles: central finite differences
+of ED ground vectors and the spectral sum over excited states.  The
+curvature density comes from the closed form of the pairing angle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .errors import (
     GaplessMode,
     StencilCrossesCritical,
 )
-from .ground_state import _overlap_arrays, _pair_arrays
+from .ground_state import _pair_grid
+# Not called here; bench/tracer.py probes these names on this module.
+from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
 from .model import ModelParams
 
 __all__ = [
@@ -30,16 +34,13 @@ __all__ = [
     "CurvatureDensity",
     "berry_curvature_mode",
     "berry_curvature_density",
+    "qgt_product",
     "qgt_finite_diff",
-    "metric_real",
     "qgt_spectral",
 ]
 
-# Probe-calibrated central-difference steps: ED vectors tolerate (and need)
-# a coarser step than the closed-form product states.
-_PRODUCT_STEP = 1e-5
+# Probe-calibrated central-difference step for the ED ground vectors.
 _ED_STEP = 2e-4
-_ED_PATH_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,47 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     return CurvatureDensity(1j * total, float(gamma), float(lam))
 
 
+def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
+    """Closed-form geometric tensor of the product ground state.
+
+    Each pair block (cos(theta/2), i e^{-2i phi} sin(theta/2)) is a Bloch
+    vector with polar angle theta and azimuth chi = pi/2 - 2 phi, so the
+    tensor is the sum over the pair momenta alpha_k = 2 pi k / N,
+    k = 1 ... N/2 - 1, of 1/4 (dtheta dtheta + sin^2(theta) dchi dchi)
+    + i/4 sin(theta) (dtheta dchi - dchi dtheta).  With a = lam - cos(alpha),
+    b = gamma sin(alpha) and r^2 = a^2 + b^2, sin(theta) = b / r,
+    dtheta/dgamma = a sin(alpha) / r^2 and dtheta/dlam = -b / r^2.  The
+    result does not depend on phi.
+
+    Raises
+    ------
+    BadSize
+        If no ring length is available, or it is not an even integer >= 4.
+    CriticalPoint
+        If the couplings are gapless.
+    """
+    n = n_sites if n_sites is not None else params.n_sites
+    if n is None:
+        raise BadSize("a ring size is required")
+    model._check_size(n)
+    gamma, lam = params.gamma, params.lam
+    if model.gap(gamma, lam) < 1e-12:
+        raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
+    _, alphas = _pair_grid(n)
+    sin_a = np.sin(alphas)
+    a = lam - np.cos(alphas)
+    b = gamma * sin_a
+    r2 = a * a + b * b
+    sin_theta = b / np.sqrt(r2)
+    d_theta = np.stack((a * sin_a / r2, -b / r2))  # (d/dgamma, d/dlam)
+    q = np.empty((3, 3), dtype=complex)
+    q[0, 0] = sin_theta @ sin_theta
+    q[1:, 1:] = 0.25 * (d_theta @ d_theta.T)
+    q[0, 1:] = 0.5j * (d_theta @ sin_theta)
+    q[1:, 0] = q[0, 1:].conj()
+    return GeometricTensor(q)
+
+
 def _shift(mu: int, amount: float) -> tuple[float, float, float]:
     out = [0.0, 0.0, 0.0]
     out[mu] = amount
@@ -179,13 +221,11 @@ def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
 def qgt_finite_diff(
     params: ModelParams, n_sites: int | None = None, step: float | None = None
 ) -> GeometricTensor:
-    """Central-difference geometric tensor from ground-state overlaps.
+    """Central-difference geometric tensor of the exact-diagonalization ground vector.
 
-    Rings up to 10 sites differentiate the exact-diagonalization ground
-    vector (so the result is comparable with the spectral sum); larger
-    rings differentiate the closed-form product state.  The estimate is
-    recomputed at half the step and the pair must agree before the finer
-    answer is returned, Hermitized.
+    An oracle for the spin chain on small rings, comparable with
+    ``qgt_spectral``.  The estimate is recomputed at half the step and the
+    pair must agree before the finer answer is returned, Hermitized.
 
     Parameters
     ----------
@@ -193,11 +233,12 @@ def qgt_finite_diff(
     n_sites : int, optional
         Ring length; falls back to ``params.n_sites``.
     step : float, optional
-        Central-difference step in [1e-6, 1e-3].  Defaults to 2e-4 on the
-        ED path and 1e-5 on the product path.
+        Central-difference step in [1e-6, 1e-3], default 2e-4.
 
     Raises
     ------
+    SizeLimit
+        Unless 2 <= N <= 10.
     CriticalPoint
         If the center point is gapless.
     StencilCrossesCritical
@@ -205,13 +246,8 @@ def qgt_finite_diff(
     FiniteDifferenceUnstable
         If the step-halving check fails.
     """
-    n = n_sites if n_sites is not None else params.n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
-    n = int(n)
-    model._check_size(n)
-    small = n <= _ED_PATH_MAX
-    h = step if step is not None else (_ED_STEP if small else _PRODUCT_STEP)
+    n = oracle._resolve_ed_size(params, n_sites, oracle._QGT_MAX)
+    h = step if step is not None else _ED_STEP
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"step must lie in [1e-6, 1e-3], got {h}")
     phi, gamma, lam = params.phi, params.gamma, params.lam
@@ -222,44 +258,21 @@ def qgt_finite_diff(
             f"stencil around gamma={gamma}, lam={lam} touches the critical set"
         )
 
-    if small:
-        def state_at(offset):
-            return oracle._ed_vector(
-                phi + offset[0], gamma + offset[1], lam + offset[2], n
-            )
+    def state_at(offset):
+        return oracle._ed_vector(
+            phi + offset[0], gamma + offset[1], lam + offset[2], n
+        )
 
-        braket = np.vdot
-    else:
-        def state_at(offset):
-            _, u, v = _pair_arrays(
-                phi + offset[0], gamma + offset[1], lam + offset[2], n
-            )
-            return u, v
-
-        def braket(a, b):
-            return _overlap_arrays(a[0], a[1], b[0], b[1])
-
-    g_h = _qgt_raw(state_at, braket, h)
-    g_half = _qgt_raw(state_at, braket, 0.5 * h)
+    g_h = _qgt_raw(state_at, np.vdot, h)
+    g_half = _qgt_raw(state_at, np.vdot, 0.5 * h)
     scale = max(1.0, float(np.max(np.abs(g_half))))
-    # The product-path tensor is extensive and its rounding floor grows
-    # with the mode count, so the step-halving guard is relative there;
-    # the desk-scale path keeps the tight bound.
-    drift_tol = 1e-6 if small else 1e-3
     drift = float(np.max(np.abs(g_h - g_half)))
-    if drift > drift_tol * scale:
+    if drift > 1e-6 * scale:
         raise FiniteDifferenceUnstable(
             f"step {h:.1e} and {0.5 * h:.1e} disagree by {drift:.3e} "
             f"(scale {scale:.3e})"
         )
     return GeometricTensor(0.5 * (g_half + g_half.conj().T))
-
-
-def metric_real(
-    params: ModelParams, n_sites: int | None = None, step: float | None = None
-) -> np.ndarray:
-    """Real symmetric ground-state metric, the ds^2 form of the tensor."""
-    return qgt_finite_diff(params, n_sites, step).real_metric
 
 
 def qgt_spectral(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:

@@ -14,8 +14,8 @@ from artifact import (
     classify_phase,
     detect_transition,
     isotropic_ground_state,
-    metric_real,
     qgt_finite_diff,
+    qgt_product,
     qgt_spectral,
 )
 from artifact.oracle import ed_ground, free_fermion_parity_spectrum
@@ -102,23 +102,21 @@ def test_criterion_06_spectral_tensor_matches_finite_difference():
 
 
 def test_criterion_07_curvature_matches_density():
-    # points where the dispersion minimum sits strictly inside the band;
-    # the remaining error is the h^2 N^2 truncation of the extensive
-    # finite-difference tensor, about 4x per doubling of N
+    # points where the dispersion minimum sits strictly inside the band
     points = [(0.5, 0.5), (0.3, 0.2), (0.8, 0.15), (0.4, 0.7), (0.7, 0.4)]
     for gamma, lam in points:
         target = berry_curvature_density(gamma, lam).value.imag
         for n in (2048, 4096):
-            t = qgt_finite_diff(ModelParams(0.0, gamma, lam, n), n)
-            fd = (2.0 * np.pi / n) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
-            err = abs(fd - target)
-            assert err < 1e-5, f"({gamma},{lam}) at N={n}: error {err:.3e}"
+            t = qgt_product(ModelParams(0.0, gamma, lam, n), n)
+            lattice = (2.0 * np.pi / n) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
+            err = abs(lattice - target)
+            assert err < 1e-12, f"({gamma},{lam}) at N={n}: error {err:.3e}"
 
 
 def test_criterion_08_field_metric_grows_toward_transition():
     n = 2048
     values = [
-        metric_real(ModelParams(0.0, 1.0, lam, n), n)[2, 2]
+        qgt_product(ModelParams(0.0, 1.0, lam, n), n).real_metric[2, 2]
         for lam in (0.5, 0.9, 0.95, 0.99)
     ]
     assert all(b > a for a, b in zip(values, values[1:])), values

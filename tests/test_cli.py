@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -135,6 +136,7 @@ def test_metric_scan_monotone_and_skip(cli, tmp_path):
 
 
 def test_metric_scan_near_critical(cli, tmp_path):
+    # the closed-form tensor has no stencil, so a gap near 4e-11 is still an ok row
     out = tmp_path / "near.json"
     res = cli(
         "metric-scan", "--gamma", 5e-11, "--lambda-min", 0.4, "--lambda-max", 0.6,
@@ -142,8 +144,12 @@ def test_metric_scan_near_critical(cli, tmp_path):
     )
     assert res.returncode == 0
     doc = _load(out)
-    assert doc["summary"]["near_critical"] == [0.4, 0.6]
-    assert all(r["status"] == "near-critical" for r in doc["rows"])
+    assert "near_critical" not in doc["summary"]
+    assert doc["summary"]["ok"] == 2
+    for row in doc["rows"]:
+        assert row["status"] == "ok"
+        for key in ("g_lambda_lambda", "g_gamma_gamma", "g_phi_phi"):
+            assert math.isfinite(row[key]) and row[key] >= 0.0
 
 
 def test_metric_scan_usage_errors(cli):

@@ -1,20 +1,30 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import (
+    BadSize,
     CriticalPoint,
     GaplessMode,
     ModelParams,
+    SizeLimit,
     StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
-    metric_real,
+    gap,
     mode_amplitudes,
     qgt_finite_diff,
+    qgt_product,
     qgt_spectral,
 )
+from artifact.geometry import _qgt_raw
+from artifact.ground_state import _overlap_arrays, _pair_arrays
 
 P = ModelParams
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 def _mode_sum(g, lam, n, phi=0.0):
@@ -88,11 +98,11 @@ def test_density_matches_riemann_sum():
     assert abs(riemann - d) < 1e-5
 
 
-def test_density_matches_finite_difference_tensor():
-    t = qgt_finite_diff(P(0.0, 0.5, 0.5, 4096), 4096)
-    fd = (2.0 * np.pi / 4096) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
+def test_density_matches_product_tensor():
+    t = qgt_product(P(0.0, 0.5, 0.5, 4096), 4096)
+    lattice = (2.0 * np.pi / 4096) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
     d = berry_curvature_density(0.5, 0.5).value.imag
-    assert abs(fd - d) < 1e-5
+    assert abs(lattice - d) < 1e-12
 
 
 def test_density_critical_point():
@@ -111,20 +121,20 @@ def test_qgt_consistency_with_mode_sum():
     cases = [(0.5, 0.5, 1024), (0.3, 0.2, 512), (1.0, 1.5, 1024), (0.8, 0.15, 1024)]
     for g, lam, n in cases:
         p = P(0.0, g, lam, n)
-        t = qgt_finite_diff(p, n)
-        im_fd = (t.matrix[0, 1] - t.matrix[1, 0]).imag
-        assert (2.0 * np.pi / n) * abs(im_fd - _mode_sum(g, lam, n)) < 1e-6
+        t = qgt_product(p, n)
+        im_q = (t.matrix[0, 1] - t.matrix[1, 0]).imag
+        assert (2.0 * np.pi / n) * abs(im_q - _mode_sum(g, lam, n)) < 1e-12
 
 
 def test_qgt_curvature_normalized():
-    t = qgt_finite_diff(P(0.0, 0.5, 0.5, 1024), 1024)
+    t = qgt_product(P(0.0, 0.5, 0.5, 1024), 1024)
     lhs = -2.0 * t.matrix[0, 1].imag
     rhs = -(1024 / (2.0 * np.pi)) * berry_curvature_density(0.5, 0.5).value.imag
-    assert lhs == pytest.approx(rhs, rel=1e-4)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_qgt_structure():
-    t = qgt_finite_diff(P(0.0, 1.0, 0.0, 64), 64)
+    t = qgt_product(P(0.0, 1.0, 0.0, 64), 64)
     g = t.matrix
     assert g[0, 0].imag == 0.0
     assert g[0, 0].real >= 0.0
@@ -132,28 +142,77 @@ def test_qgt_structure():
     assert np.linalg.eigvalsh(g.real).min() > -1e-8
 
 
+def test_qgt_exact_values():
+    # at gamma = 1, lam = 0 the pairing angle is theta = pi - alpha, so
+    # sin(theta) = sin(alpha), dtheta/dgamma = -sin(alpha) cos(alpha) and
+    # dtheta/dlam = -sin(alpha); the sums over k = 1 ... 31 are exact
+    t = qgt_product(P(0.7, 1.0, 0.0, 64), 64)
+    expect = np.array([[16, 0, -8j], [0, 1, 0], [8j, 0, 4]])
+    assert np.max(np.abs(t.matrix - expect)) < 1e-12
+
+
 def test_qgt_step_validation():
     with pytest.raises(ValueError):
-        qgt_finite_diff(P(0.0, 0.5, 0.5, 256), 256, step=5e-3)
+        qgt_finite_diff(P(0.0, 0.5, 0.5, 6), 6, step=5e-3)
     with pytest.raises(ValueError):
-        qgt_finite_diff(P(0.0, 0.5, 0.5, 256), 256, step=5e-7)
+        qgt_finite_diff(P(0.0, 0.5, 0.5, 6), 6, step=5e-7)
 
 
 def test_qgt_critical_guards():
     with pytest.raises(CriticalPoint):
-        qgt_finite_diff(P(0.0, 0.7, 1.0, 256), 256)
+        qgt_finite_diff(P(0.0, 0.7, 1.0, 6), 6)
     with pytest.raises(StencilCrossesCritical):
-        qgt_finite_diff(P(0.0, 5e-11, 0.5, 256), 256)
+        qgt_finite_diff(P(0.0, 5e-11, 0.5, 6), 6)
+    with pytest.raises(SizeLimit):
+        qgt_finite_diff(P(0.0, 0.5, 0.5, 12), 12)
+
+
+def test_qgt_product_input_checks():
+    with pytest.raises(CriticalPoint):
+        qgt_product(P(0.0, 0.7, 1.0, 256), 256)
+    with pytest.raises(BadSize):
+        qgt_product(P(0.0, 0.5, 0.5))
+    with pytest.raises(BadSize):
+        qgt_product(P(0.0, 0.5, 0.5), 7)
+    with pytest.raises(BadSize):
+        qgt_product(P(0.0, 0.5, 0.5), 64.5)
+
+
+def _product_finite_diff(p, n, h=1e-4):
+    def state_at(offset):
+        _, u, v = _pair_arrays(p.phi + offset[0], p.gamma + offset[1], p.lam + offset[2], n)
+        return u, v
+
+    def braket(a, b):
+        return _overlap_arrays(a[0], a[1], b[0], b[1])
+
+    g = _qgt_raw(state_at, braket, h)
+    return 0.5 * (g + g.conj().T)
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, math.pi, exclude_max=True),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 2.5),
+    st.sampled_from([4, 6, 8, 10]),
+)
+def test_qgt_product_matches_product_finite_differences(phi, gamma, lam, n):
+    assume(gap(gamma, lam) >= 0.05)
+    p = P(phi, gamma, lam, n)
+    q = qgt_product(p).matrix
+    ref = _product_finite_diff(p, n)
+    assert np.max(np.abs(q - ref)) <= 1e-5 * max(1.0, float(np.max(np.abs(q))))
 
 
 def test_metric_growth_toward_critical():
-    a = metric_real(P(0.0, 1.0, 0.9, 2048), 2048)[2, 2]
-    b = metric_real(P(0.0, 1.0, 0.99, 2048), 2048)[2, 2]
+    a = qgt_product(P(0.0, 1.0, 0.9, 2048), 2048).real_metric[2, 2]
+    b = qgt_product(P(0.0, 1.0, 0.99, 2048), 2048).real_metric[2, 2]
     assert 0.0 < a < b
 
 
 def test_metric_symmetric():
-    m = metric_real(P(0.0, 1.0, 0.0, 64), 64)
+    m = qgt_product(P(0.0, 1.0, 0.0, 64), 64).real_metric
     assert np.max(np.abs(m - m.T)) < 1e-10
     assert m[2, 2] > 0.0
 
