@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import geometry, model, oracle, topology
-from .errors import ArtifactError, CriticalPoint
+from .errors import ArtifactError, BadSize, CriticalPoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -136,6 +136,8 @@ def _chern_row(task):
             row["label"] = topology.PhaseLabel.CHERN_ZERO.value
         else:
             row["error"] = f"unexpected integer {disc.nearest_integer}"
+    except BadSize:
+        raise
     except ArtifactError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -150,12 +152,6 @@ def _run_scan_chern(args) -> int:
         return _usage_error(
             f"--tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}], got {args.tol:g}"
         )
-    if args.quad_limit < 1:
-        return _usage_error("--quad-limit must be >= 1")
-    if min(args.grid) < 16:
-        return _usage_error("--grid sizes must be >= 16")
-    if args.n_sites < 256 or args.n_sites % 2:
-        return _usage_error("--n-sites must be even and >= 256")
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     skipped = [float(l) for l in lams if abs(l - 1.0) <= 1e-3]
     tasks = [
@@ -246,6 +242,8 @@ def _metric_row(task):
     try:
         params = model.ModelParams(0.0, gamma, lam, n_sites)
         tensor = geometry.qgt_product(params, n_sites)
+    except BadSize:
+        raise
     except CriticalPoint as exc:
         row["status"] = "skipped"
         row["error"] = str(exc)
@@ -267,10 +265,6 @@ def _run_metric_scan(args) -> int:
         return _usage_error("--steps must be >= 2")
     if not args.lambda_min < args.lambda_max:
         return _usage_error("--lambda-min must be < --lambda-max")
-    if args.gamma < 0:
-        return _usage_error("--gamma must be >= 0")
-    if args.n_sites < 4 or args.n_sites % 2:
-        return _usage_error("--n-sites must be even and >= 4")
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     tasks = [(float(l), args.gamma, args.n_sites) for l in lams]
     rows = _map_rows(_metric_row, tasks)
@@ -480,7 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (ValueError, BadSize) as exc:
+        # a library input check; rows are gathered before output, so none is written
+        return _usage_error(str(exc))
 
 
 def entry() -> None:

@@ -87,12 +87,10 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
     GaplessMode
         If the mode energy vanishes.
     """
-    a = params.lam - math.cos(alpha)
-    b = params.gamma * math.sin(alpha)
-    r2 = a * a + b * b
-    if r2 < 1e-24:
+    pairing = model._Pairing(alpha, params.gamma, params.lam)
+    if pairing.r2 < 1e-24:
         raise GaplessMode(f"mode at alpha={alpha} is gapless")
-    return 1j * a * b * math.sin(alpha) / r2**1.5
+    return 1j * float(pairing.sin_theta * pairing.d_gamma)
 
 
 def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
@@ -114,9 +112,8 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     alpha_f = model._alpha_fermi(gamma, lam)
 
     def f(alpha: float) -> float:
-        a = lam - math.cos(alpha)
-        b = gamma * math.sin(alpha)
-        return a * b * math.sin(alpha) / (a * a + b * b) ** 1.5
+        pairing = model._Pairing(alpha, gamma, lam)
+        return float(pairing.sin_theta * pairing.d_gamma)
 
     total, _ = quad(f, alpha_f, math.pi, epsabs=1e-14, epsrel=1e-9, limit=200)
     if alpha_f > 0.0:
@@ -131,10 +128,8 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
     vector with polar angle theta and azimuth chi = pi/2 - 2 phi, so the
     tensor is the sum over the pair momenta alpha_k = 2 pi k / N,
     k = 1 ... N/2 - 1, of 1/4 (dtheta dtheta + sin^2(theta) dchi dchi)
-    + i/4 sin(theta) (dtheta dchi - dchi dtheta).  With a = lam - cos(alpha),
-    b = gamma sin(alpha) and r^2 = a^2 + b^2, sin(theta) = b / r,
-    dtheta/dgamma = a sin(alpha) / r^2 and dtheta/dlam = -b / r^2.  The
-    result does not depend on phi.
+    + i/4 sin(theta) (dtheta dchi - dchi dtheta), with sin(theta) and the
+    derivatives of theta in closed form.  The result does not depend on phi.
 
     Raises
     ------
@@ -151,12 +146,9 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
     if model.gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
     _, alphas = _pair_grid(n)
-    sin_a = np.sin(alphas)
-    a = lam - np.cos(alphas)
-    b = gamma * sin_a
-    r2 = a * a + b * b
-    sin_theta = b / np.sqrt(r2)
-    d_theta = np.stack((a * sin_a / r2, -b / r2))  # (d/dgamma, d/dlam)
+    pairing = model._Pairing(alphas, gamma, lam)
+    sin_theta = pairing.sin_theta
+    d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)
     q[0, 0] = sin_theta @ sin_theta
     q[1:, 1:] = 0.25 * (d_theta @ d_theta.T)

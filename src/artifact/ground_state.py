@@ -9,7 +9,6 @@ amplitudes on the empty and doubly occupied states.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,14 @@ class ModeAmplitudes:
     v: complex
 
 
+def _pair_block(theta, phi):
+    """Lower pair-block state (cos(theta/2), i e^{-2i phi} sin(theta/2)).
+
+    Broadcasts ``theta`` against ``phi``.
+    """
+    return np.cos(0.5 * theta), 1j * np.exp(-2j * phi) * np.sin(0.5 * theta)
+
+
 def mode_amplitudes(alpha: float, params: ModelParams) -> ModeAmplitudes:
     """Pair-block amplitudes of the ground state at momentum ``alpha``.
 
@@ -52,11 +59,9 @@ def mode_amplitudes(alpha: float, params: ModelParams) -> ModeAmplitudes:
     GaplessMode
         Propagated from the pairing angle at a band touching.
     """
-    theta = float(model.bogoliubov_angle(alpha, params.gamma, params.lam))
-    return ModeAmplitudes(
-        complex(math.cos(0.5 * theta)),
-        1j * np.exp(-2j * params.phi) * math.sin(0.5 * theta),
-    )
+    theta = model.bogoliubov_angle(alpha, params.gamma, params.lam)
+    u, v = _pair_block(theta, params.phi)
+    return ModeAmplitudes(complex(u), complex(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +188,9 @@ def _pair_arrays(
     or lam slightly below zero, where the closed forms continue smoothly.
     """
     _, alphas = _pair_grid(n_sites)
-    theta = np.arctan2(gamma * np.sin(alphas), lam - np.cos(alphas))
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    return theta, c.astype(complex), 1j * np.exp(-2j * phi) * s
+    theta = model._Pairing(alphas, gamma, lam).theta
+    u, v = _pair_block(theta, phi)
+    return theta, u.astype(complex), v
 
 
 def build_ground_state(params: ModelParams, n_sites: int | None = None) -> GroundState:
@@ -268,7 +272,7 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
         ks=ks,
         alphas=alphas,
         thetas=theta,
-        energies=np.abs(lam - np.cos(alphas)),
+        energies=model.dispersion(alphas, 0.0, lam),
         u=u,
         v=v,
         zero_mode_occupied=zero_occ,

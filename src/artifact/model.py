@@ -96,14 +96,53 @@ def _check_size(n_sites: int) -> None:
         raise BadSize(f"n_sites must be even and >= 4, got {n_sites}")
 
 
+class _Pairing:
+    """Closed forms of the pair block at broadcast (alpha, gamma, lam).
+
+    a = lam - cos(alpha), b = gamma sin(alpha) and r^2 = a^2 + b^2 are
+    formed on construction.  The pairing angle theta = atan2(b, a), the
+    energy r and the derivatives of theta are derived only when asked for:
+    the arctangent alone is a sizeable share of a tensor evaluation that
+    does not need it.
+    """
+
+    __slots__ = ("sin_alpha", "a", "b", "r2")
+
+    def __init__(self, alpha, gamma, lam):
+        self.sin_alpha = np.sin(alpha)
+        self.a = lam - np.cos(alpha)
+        self.b = gamma * self.sin_alpha
+        self.r2 = self.a * self.a + self.b * self.b
+
+    @property
+    def theta(self):
+        return np.arctan2(self.b, self.a)
+
+    @property
+    def energy(self):
+        return np.sqrt(self.r2)
+
+    @property
+    def sin_theta(self):
+        return self.b / np.sqrt(self.r2)
+
+    @property
+    def d_gamma(self):
+        """dtheta/dgamma = a sin(alpha) / r^2."""
+        return self.a * self.sin_alpha / self.r2
+
+    @property
+    def d_lam(self):
+        """dtheta/dlam = -b / r^2."""
+        return -self.b / self.r2
+
+
 def dispersion(alpha, gamma: float, lam: float):
     """Quasiparticle energy sqrt((lam - cos a)^2 + (gamma sin a)^2).
 
     Accepts scalars or arrays in ``alpha`` and broadcasts.
     """
-    a = lam - np.cos(alpha)
-    b = gamma * np.sin(alpha)
-    return np.hypot(a, b)
+    return _Pairing(alpha, gamma, lam).energy
 
 
 def bogoliubov_angle(alpha, gamma: float, lam: float):
@@ -130,13 +169,12 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
-    a = lam - np.cos(alpha)
-    b = gamma * np.sin(alpha)
-    if np.any((a == 0.0) & (b == 0.0)):
+    pairing = _Pairing(alpha, gamma, lam)
+    if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
         raise GaplessMode(
             f"pairing angle undefined at a gapless momentum (gamma={gamma}, lam={lam})"
         )
-    return np.arctan2(b, a)
+    return pairing.theta
 
 
 def _alpha_fermi(gamma: float, lam: float) -> float:

@@ -31,7 +31,6 @@ import scipy.sparse as sp
 from . import model
 from .errors import (
     BadSize,
-    CriticalPoint,
     DegenerateGroundState,
     SizeLimit,
     ZeroOverlap,
@@ -88,6 +87,8 @@ class _Operators(NamedTuple):
     hop: sp.csr_matrix
     pp: sp.csr_matrix
     mm: sp.csr_matrix
+    edge_hop: sp.csr_matrix
+    edge_pair: sp.csr_matrix
     pop: np.ndarray
     sectors: tuple[_Sector, _Sector]
 
@@ -96,8 +97,9 @@ class _Operators(NamedTuple):
 def _spin_operators(n_sites: int) -> _Operators:
     """Sparse bond sums (hopping, raising-pair, lowering-pair) and popcounts.
 
-    The pieces are also sliced once into the even and odd parity blocks,
-    kept sparse, with the two pair terms merged as at phi = 0.
+    The boundary bond N-1 -> 0 is also kept on its own (hopping, and the
+    two pair terms merged as at phi = 0).  The pieces are sliced once into
+    the even and odd parity blocks, kept sparse, with the pair terms merged.
     """
     n = n_sites
     dim = 1 << n
@@ -134,13 +136,16 @@ def _spin_operators(n_sites: int) -> _Operators:
 
     hop, pp, mm = assemble(hop_r, hop_c), assemble(pp_r, pp_c), assemble(mm_r, mm_c)
     pair = pp + mm
+    # the last bond of the loop is the boundary bond
+    edge_hop = assemble(hop_r[-2:], hop_c[-2:])
+    edge_pair = assemble(pp_r[-1:] + mm_r[-1:], pp_c[-1:] + mm_c[-1:])
     sectors = []
     for parity in (0, 1):
         index = np.where(pop % 2 == parity)[0]
         sectors.append(
             _Sector(index, pop[index], hop[index][:, index], pair[index][:, index])
         )
-    return _Operators(hop, pp, mm, pop, tuple(sectors))
+    return _Operators(hop, pp, mm, edge_hop, edge_pair, pop, tuple(sectors))
 
 
 def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix:
@@ -149,6 +154,14 @@ def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix
     zdiag = n_sites - 2.0 * ops.pop
     h = -0.5 * (ops.hop + gamma * (ops.pp + ops.mm)) + sp.diags(-0.5 * lam * zdiag)
     return h.tocsr()
+
+
+def _gauge(h: np.ndarray, phi: float, pop: np.ndarray) -> np.ndarray:
+    """U h U^dag with U = diag(exp(-i phi popcount)); ``h`` itself at phi = 0."""
+    if phi == 0.0:
+        return h
+    u = np.exp(-1j * phi * pop)
+    return u[:, None] * h * u.conj()
 
 
 def _sector_blocks(gamma: float, lam: float, n_sites: int):
@@ -249,10 +262,7 @@ def build_spin_hamiltonian(
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
     h = _hamiltonian_sparse(params.gamma, params.lam, n).toarray()
-    if params.phi == 0.0:
-        return h
-    u = np.exp(-1j * params.phi * _spin_operators(n).pop)
-    return u[:, None] * h * u.conj()
+    return _gauge(h, params.phi, _spin_operators(n).pop)
 
 
 def hamiltonian_derivatives(
@@ -337,12 +347,13 @@ def free_fermion_parity_spectrum(
     g, lam = params.gamma, params.lam
 
     a_even = (2.0 * np.arange(n // 2) + 1.0) * np.pi / n
-    disp_even = np.asarray(model.dispersion(a_even, g, lam))
-    e_even = -0.5 * n * lam + float(np.sum((lam - np.cos(a_even)) - disp_even))
+    even = model._Pairing(a_even, g, lam)
+    e_even = -0.5 * n * lam + float(np.sum(even.a - even.energy))
 
     a_pairs = 2.0 * np.pi * np.arange(1, n // 2) / n
-    disp_pairs = np.asarray(model.dispersion(a_pairs, g, lam))
-    base = -0.5 * n * lam + float(np.sum((lam - np.cos(a_pairs)) - disp_pairs))
+    pairs = model._Pairing(a_pairs, g, lam)
+    disp_pairs = pairs.energy
+    base = -0.5 * n * lam + float(np.sum(pairs.a - disp_pairs))
     cheapest_pair = float(np.min(disp_pairs))
     corr = min(lam - 1.0, lam + 1.0, cheapest_pair, 2.0 * lam + cheapest_pair)
     e_odd = base + corr
@@ -420,67 +431,30 @@ def quadratic_ring_hamiltonian(
     """Dense quadratic fermion ring with a plain (c-number) boundary bond.
 
     This is the translation-invariant ring the momentum-space product
-    states diagonalize exactly; it differs from the spin chain only in the
-    fermion string signs carried by the boundary bond.
+    states diagonalize exactly.  Under Jordan-Wigner the spin chain's
+    boundary bond B is the plain fermion bond times minus the fermion
+    parity (Lieb, Schultz and Mattis 1961), so the plain ring is the chain
+    with B reversed in the even sector: U [H(0) - 2 B(0) P_even] U^dag, with
+    P_even the projector on even popcount.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    dim = 1 << n
-    b = np.arange(dim, dtype=np.int64)
-    inner_mask = ((1 << n) - 1) ^ (1 << (n - 1)) ^ 1
-    rows, cols, vals = [], [], []
-    pair_phase = np.exp(-2j * params.phi)
-    g, lam = params.gamma, params.lam
-    for j in range(n):
-        j2 = (j + 1) % n
-        mj = 1 << (n - 1 - j)
-        mj2 = 1 << (n - 1 - j2)
-        mask = mj | mj2
-        occ_j = (b & mj) != 0
-        occ_j2 = (b & mj2) != 0
-        if j2 != 0:
-            hop_sign = np.ones(dim)
-            pair_sign = np.ones(dim)
-        else:
-            string = 1.0 - 2.0 * (_popcounts(b & inner_mask, n) & 1)
-            hop_sign = string
-            pair_sign = -string
-        sel = occ_j2 & ~occ_j
-        rows.append(b[sel] ^ mask)
-        cols.append(b[sel])
-        vals.append(-0.5 * hop_sign[sel] + 0j)
-        sel = occ_j & ~occ_j2
-        rows.append(b[sel] ^ mask)
-        cols.append(b[sel])
-        vals.append(-0.5 * hop_sign[sel] + 0j)
-        sel = ~occ_j & ~occ_j2
-        rows.append(b[sel] ^ mask)
-        cols.append(b[sel])
-        vals.append(-0.5 * g * pair_phase * pair_sign[sel])
-        sel = occ_j & occ_j2
-        rows.append(b[sel] ^ mask)
-        cols.append(b[sel])
-        vals.append(-0.5 * g * np.conj(pair_phase) * pair_sign[sel])
-    h = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).toarray()
-    h += np.diag(-0.5 * lam * (n - 2 * _popcounts(b, n)))
-    return h
+    ops = _spin_operators(n)
+    edge = -0.5 * (ops.edge_hop + params.gamma * ops.edge_pair)
+    even = sp.diags(1.0 - ops.pop % 2)
+    h = _hamiltonian_sparse(params.gamma, params.lam, n) - 2.0 * (edge @ even)
+    return _gauge(h.toarray(), params.phi, ops.pop)
 
 
 def _same_point(a: ModelParams, b: ModelParams) -> bool:
     return a.phi == b.phi and a.gamma == b.gamma and a.lam == b.lam
 
 
-def wilson_loop_berry_phase(
-    loop, n_sites: int | None = None, use_ed: bool = False
-) -> float:
+def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
     """Discrete Berry phase of a closed loop of parameter points.
 
     The loop is traversed in order with an implicit closing link back to
     the first point (a repeated final point is dropped).  Each link is the
-    normalized overlap of neighboring ground states, built from the
-    product form by default or from ED vectors when ``use_ed`` is set.
+    normalized overlap of neighboring product ground states.
 
     Returns the accumulated phase in (-pi, pi].
 
@@ -490,8 +464,6 @@ def wilson_loop_berry_phase(
         If any link modulus falls below 1e-12 (loop too coarse).
     CriticalPoint
         If a loop point is gapless.
-    SizeLimit
-        On the ED path for rings above 12 sites.
     """
     points = list(loop)
     if not points:
@@ -501,23 +473,10 @@ def wilson_loop_berry_phase(
     n = n_sites if n_sites is not None else points[0].n_sites
     if n is None:
         raise BadSize("a ring size is required")
-    n = int(n)
-    if use_ed:
-        if not 2 <= n <= _ED_MAX:
-            raise SizeLimit(f"ED path needs 2 <= N <= {_ED_MAX}, got {n}")
-        for p in points:
-            if model.gap(p.gamma, p.lam) < 1e-12:
-                raise CriticalPoint(f"gapless loop point gamma={p.gamma}, lam={p.lam}")
-        vecs = [_ed_vector(p.phi, p.gamma, p.lam, n) for p in points]
-        links = [
-            np.vdot(vecs[i], vecs[(i + 1) % len(vecs)]) for i in range(len(vecs))
-        ]
-    else:
-        states = [build_ground_state(p, n) for p in points]
-        links = [
-            overlap(states[i], states[(i + 1) % len(states)])
-            for i in range(len(states))
-        ]
+    states = [build_ground_state(p, int(n)) for p in points]
+    links = [
+        overlap(states[i], states[(i + 1) % len(states)]) for i in range(len(states))
+    ]
     product = 1.0 + 0.0j
     for link in links:
         mod = abs(link)

@@ -25,6 +25,7 @@ from .errors import (
     TooCloseToCritical,
     VortexOnPlaquette,
 )
+from .ground_state import _pair_block
 
 __all__ = [
     "PhaseLabel",
@@ -138,6 +139,8 @@ def chern_number(lam: float, config: QuadratureConfig | None = None) -> ChernRes
     cfg.validate()
     g = cfg.gamma_ref
 
+    # Scalar math, not the numpy pairing kernel: quad calls this once per
+    # node, where numpy's per-call overhead outweighs the arithmetic.
     def dtheta(alpha: float) -> float:
         a = lam - math.cos(alpha)
         b = g * math.sin(alpha)
@@ -177,9 +180,9 @@ def chern_number(lam: float, config: QuadratureConfig | None = None) -> ChernRes
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
     """Summed plaquette and pole-fan phases of a ray field on the sphere.
 
-    ``u`` and ``v`` are (n_phi, n_beta) complex amplitude arrays; the phi
-    direction wraps, the beta direction is closed by triangle fans to the
-    two cap states.  Returns (total phase, worst |cell phase|, smallest
+    ``u`` and ``v`` are amplitude arrays that broadcast to (n_phi, n_beta);
+    the phi direction wraps, the beta direction is closed by triangle fans
+    to the two cap states.  Returns (total phase, worst |cell phase|, smallest
     link modulus); every link enters exactly two cells with opposite
     orientation, so the total is an exact multiple of 2 pi.
     """
@@ -255,18 +258,14 @@ def chern_discrete(
         n // 2 - 1,
     )
     alphas = 2.0 * np.pi * ks / n
-    energies = np.asarray(model.dispersion(alphas, gamma_ref, lam))
-    if np.any(energies < 1e-9):
+    pairing = model._Pairing(alphas, gamma_ref, lam)
+    if np.any(pairing.energy < 1e-9):
         raise GaplessOnGrid(f"sampled mode energy below 1e-9 at lam={lam}")
-    thetas = np.arctan2(gamma_ref * np.sin(alphas), lam - np.cos(alphas))
-    c = np.cos(0.5 * thetas)
-    s = np.sin(0.5 * thetas)
     phis = np.pi * np.arange(n_phi) / n_phi
-    u = np.broadcast_to(c, (n_phi, n_beta)).astype(complex)
-    v = 1j * np.exp(-2j * phis)[:, None] * s[None, :]
+    u, v = _pair_block(pairing.theta, phis[:, None])
     cap_bottom = (0.0, 1.0) if lam < 1.0 else (1.0, 0.0)
     cap_top = (1.0, 0.0)
-    total, worst, min_link = _total_flux(u, v, cap_bottom, cap_top)
+    total, worst, min_link = _total_flux(u[None, :], v, cap_bottom, cap_top)
     if min_link < 1e-12:
         raise VortexOnPlaquette(f"link modulus {min_link:.3e}; refine the grid")
     if worst >= math.pi - 1e-9:

@@ -158,6 +158,26 @@ def test_metric_scan_usage_errors(cli):
     assert cli(*base, "--steps", 3, "--n-sites", 5).returncode == 2
 
 
+_SCAN = ("scan-chern", "--lambda-min", 0.2, "--lambda-max", 0.6, "--steps", 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*_SCAN, "--grid", "8x8"),
+        (*_SCAN, "--n-sites", 100),
+        (*_SCAN, "--n-sites", 257),
+        (*_SCAN, "--quad-limit", 0),
+        ("metric-scan", "--gamma", -1, "--lambda-min", 0.5, "--lambda-max", 1.0, "--steps", 3),
+    ],
+)
+def test_library_input_checks_exit_2(cli, args):
+    res = cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

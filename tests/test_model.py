@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import (
     BadSize,
     DegenerateRatio,
     GaplessMode,
     ModelParams,
+    berry_curvature_mode,
     bogoliubov_angle,
     dispersion,
     fermi_cutoff,
     gap,
     momentum_grid,
 )
+from artifact.model import _Pairing
 
 
 def test_dispersion_values():
@@ -151,3 +155,24 @@ def test_params_validation():
 def test_params_reject_non_finite(couplings):
     with pytest.raises(ValueError, match="finite"):
         ModelParams(*couplings)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, math.pi), st.floats(0.0, 1.5), st.floats(0.0, 2.5))
+def test_pairing_kernel_closed_forms(alpha, gamma, lam):
+    assume(gap(gamma, lam) > 0.05)
+    pairing = _Pairing(alpha, gamma, lam)
+    h = 1e-6
+    d_gamma = (
+        bogoliubov_angle(alpha, gamma + h, lam) - bogoliubov_angle(alpha, gamma - h, lam)
+    ) / (2.0 * h)
+    d_lam = (
+        bogoliubov_angle(alpha, gamma, lam + h) - bogoliubov_angle(alpha, gamma, lam - h)
+    ) / (2.0 * h)
+    # abs: the rounding floor of the difference quotient, ulp(pi) / h ~ 4e-10
+    assert pairing.d_gamma == pytest.approx(d_gamma, rel=1e-6, abs=1e-9)
+    assert pairing.d_lam == pytest.approx(d_lam, rel=1e-6, abs=1e-9)
+    assert abs(pairing.energy - dispersion(alpha, gamma, lam)) <= 1e-15
+    mode = berry_curvature_mode(alpha, ModelParams(0.0, gamma, lam))
+    assert mode == 1j * pairing.sin_theta * pairing.d_gamma
+    assert 0.0 <= pairing.theta <= math.pi
