@@ -22,8 +22,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_TOL_RANGE = (1e-12, 1e-3)
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -109,7 +107,7 @@ def _write_csv(stream, fieldnames, rows) -> None:
 
 
 def _chern_row(task):
-    lam, grid, n_sites, tol, quad_limit = task
+    lam, grid, n_sites = task
     row = {
         "lambda": lam,
         "chern_quadrature": None,
@@ -119,15 +117,14 @@ def _chern_row(task):
         "error": None,
     }
     try:
-        cfg = topology.QuadratureConfig(abs_tol=tol, limit=quad_limit)
-        quad_res = topology.chern_number(lam, cfg)
-        row["chern_quadrature"] = quad_res.value
-        row["chern_error"] = quad_res.abs_error_estimate
+        winding = topology.chern_number(lam)
+        row["chern_quadrature"] = winding.value
+        row["chern_error"] = winding.residual
         disc = topology.chern_discrete(lam, grid, n_sites)
         row["chern_discrete"] = disc.nearest_integer
-        if quad_res.nearest_integer != disc.nearest_integer:
+        if winding.nearest_integer != disc.nearest_integer:
             row["error"] = (
-                f"method disagreement: quadrature {quad_res.nearest_integer}, "
+                f"method disagreement: winding {winding.nearest_integer}, "
                 f"discrete {disc.nearest_integer}"
             )
         elif disc.nearest_integer == -1:
@@ -136,8 +133,6 @@ def _chern_row(task):
             row["label"] = topology.PhaseLabel.CHERN_ZERO.value
         else:
             row["error"] = f"unexpected integer {disc.nearest_integer}"
-    except BadSize:
-        raise
     except ArtifactError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -148,17 +143,10 @@ def _run_scan_chern(args) -> int:
         return _usage_error("--steps must be >= 2")
     if not args.lambda_min < args.lambda_max:
         return _usage_error("--lambda-min must be < --lambda-max")
-    if not _TOL_RANGE[0] <= args.tol <= _TOL_RANGE[1]:
-        return _usage_error(
-            f"--tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}], got {args.tol:g}"
-        )
+    topology._check_grid(args.grid, args.n_sites)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     skipped = [float(l) for l in lams if abs(l - 1.0) <= 1e-3]
-    tasks = [
-        (float(l), args.grid, args.n_sites, args.tol, args.quad_limit)
-        for l in lams
-        if abs(l - 1.0) > 1e-3
-    ]
+    tasks = [(float(l), args.grid, args.n_sites) for l in lams if abs(l - 1.0) > 1e-3]
     rows = _map_rows(_chern_row, tasks)
     failed = [row for row in rows if row["label"] == "failed"]
     fieldnames = ["lambda", "chern_quadrature", "chern_error", "chern_discrete", "label"]
@@ -169,8 +157,6 @@ def _run_scan_chern(args) -> int:
         "steps": args.steps,
         "grid": f"{args.grid[0]}x{args.grid[1]}",
         "n_sites": args.n_sites,
-        "tol": _jnum(args.tol),
-        "quad_limit": args.quad_limit,
     }
     summary = {
         "points_requested": int(len(lams)),
@@ -434,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--steps", type=int, required=True)
     scan.add_argument("--grid", type=_parse_grid, default=(64, 64))
     scan.add_argument("--n-sites", type=int, default=1024, dest="n_sites")
-    scan.add_argument("--tol", type=_finite_float, default=1e-6)
-    scan.add_argument("--quad-limit", type=int, default=200, dest="quad_limit")
     _add_output_flags(scan)
     scan.set_defaults(run=_run_scan_chern)
 

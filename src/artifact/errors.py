@@ -45,10 +45,6 @@ class TooCloseToCritical(ArtifactError):
     """A topological index was requested inside the excluded strip."""
 
 
-class QuadratureNotConverged(ArtifactError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class GaplessOnGrid(ArtifactError):
     """A discretization node sits too close to a band touching."""
 

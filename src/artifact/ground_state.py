@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import BadSize, CriticalPoint, GridMismatch
-from .model import Mode, ModelParams
+from .model import ModelParams
 
 __all__ = [
     "ModeAmplitudes",
@@ -104,19 +104,6 @@ class GroundState:
     def n_sites(self) -> int:
         return int(self.params.n_sites)
 
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        return tuple(
-            Mode(int(k), float(a), float(e), float(t))
-            for k, a, e, t in zip(self.ks, self.alphas, self.energies, self.thetas)
-        )
-
-    @property
-    def amplitudes(self) -> tuple[ModeAmplitudes, ...]:
-        return tuple(
-            ModeAmplitudes(complex(uu), complex(vv)) for uu, vv in zip(self.u, self.v)
-        )
-
     def to_json(self) -> str:
         p = self.params
         payload = {
@@ -181,16 +168,18 @@ def _pair_arrays(
     gamma: float,
     lam: float,
     n_sites: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (theta, u, v) pair arrays of the ground state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw (theta, u, v, energy) pair arrays of the ground state.
 
-    No parameter validation: finite-difference stencils may step to gamma
-    or lam slightly below zero, where the closed forms continue smoothly.
+    All four come from one pairing kernel, so ``energy`` is bit-identical
+    to ``dispersion``.  No parameter validation: the closed forms continue
+    smoothly to gamma or lam slightly below zero.
     """
     _, alphas = _pair_grid(n_sites)
-    theta = model._Pairing(alphas, gamma, lam).theta
+    pairing = model._Pairing(alphas, gamma, lam)
+    theta = pairing.theta
     u, v = _pair_block(theta, phi)
-    return theta, u.astype(complex), v
+    return theta, u.astype(complex), v, pairing.energy
 
 
 def build_ground_state(params: ModelParams, n_sites: int | None = None) -> GroundState:
@@ -227,13 +216,13 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
             f"gapless couplings gamma={params.gamma}, lam={params.lam}"
         )
     ks, alphas = _pair_grid(n)
-    theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n)
+    theta, u, v, energies = _pair_arrays(params.phi, params.gamma, params.lam, n)
     return GroundState(
         params=params,
         ks=ks,
         alphas=alphas,
         thetas=theta,
-        energies=np.asarray(model.dispersion(alphas, params.gamma, params.lam)),
+        energies=energies,
         u=u,
         v=v,
         zero_mode_occupied=params.lam < 1.0,

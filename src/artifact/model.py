@@ -9,6 +9,7 @@ momentum alpha and the three couplings, which is what this module provides.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .errors import BadSize, DegenerateRatio, GaplessMode
 
 __all__ = [
     "ModelParams",
-    "Mode",
     "dispersion",
     "bogoliubov_angle",
     "fermi_cutoff",
@@ -35,7 +35,9 @@ class ModelParams:
     phi : float
         Rotation angle of the XY bond about z, in [0, pi).  The bond
         Hamiltonian is pi-periodic in phi, so the representative interval
-        is half a turn.
+        is half a turn.  A subnormal angle is stored as 0.0: its phases
+        would put subnormal entries into dense Hamiltonians, which slow
+        LAPACK eigensolvers some 60-fold.
     gamma : float
         XY anisotropy, >= 0.
     lam : float
@@ -54,6 +56,8 @@ class ModelParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if 0.0 < self.phi < sys.float_info.min:
+            object.__setattr__(self, "phi", 0.0)
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
         if self.gamma < 0.0:
@@ -65,28 +69,6 @@ class ModelParams:
 
     def with_sites(self, n_sites: int) -> "ModelParams":
         return ModelParams(self.phi, self.gamma, self.lam, n_sites)
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One paired momentum mode of the diagonalized chain.
-
-    Attributes
-    ----------
-    k : int
-        Integer momentum index; alpha = 2*pi*k / n_sites.
-    alpha : float
-        Momentum in (-pi, pi].
-    energy : float
-        Positive quasiparticle energy of the mode.
-    theta : float
-        Pairing angle in [0, pi].
-    """
-
-    k: int
-    alpha: float
-    energy: float
-    theta: float
 
 
 def _check_size(n_sites: int) -> None:

@@ -1,11 +1,10 @@
 """First Chern number of the ground-state family and phase classification.
 
-The quadrature route integrates the momentum derivative of the pairing
-angle across the band, which is the total angle swept between the two
-unpaired momenta; the discrete route closes the (phi, momentum) cylinder
-into a sphere with the two unpaired levels as pole states and sums gauge-
-invariant plaquette and pole-fan phases.  Both jump from -1 to 0 at the
-critical field.
+The winding route reads the total pairing angle swept across the band off
+its values at the two unpaired momenta; the discrete route closes the
+(phi, momentum) cylinder into a sphere with the two unpaired levels as pole
+states and sums gauge-invariant plaquette and pole-fan phases.  Both jump
+from -1 to 0 at the critical field.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .errors import (
     BadSize,
     GaplessOnGrid,
     NoJumpFound,
-    QuadratureNotConverged,
     TooCloseToCritical,
     VortexOnPlaquette,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "ChernMethod",
     "ChernResult",
     "PhasePoint",
-    "QuadratureConfig",
     "chern_number",
     "chern_discrete",
     "classify_phase",
@@ -49,7 +46,7 @@ class PhaseLabel(str, enum.Enum):
 
 
 class ChernMethod(str, enum.Enum):
-    QUADRATURE = "Quadrature"
+    WINDING = "Winding"
     DISCRETE = "DiscretePlaquette"
 
 
@@ -61,18 +58,15 @@ class ChernResult:
     ----------
     value : float
         Raw estimate before integer snapping.
-    abs_error_estimate : float
-        Reported error bound of the evaluation.
     nearest_integer : int
     residual : float
         Distance |value - nearest_integer|.
     method : ChernMethod
     node_count : int
-        Integrand evaluations (quadrature) or grid nodes (discrete).
+        Pairing-angle evaluations (winding) or grid nodes (discrete).
     """
 
     value: float
-    abs_error_estimate: float
     nearest_integer: int
     residual: float
     method: ChernMethod
@@ -89,91 +83,60 @@ class PhasePoint:
     label: PhaseLabel
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings for the quadrature route."""
-
-    abs_tol: float = 1e-6
-    limit: int = 200
-    gamma_ref: float = 1.0
-
-    def validate(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.limit < 1:
-            raise ValueError("limit must be >= 1")
-        if not self.gamma_ref > 0:
-            raise ValueError("gamma_ref must be positive")
-
-
-def _check_finite_field(lam: float) -> None:
+def _check_field(lam: float) -> None:
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
 
 
-def chern_number(lam: float, config: QuadratureConfig | None = None) -> ChernResult:
-    """Chern number by adaptive quadrature of the angle winding.
-
-    The curvature integral over the closed (phi, anisotropy) manifold
-    telescopes to the net pairing-angle sweep across the band; the sweep
-    is evaluated at a fixed reference anisotropy (the result does not
-    depend on it) by integrating dtheta/dalpha over [0, pi] and dividing
-    by pi.
+def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
+    """Validated plaquette grid sides and ring length of the discrete route.
 
     Raises
     ------
     ValueError
-        If lam is not finite.
+        If a grid side is below 16.
+    BadSize
+        Unless N is even with N >= 256.
+    """
+    n_phi, n_beta = int(grid[0]), int(grid[1])
+    if n_phi < 16 or n_beta < 16:
+        raise ValueError(f"grid sizes must be >= 16, got {grid}")
+    n = int(n_sites)
+    if n < 256 or n % 2:
+        raise BadSize(f"n_sites must be even with N >= 256, got {n}")
+    return n_phi, n_beta, n
+
+
+def chern_number(lam: float) -> ChernResult:
+    """Chern number from the winding of the pairing angle.
+
+    The curvature integral over the closed (phi, anisotropy) manifold
+    telescopes to the net pairing-angle sweep across the band,
+    (theta(pi) - theta(0)) / pi, read off the two unpaired momenta at a
+    reference anisotropy (any positive one gives the same value): -1 below
+    the critical field and 0 above it.
+
+    Raises
+    ------
+    ValueError
+        If lam is negative or not finite.
     TooCloseToCritical
         If |lam - 1| <= 1e-3.
-    QuadratureNotConverged
-        If the subdivision cap is hit or the error estimate stays above
-        the configured absolute tolerance.
     """
-    from scipy.integrate import quad  # imported here: it dominates `import artifact`
-
-    _check_finite_field(lam)
+    _check_field(lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
-    cfg = config if config is not None else QuadratureConfig()
-    cfg.validate()
-    g = cfg.gamma_ref
-
-    # Scalar math, not the numpy pairing kernel: quad calls this once per
-    # node, where numpy's per-call overhead outweighs the arithmetic.
-    def dtheta(alpha: float) -> float:
-        a = lam - math.cos(alpha)
-        b = g * math.sin(alpha)
-        return g * (lam * math.cos(alpha) - 1.0) / (a * a + b * b)
-
-    result = quad(
-        dtheta,
-        0.0,
-        math.pi,
-        epsabs=cfg.abs_tol * math.pi,
-        epsrel=1e-10,
-        limit=cfg.limit,
-        full_output=True,
-    )
-    raw, abserr, info = result[0], result[1], result[2]
-    if len(result) > 3:
-        raise QuadratureNotConverged(
-            f"integrator warning with limit {cfg.limit}: {result[3].strip()}"
-        )
-    if abserr > cfg.abs_tol * math.pi:
-        raise QuadratureNotConverged(
-            f"error estimate {abserr / math.pi:.3e} above {cfg.abs_tol:.1e} "
-            f"with limit {cfg.limit}"
-        )
-    value = raw / math.pi
+    theta = model._Pairing(np.array([0.0, math.pi]), 1.0, lam).theta
+    value = float(theta[1] - theta[0]) / math.pi
     nearest = int(round(value))
     return ChernResult(
-        value=float(value),
-        abs_error_estimate=float(abserr / math.pi),
+        value=value,
         nearest_integer=nearest,
         residual=abs(value - nearest),
-        method=ChernMethod.QUADRATURE,
-        node_count=int(info["neval"]),
+        method=ChernMethod.WINDING,
+        node_count=2,
     )
 
 
@@ -233,8 +196,8 @@ def chern_discrete(
     Raises
     ------
     ValueError
-        If lam is not finite, a grid side is below 16 or gamma_ref is not
-        positive.
+        If lam is negative or not finite, a grid side is below 16 or
+        gamma_ref is not positive.
     BadSize
         Unless N is even with N >= 256.
     GaplessOnGrid
@@ -243,15 +206,10 @@ def chern_discrete(
         If a cell phase reaches pi or a link modulus collapses, making
         the phase assignment ambiguous.
     """
-    _check_finite_field(lam)
-    n_phi, n_beta = int(grid[0]), int(grid[1])
-    if n_phi < 16 or n_beta < 16:
-        raise ValueError(f"grid sizes must be >= 16, got {grid}")
+    _check_field(lam)
+    n_phi, n_beta, n = _check_grid(grid, n_sites)
     if gamma_ref <= 0:
         raise ValueError("gamma_ref must be positive")
-    n = int(n_sites)
-    if n < 256 or n % 2:
-        raise BadSize(f"n_sites must be even with N >= 256, got {n}")
     ks = np.clip(
         np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
         1,
@@ -272,12 +230,10 @@ def chern_discrete(
         raise VortexOnPlaquette(f"cell phase {worst:.6f} is ambiguous; refine the grid")
     value = total / (2.0 * math.pi)
     nearest = int(round(value))
-    residual = abs(value - nearest)
     return ChernResult(
         value=float(value),
-        abs_error_estimate=residual,
         nearest_integer=nearest,
-        residual=residual,
+        residual=abs(value - nearest),
         method=ChernMethod.DISCRETE,
         node_count=n_phi * n_beta + 2,
     )
@@ -288,16 +244,14 @@ def classify_phase(lam: float) -> PhasePoint:
 
     Inside the excluded strip |lam - 1| <= 1e-3 no invariant is computed
     and the label is Boundary with ``chern`` set to None; elsewhere the
-    quadrature value snaps to -1 or 0.
+    pairing-angle winding snaps to -1 or 0.
 
     Raises
     ------
     ValueError
         For negative or non-finite lam, or if the snapped integer is not -1 or 0.
     """
-    _check_finite_field(lam)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_field(lam)
     gap_one = model.gap(1.0, lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         return PhasePoint(lam, None, gap_one, PhaseLabel.BOUNDARY)

@@ -180,7 +180,7 @@ def test_qgt_product_input_checks():
 
 def _product_finite_diff(p, n, h=1e-4):
     def state_at(offset):
-        _, u, v = _pair_arrays(p.phi + offset[0], p.gamma + offset[1], p.lam + offset[2], n)
+        _, u, v, _ = _pair_arrays(p.phi + offset[0], p.gamma + offset[1], p.lam + offset[2], n)
         return u, v
 
     def braket(a, b):

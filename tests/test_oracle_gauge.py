@@ -151,3 +151,12 @@ def test_spectral_tensor_does_not_depend_on_phi(n, phi, gamma, lam):
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert np.max(np.abs(rotated - plain)) <= 1e-10 * scale
     assert np.max(np.abs(rotated - reference)) <= 1e-8 * scale
+
+
+def test_subnormal_phi_is_flushed():
+    # subnormal phases in a dense Hamiltonian slow LAPACK eigensolvers ~60-fold
+    p = ModelParams(5e-324, 1.0, 0.5)
+    assert p.phi == 0.0
+    h = build_spin_hamiltonian(p, 6)
+    assert np.array_equal(h, build_spin_hamiltonian(ModelParams(0.0, 1.0, 0.5), 6))
+    assert np.isrealobj(h)
