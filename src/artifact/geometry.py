@@ -253,7 +253,7 @@ def qgt_finite_diff(
     def state_at(offset):
         return oracle._ed_vector(
             phi + offset[0], gamma + offset[1], lam + offset[2], n
-        )
+        )[2]
 
     g_h = _qgt_raw(state_at, np.vdot, h)
     g_half = _qgt_raw(state_at, np.vdot, 0.5 * h)
@@ -268,10 +268,12 @@ def qgt_finite_diff(
 
 
 def qgt_spectral(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
-    """Geometric tensor as the sum over excited-state matrix elements.
+    """Geometric tensor as the sum over the ground block's excited states.
 
     Raises
     ------
+    BadSize
+        If the ring size is not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState

@@ -71,9 +71,13 @@ class ModelParams:
         return ModelParams(self.phi, self.gamma, self.lam, n_sites)
 
 
-def _check_size(n_sites: int) -> None:
+def _check_integer(n_sites: int) -> None:
     if not isinstance(n_sites, (int, np.integer)):
         raise BadSize(f"n_sites must be an integer, got {n_sites!r}")
+
+
+def _check_size(n_sites: int) -> None:
+    _check_integer(n_sites)
     if n_sites < 4 or n_sites % 2 != 0:
         raise BadSize(f"n_sites must be even and >= 4, got {n_sites}")
 

@@ -1,15 +1,15 @@
 """Dense small-ring engines used as ground truth.
 
-Everything here works in the full 2^N basis: exact diagonalization of the
-rotated chain, parity-resolved free-fermion spectra, Fock-space embedding
-of the product ground states, discrete Wilson loops, and the per-excited-
-state decomposition of the geometric tensor.
+Exact diagonalization of the rotated chain, parity-resolved free-fermion
+spectra, Fock-space embedding of the product ground states, discrete Wilson
+loops, and the per-excited-state decomposition of the geometric tensor.
 
-Exact diagonalization runs in real arithmetic.  The rotation phi enters
-the chain only as the diagonal gauge H(phi) = U H(0) U^dag with
-U = diag(exp(-i phi popcount)), so the real phi = 0 parity blocks are
-solved, the energies carry no phi dependence, and U is applied to the
-eigenvectors afterwards.
+The chain conserves the fermion (down-spin) parity, so exact
+diagonalization only ever solves the two 2^(N-1) parity blocks, in real
+arithmetic.  The rotation phi enters the chain only as the diagonal gauge
+H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)), so the real
+phi = 0 blocks are solved, the energies carry no phi dependence, and U is
+applied to the eigenvectors afterwards.
 
 Basis convention: basis index b has site j stored in bit N-1-j, a set bit
 is a down spin, which is identified with an occupied fermion level.  The
@@ -43,7 +43,6 @@ __all__ = [
     "ParitySectorResult",
     "SpectralTerm",
     "build_spin_hamiltonian",
-    "hamiltonian_derivatives",
     "ed_ground",
     "free_fermion_parity_spectrum",
     "embed_ground_state",
@@ -61,7 +60,7 @@ def _resolve_ed_size(params: ModelParams, n_sites: int | None, limit: int) -> in
     n = n_sites if n_sites is not None else params.n_sites
     if n is None:
         raise SizeLimit("a ring size is required")
-    n = int(n)
+    model._check_integer(n)
     if not 2 <= n <= limit:
         raise SizeLimit(f"n_sites must be in [2, {limit}], got {n}")
     return n
@@ -85,8 +84,7 @@ class _Sector(NamedTuple):
 
 class _Operators(NamedTuple):
     hop: sp.csr_matrix
-    pp: sp.csr_matrix
-    mm: sp.csr_matrix
+    pair: sp.csr_matrix
     edge_hop: sp.csr_matrix
     edge_pair: sp.csr_matrix
     pop: np.ndarray
@@ -95,19 +93,18 @@ class _Operators(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _spin_operators(n_sites: int) -> _Operators:
-    """Sparse bond sums (hopping, raising-pair, lowering-pair) and popcounts.
+    """Sparse bond sums (hopping, pair creation plus annihilation) and popcounts.
 
-    The boundary bond N-1 -> 0 is also kept on its own (hopping, and the
-    two pair terms merged as at phi = 0).  The pieces are sliced once into
-    the even and odd parity blocks, kept sparse, with the pair terms merged.
+    The boundary bond N-1 -> 0 is also kept on its own (hopping and pair
+    terms).  The pieces are sliced once into the even and odd parity
+    blocks, kept sparse.
     """
     n = n_sites
     dim = 1 << n
     b = np.arange(dim, dtype=np.int64)
     pop = _popcounts(b, n)
     hop_r, hop_c = [], []
-    pp_r, pp_c = [], []
-    mm_r, mm_c = [], []
+    pair_r, pair_c = [], []
     for j in range(n):
         j2 = (j + 1) % n
         mj = 1 << (n - 1 - j)
@@ -121,12 +118,9 @@ def _spin_operators(n_sites: int) -> _Operators:
         sel = ~down_j & down_j2
         hop_c.append(b[sel])
         hop_r.append(b[sel] ^ mask)
-        sel = down_j & down_j2
-        pp_c.append(b[sel])
-        pp_r.append(b[sel] ^ mask)
-        sel = ~down_j & ~down_j2
-        mm_c.append(b[sel])
-        mm_r.append(b[sel] ^ mask)
+        sel = down_j == down_j2
+        pair_c.append(b[sel])
+        pair_r.append(b[sel] ^ mask)
 
     def assemble(rows, cols):
         r = np.concatenate(rows)
@@ -134,25 +128,24 @@ def _spin_operators(n_sites: int) -> _Operators:
         m = sp.coo_matrix((np.ones(r.size), (r, c)), shape=(dim, dim))
         return m.tocsr()
 
-    hop, pp, mm = assemble(hop_r, hop_c), assemble(pp_r, pp_c), assemble(mm_r, mm_c)
-    pair = pp + mm
+    hop, pair = assemble(hop_r, hop_c), assemble(pair_r, pair_c)
     # the last bond of the loop is the boundary bond
     edge_hop = assemble(hop_r[-2:], hop_c[-2:])
-    edge_pair = assemble(pp_r[-1:] + mm_r[-1:], pp_c[-1:] + mm_c[-1:])
+    edge_pair = assemble(pair_r[-1:], pair_c[-1:])
     sectors = []
     for parity in (0, 1):
         index = np.where(pop % 2 == parity)[0]
         sectors.append(
             _Sector(index, pop[index], hop[index][:, index], pair[index][:, index])
         )
-    return _Operators(hop, pp, mm, edge_hop, edge_pair, pop, tuple(sectors))
+    return _Operators(hop, pair, edge_hop, edge_pair, pop, tuple(sectors))
 
 
 def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix:
     """Real phi = 0 Hamiltonian in the full basis."""
     ops = _spin_operators(n_sites)
     zdiag = n_sites - 2.0 * ops.pop
-    h = -0.5 * (ops.hop + gamma * (ops.pp + ops.mm)) + sp.diags(-0.5 * lam * zdiag)
+    h = -0.5 * (ops.hop + gamma * ops.pair) + sp.diags(-0.5 * lam * zdiag)
     return h.tocsr()
 
 
@@ -191,35 +184,33 @@ def _rotated_vector(
 
 @dataclass(frozen=True)
 class SpinSpectrum:
-    """Full exact spectrum of the 2^N chain Hamiltonian.
+    """Exact ground state of the chain, resolved by fermion parity.
 
     Attributes
     ----------
     n_sites : int
-    energies : ndarray
-        All 2^N eigenvalues in ascending order.
+    even_sector_energy, odd_sector_energy : float
+        Lowest level of the even and of the odd parity block.
     ground_vector : ndarray of complex
-        Unit-norm ground vector, gauge fixed so its largest-magnitude
-        component is real positive.
+        Unit-norm 2^N ground vector of the lower sector, gauge fixed so its
+        largest-magnitude component is real positive.
     """
 
     n_sites: int
-    energies: np.ndarray
+    even_sector_energy: float
+    odd_sector_energy: float
     ground_vector: np.ndarray
 
     @property
     def ground_energy(self) -> float:
-        return float(self.energies[0])
-
-    @property
-    def gap(self) -> float:
-        return float(self.energies[1] - self.energies[0])
+        return min(self.even_sector_energy, self.odd_sector_energy)
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "n_sites": self.n_sites,
-                "energies": [float(e) for e in self.energies],
+                "n_sites": int(self.n_sites),
+                "even_sector_energy": self.even_sector_energy,
+                "odd_sector_energy": self.odd_sector_energy,
                 "ground_vector": [
                     [float(z.real), float(z.imag)] for z in self.ground_vector
                 ],
@@ -265,62 +256,38 @@ def build_spin_hamiltonian(
     return _gauge(h, params.phi, _spin_operators(n).pop)
 
 
-def hamiltonian_derivatives(
-    params: ModelParams, n_sites: int | None = None
-) -> tuple:
-    """Analytic coupling derivatives (d/dphi, d/dgamma, d/dlam) of the chain.
-
-    Returned as sparse matrices; the lam derivative is the diagonal
-    -(1/2) sum_j sigma^z_j independent of phi and gamma.
-    """
-    n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    ops = _spin_operators(n)
-    ph = np.exp(2j * params.phi)
-    g = params.gamma
-    d_phi = (-0.5 * g) * (2j * ph * ops.pp - 2j * np.conj(ph) * ops.mm)
-    d_gamma = -0.5 * (ph * ops.pp + np.conj(ph) * ops.mm)
-    d_lam = sp.diags(-0.5 * (n - 2.0 * ops.pop))
-    return d_phi.tocsr(), d_gamma.tocsr(), d_lam.tocsr()
-
-
 def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
-    """Exact spectrum by parity-blocked dense diagonalization in real arithmetic.
+    """Exact parity-sector ground energies and ground vector.
 
     The chain conserves the number parity of down spins, so the 2^N matrix
-    splits into two blocks of 2^(N-1); both are solved in full and the
-    merged spectrum is returned with the ground vector of the winning
-    sector.  The rotation enters only as the diagonal gauge
-    H(phi) = U H(0) U^dag, U = diag(exp(-i phi popcount)): the real phi = 0
-    blocks are diagonalized, so the energies do not depend on phi, and U is
-    applied to the ground vector.
+    splits into two real blocks of 2^(N-1); the lowest eigenpair of each is
+    found (two solves in all) and the lower one gives the ground vector.
+    The rotation enters only as the diagonal gauge H(phi) = U H(0) U^dag,
+    U = diag(exp(-i phi popcount)): the real phi = 0 blocks are
+    diagonalized, so the energies do not depend on phi, and U is applied
+    to the ground vector.
 
     Raises
     ------
+    BadSize
+        If the ring size is not an integer.
     SizeLimit
         Unless 2 <= N <= 12.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    (even, h_even), (odd, h_odd) = _sector_blocks(params.gamma, params.lam, n)
-    w_even = scipy.linalg.eigvalsh(h_even)
-    w_odd = scipy.linalg.eigvalsh(h_odd)
-    energies = np.sort(np.concatenate([w_even, w_odd]))
-    if w_even[0] <= w_odd[0]:
-        sector, block = even, h_even
-    else:
-        sector, block = odd, h_odd
-    _, v0 = scipy.linalg.eigh(block, subset_by_index=[0, 0])
-    vec = _rotated_vector(sector, v0[:, 0], params.phi, n)
-    return SpinSpectrum(n_sites=n, energies=energies, ground_vector=vec)
+    return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
 
 
-def _ed_vector(phi: float, gamma: float, lam: float, n_sites: int) -> np.ndarray:
-    """Gauge-fixed ground vector only, via per-sector lowest eigenpairs."""
-    (even, h_even), (odd, h_odd) = _sector_blocks(gamma, lam, n_sites)
-    w_e, v_e = scipy.linalg.eigh(h_even, subset_by_index=[0, 0])
-    w_o, v_o = scipy.linalg.eigh(h_odd, subset_by_index=[0, 0])
-    if w_e[0] <= w_o[0]:
-        return _rotated_vector(even, v_e[:, 0], phi, n_sites)
-    return _rotated_vector(odd, v_o[:, 0], phi, n_sites)
+def _ed_vector(
+    phi: float, gamma: float, lam: float, n_sites: int
+) -> tuple[float, float, np.ndarray]:
+    """Lowest level of each parity block and the gauge-fixed ground vector."""
+    blocks = _sector_blocks(gamma, lam, n_sites)
+    lowest = [scipy.linalg.eigh(h, subset_by_index=[0, 0]) for _, h in blocks]
+    (w_even, _), (w_odd, _) = lowest
+    k = 0 if w_even[0] <= w_odd[0] else 1
+    vec = _rotated_vector(blocks[k][0], lowest[k][1][:, 0], phi, n_sites)
+    return float(w_even[0]), float(w_odd[0]), vec
 
 
 def free_fermion_parity_spectrum(
@@ -336,14 +303,14 @@ def free_fermion_parity_spectrum(
     Raises
     ------
     BadSize
-        Unless N is even with 4 <= N <= 4096.
+        Unless N is an even integer with 4 <= N <= 4096.
     """
     n = n_sites if n_sites is not None else params.n_sites
     if n is None:
         raise BadSize("a ring size is required")
-    n = int(n)
-    if n < 4 or n > _FREE_MAX or n % 2:
-        raise BadSize(f"n_sites must be even with 4 <= N <= {_FREE_MAX}, got {n}")
+    model._check_size(n)
+    if n > _FREE_MAX:
+        raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n}")
     g, lam = params.gamma, params.lam
 
     a_even = (2.0 * np.arange(n // 2) + 1.0) * np.pi / n
@@ -460,6 +427,8 @@ def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
 
     Raises
     ------
+    BadSize
+        Unless N is an even integer >= 4.
     ZeroOverlap
         If any link modulus falls below 1e-12 (loop too coarse).
     CriticalPoint
@@ -473,7 +442,7 @@ def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
     n = n_sites if n_sites is not None else points[0].n_sites
     if n is None:
         raise BadSize("a ring size is required")
-    states = [build_ground_state(p, int(n)) for p in points]
+    states = [build_ground_state(p, n) for p in points]
     links = [
         overlap(states[i], states[(i + 1) % len(states)]) for i in range(len(states))
     ]
@@ -501,30 +470,47 @@ class SpectralTerm:
 def qgt_matrix_elements(
     params: ModelParams, n_sites: int | None = None
 ) -> list[SpectralTerm]:
-    """Per-excited-state geometric tensor terms from full dense ED.
+    """Per-excited-state geometric tensor terms from the ground's parity block.
 
-    The gauge U multiplies both the eigenvectors and the coupling
+    Both parity blocks are diagonalized.  Every coupling derivative
+    conserves parity, so only the excited states of the ground's block
+    contribute; the other block's terms are exactly zero and are not
+    returned.  The gauge U multiplies both the eigenvectors and the
     derivatives and cancels in <m|dH|0>, so the terms depend on (gamma, lam)
-    only and are evaluated in the real phi = 0 frame.
+    only and are evaluated in the real phi = 0 frame, where, with P the
+    popcount, d_lam H = P - N/2, d_gamma H = -pair / 2 and, from
+    H(phi) = U H(0) U^dag, d_phi H = -i[P, H], so that
+    <m|d_phi H|0> = i (E_m - E_0) <m|P|0>.
 
     Raises
     ------
+    BadSize
+        If the ring size is not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState
-        When the finite-size gap E_1 - E_0 is below 1e-10.
+        When the finite-size gap E_1 - E_0 is below 1e-10, E_1 being the
+        lower of the ground block's second level and the other block's
+        lowest.
     """
     n = _resolve_ed_size(params, n_sites, _QGT_MAX)
-    h = _hamiltonian_sparse(params.gamma, params.lam, n).toarray()
-    w, vectors = scipy.linalg.eigh(h)
-    if w[1] - w[0] < 1e-10:
-        raise DegenerateGroundState(f"E1 - E0 = {w[1] - w[0]:.3e}")
-    derivs = hamiltonian_derivatives(ModelParams(0.0, params.gamma, params.lam), n)
+    ground, other = sorted(
+        [
+            (*scipy.linalg.eigh(h), sector)
+            for sector, h in _sector_blocks(params.gamma, params.lam, n)
+        ],
+        key=lambda solved: solved[0][0],
+    )
+    w, vectors, sector = ground
+    e1 = min(w[1], other[0][0])
+    if e1 - w[0] < 1e-10:
+        raise DegenerateGroundState(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]
-    amps = np.stack([vectors.T @ (d @ v0) for d in derivs])
-    terms = []
-    for m in range(1, w.size):
-        gap = float(w[m] - w[0])
-        c = amps[:, m]
-        terms.append(SpectralTerm(gap, np.outer(np.conj(c), c) / gap**2))
-    return terms
+    gaps = w[1:] - w[0]
+    pop = vectors[:, 1:].T @ (sector.pop * v0)
+    pair = vectors[:, 1:].T @ (-0.5 * (sector.pair @ v0))
+    amps = np.stack([1j * gaps * pop, pair, pop])
+    return [
+        SpectralTerm(float(gap), np.outer(np.conj(c), c) / gap**2)
+        for gap, c in zip(gaps, amps.T)
+    ]

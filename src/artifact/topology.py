@@ -96,17 +96,19 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     Raises
     ------
     ValueError
-        If a grid side is below 16.
+        If a grid side is not an integer or is below 16.
     BadSize
-        Unless N is even with N >= 256.
+        Unless N is an even integer with N >= 256.
     """
-    n_phi, n_beta = int(grid[0]), int(grid[1])
+    n_phi, n_beta = grid
+    if not all(isinstance(side, (int, np.integer)) for side in grid):
+        raise ValueError(f"grid sizes must be integers, got {grid}")
     if n_phi < 16 or n_beta < 16:
         raise ValueError(f"grid sizes must be >= 16, got {grid}")
-    n = int(n_sites)
-    if n < 256 or n % 2:
-        raise BadSize(f"n_sites must be even with N >= 256, got {n}")
-    return n_phi, n_beta, n
+    model._check_size(n_sites)
+    if n_sites < 256:
+        raise BadSize(f"n_sites must be even with N >= 256, got {n_sites}")
+    return n_phi, n_beta, n_sites
 
 
 def chern_number(lam: float) -> ChernResult:

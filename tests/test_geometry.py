@@ -24,7 +24,7 @@ from artifact.geometry import _qgt_raw
 from artifact.ground_state import _overlap_arrays, _pair_arrays
 
 P = ModelParams
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=30)
 
 
 def _mode_sum(g, lam, n, phi=0.0):

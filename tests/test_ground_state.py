@@ -99,7 +99,7 @@ def test_ground_energy_flat_band():
 
 def test_ground_energy_matches_ed():
     p = P(0.0, 0.5, 0.5, 8)
-    assert ground_energy(p) == pytest.approx(ed_ground(p).energies[0], abs=1e-9)
+    assert ground_energy(p) == pytest.approx(ed_ground(p).ground_energy, abs=1e-9)
     ring = np.linalg.eigvalsh(quadratic_ring_hamiltonian(p))[0]
     assert ground_energy(p) == pytest.approx(ring, abs=1e-9)
 
@@ -163,7 +163,7 @@ def test_ring_eigenstate_inside_fermi_edge():
     assert np.vdot(v, h @ v).real == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
 
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=30)
 # Subnormal couplings slow LAPACK's eigvalsh on the ring Hamiltonian about
 # 60-fold (23 s at N = 10), so they are left out.
 couplings = st.tuples(

@@ -157,7 +157,7 @@ def test_params_reject_non_finite(couplings):
         ModelParams(*couplings)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.floats(0.0, math.pi), st.floats(0.0, 1.5), st.floats(0.0, 2.5))
 def test_pairing_kernel_closed_forms(alpha, gamma, lam):
     assume(gap(gamma, lam) > 0.05)

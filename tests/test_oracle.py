@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from artifact import (
@@ -10,13 +11,14 @@ from artifact import (
     berry_curvature_mode,
     build_ground_state,
     build_spin_hamiltonian,
+    chern_discrete,
     dispersion,
     ed_ground,
     embed_ground_state,
     free_fermion_parity_spectrum,
-    hamiltonian_derivatives,
     qgt_finite_diff,
     qgt_matrix_elements,
+    qgt_spectral,
     wilson_loop_berry_phase,
 )
 
@@ -38,16 +40,16 @@ def test_hamiltonian_hermitian():
 
 
 def test_phi_independent_spectrum():
-    e0 = ed_ground(P(0.0, 0.8, 0.6, 8)).energies
-    e7 = ed_ground(P(0.7, 0.8, 0.6, 8)).energies
+    e0 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.0, 0.8, 0.6, 8)))
+    e7 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.7, 0.8, 0.6, 8)))
     assert np.max(np.abs(e0 - e7)) < 1e-10
 
 
 def test_ed_energy_density():
     sp = ed_ground(P(0.0, 1.0, 0.0, 8))
-    assert abs(sp.energies[0] / 8 + 0.5) < 0.07
+    assert abs(sp.ground_energy / 8 + 0.5) < 0.07
     ff = free_fermion_parity_spectrum(P(0.0, 1.0, 0.0, 8))
-    assert abs(sp.energies[0] - ff.ground_energy) < 1e-10
+    assert abs(sp.ground_energy - ff.ground_energy) < 1e-10
 
 
 def test_ed_polarized_limit():
@@ -56,22 +58,26 @@ def test_ed_polarized_limit():
     assert abs(np.linalg.norm(sp.ground_vector) - 1.0) < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="below the transition the finite ring has a parity quasi-degeneracy: "
-    "measured E1-E0 at (gamma=1, lam=0.5, N=8) is 7.28e-4 while at lam=1 it is "
-    "9.85e-2, so the finite-size spectral gap grows toward the critical field "
-    "rather than shrinking",
-)
-def test_ed_gap_trend():
-    e_half = ed_ground(P(0.0, 1.0, 0.5, 8)).energies
-    e_crit = ed_ground(P(0.0, 1.0, 1.0, 8)).energies
-    assert e_crit[1] - e_crit[0] < e_half[1] - e_half[0]
+def test_parity_splitting_law():
+    # below the field the parity sectors are split by an amount that closes
+    # geometrically with N (so E1 - E0 at fixed N shrinks away from lam = 1);
+    # above it the splitting tends to lam - 1
+    splits = []
+    for n in (4, 6, 8, 10):
+        p = P(0.0, 1.0, 0.5, n)
+        ed, ff = ed_ground(p), free_fermion_parity_spectrum(p)
+        assert abs(ed.even_sector_energy - ff.even_sector_energy) < 1e-10
+        assert abs(ed.odd_sector_energy - ff.odd_sector_energy) < 1e-10
+        splits.append(ed.odd_sector_energy - ed.even_sector_energy)
+    assert min(splits) > 0.0
+    assert all(b < 0.25 * a for a, b in zip(splits, splits[1:]))
+    far = free_fermion_parity_spectrum(P(0.0, 1.0, 1.5, 32))
+    assert far.odd_sector_energy - far.even_sector_energy == pytest.approx(0.5, abs=1e-6)
 
 
 def test_parity_sector_agreement():
     for p in (P(0.0, 1.0, 0.0, 8), P(0.0, 0.5, 0.5, 10)):
-        dev = abs(ed_ground(p).energies[0] - free_fermion_parity_spectrum(p).ground_energy)
+        dev = abs(ed_ground(p).ground_energy - free_fermion_parity_spectrum(p).ground_energy)
         assert dev < 1e-10
 
 
@@ -94,6 +100,39 @@ def test_free_fermion_bad_size():
 def test_ed_size_limit():
     with pytest.raises(SizeLimit):
         ed_ground(P(0.0, 0.5, 0.5), 14)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ed_ground(P(0.0, 0.5, 0.5), 6.5), BadSize),
+        (lambda: ed_ground(P(0.0, 0.5, 0.5), "6"), BadSize),
+        (lambda: free_fermion_parity_spectrum(P(0.0, 0.5, 0.5), 8.7), BadSize),
+        (lambda: qgt_spectral(P(0.0, 0.5, 1.5), 6.9), BadSize),
+        (lambda: chern_discrete(0.5, (32.9, 32), 512.5), ValueError),
+        (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3, 16.5), BadSize),
+    ],
+    ids=["ed-float", "ed-str", "free-fermion", "qgt-spectral", "chern-discrete", "wilson"],
+)
+def test_non_integer_sizes_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_ed_ground_solves_each_parity_block_once(monkeypatch):
+    dims = []
+
+    def counting(solver):
+        def solve(a, *args, **kwargs):
+            dims.append(len(a))
+            return solver(a, *args, **kwargs)
+
+        return solve
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh))
+    ed_ground(P(0.4, 0.7, 0.9, 8))
+    assert dims == [128, 128]
 
 
 def test_wilson_constant_loop():
@@ -169,11 +208,11 @@ def test_spectral_terms_phi_diagonal_gram():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="measured max single-term magnitudes at N=6 over lam in {0.5, 0.8, 0.95} "
-    "are 0.800, 0.983, 0.973 while the smallest excitation gap grows from 3.45e-3 "
-    "to 1.05e-1 (the near-degenerate parity partner decouples from dH), so term "
-    "magnitudes are not monotone toward the critical field at fixed N",
+    "are 0.800, 0.983, 0.973, and the smallest excitation gap inside the ground's "
+    "parity block is 1.24, 1.01, 1.01 (the near-degenerate parity partner lies in "
+    "the other block, which dH never reaches), so term magnitudes are not monotone "
+    "toward the critical field at fixed N",
 )
 def test_spectral_term_growth_toward_critical():
     maxima = []
@@ -187,11 +226,3 @@ def test_spectral_terms_degenerate_ground():
     with pytest.raises(DegenerateGroundState):
         qgt_matrix_elements(P(0.0, 1.0, 0.0, 6))
 
-
-def test_field_derivative_exact():
-    n = 6
-    _, _, d_lam = hamiltonian_derivatives(P(0.4, 0.7, 0.9), n)
-    states = np.arange(2**n)
-    popcounts = np.array([bin(s).count("1") for s in states])
-    expected = -0.5 * (n - 2.0 * popcounts)
-    assert np.allclose(np.asarray(d_lam.todense()).diagonal(), expected, atol=0.0)

@@ -40,7 +40,7 @@ def test_quadrature_critical_strip():
         chern_number(1.0005)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.floats(0.0, 3.0), st.floats(0.05, 3.0))
 def test_winding_matches_quadrature(lam, gamma):
     # adaptive quadrature of dtheta/dalpha over the band, at any anisotropy,
