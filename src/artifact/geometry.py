@@ -2,10 +2,12 @@
 
 Coordinates are always ordered (phi, gamma, lam).  The tensor of the
 product ground state is a closed-form sum of per-mode Bloch-sphere tensors
-at any ring size.  On rings of up to 10 sites the spin-chain tensor also
-comes from two exact-diagonalization oracles: central finite differences
-of ED ground vectors and the spectral sum over excited states.  The
-curvature density comes from the closed form of the pairing angle.
+over the pair momenta of its parity sector, at any ring size; it is the
+spin-chain tensor wherever that sector holds the chain's ground state.  On
+rings of up to 10 sites the spin-chain tensor also comes from two
+exact-diagonalization oracles: central finite differences of ED ground
+vectors and the spectral sum over excited states.  The curvature density
+comes from the closed form of the pairing angle.
 """
 
 from __future__ import annotations
@@ -126,10 +128,12 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
 
     Each pair block (cos(theta/2), i e^{-2i phi} sin(theta/2)) is a Bloch
     vector with polar angle theta and azimuth chi = pi/2 - 2 phi, so the
-    tensor is the sum over the pair momenta alpha_k = 2 pi k / N,
-    k = 1 ... N/2 - 1, of 1/4 (dtheta dtheta + sin^2(theta) dchi dchi)
-    + i/4 sin(theta) (dtheta dchi - dchi dtheta), with sin(theta) and the
-    derivatives of theta in closed form.  The result does not depend on phi.
+    tensor is the sum over the pair momenta of 1/4 (dtheta dtheta
+    + sin^2(theta) dchi dchi) + i/4 sin(theta) (dtheta dchi - dchi dtheta),
+    with sin(theta) and the derivatives of theta in closed form.  The pairs
+    are those of ``build_ground_state``: the periodic 2 pi k / N,
+    k = 1 ... N/2 - 1, when lam < 1 and the antiperiodic (2k+1) pi / N,
+    k = 0 ... N/2 - 1, otherwise.  The result does not depend on phi.
 
     Raises
     ------
@@ -145,8 +149,7 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
     gamma, lam = params.gamma, params.lam
     if model.gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
-    _, alphas = _pair_grid(n)
-    pairing = model._Pairing(alphas, gamma, lam)
+    pairing = model._Pairing(_pair_grid(n, lam < 1.0), gamma, lam)
     sin_theta = pairing.sin_theta
     d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)
@@ -210,25 +213,24 @@ def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
     return worst
 
 
-def qgt_finite_diff(
-    params: ModelParams, n_sites: int | None = None, step: float | None = None
-) -> GeometricTensor:
+def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
     """Central-difference geometric tensor of the exact-diagonalization ground vector.
 
     An oracle for the spin chain on small rings, comparable with
-    ``qgt_spectral``.  The estimate is recomputed at half the step and the
-    pair must agree before the finer answer is returned, Hermitized.
+    ``qgt_spectral``.  The estimate at the step 2e-4 is recomputed at half
+    the step and the pair must agree before the finer answer is returned,
+    Hermitized.
 
     Parameters
     ----------
     params : ModelParams
     n_sites : int, optional
         Ring length; falls back to ``params.n_sites``.
-    step : float, optional
-        Central-difference step in [1e-6, 1e-3], default 2e-4.
 
     Raises
     ------
+    BadSize
+        If the ring size is missing or not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     CriticalPoint
@@ -239,9 +241,7 @@ def qgt_finite_diff(
         If the step-halving check fails.
     """
     n = oracle._resolve_ed_size(params, n_sites, oracle._QGT_MAX)
-    h = step if step is not None else _ED_STEP
-    if not 1e-6 <= h <= 1e-3:
-        raise ValueError(f"step must lie in [1e-6, 1e-3], got {h}")
+    h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
     if model.gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
@@ -273,7 +273,7 @@ def qgt_spectral(params: ModelParams, n_sites: int | None = None) -> GeometricTe
     Raises
     ------
     BadSize
-        If the ring size is not an integer.
+        If the ring size is missing or not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState

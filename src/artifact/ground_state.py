@@ -1,9 +1,14 @@
 """Exact ground states of the chain as products over paired momenta.
 
-After the fermion mapping the ground state factorizes into independent
-two-level pair blocks (alpha, -alpha) plus the two unpaired momenta at
-alpha = 0 and alpha = pi.  Each pair block is described by two complex
-amplitudes on the empty and doubly occupied states.
+After the fermion mapping the chain conserves fermion parity, and each
+parity sector is a quadratic ring on its own momenta (Lieb, Schultz and
+Mattis 1961): odd parity takes the periodic momenta 2 pi k / N, whose
+unpaired alpha = 0 level is occupied, and even parity takes the
+antiperiodic momenta (2k+1) pi / N, which all pair.  The product state
+lives in the odd sector exactly when lam < 1.  Each pair block (alpha,
+-alpha) is described by two complex amplitudes on the empty and doubly
+occupied states, so every product state is an exact eigenstate of the
+spin chain.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ __all__ = [
     "mode_amplitudes",
     "build_ground_state",
     "isotropic_ground_state",
-    "ground_energy",
     "overlap",
 ]
 
@@ -66,38 +70,35 @@ def mode_amplitudes(alpha: float, params: ModelParams) -> ModeAmplitudes:
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """Product ground state on the N-site ring.
+    """Product ground state on the N-site ring, in one fermion-parity sector.
 
-    Pair blocks are indexed by k = 1 .. N/2 - 1 (momenta alpha_k and
-    -alpha_k together); the unpaired momenta k = 0 and k = N/2 are single
-    fermion levels with a boolean occupation each.
+    The odd sector pairs the periodic momenta 2 pi k / N, k = 1 .. N/2 - 1,
+    and occupies the unpaired alpha = 0 level (the unpaired alpha = pi
+    level stays empty); the even sector pairs the antiperiodic momenta
+    (2k+1) pi / N, k = 0 .. N/2 - 1, and has no unpaired level.
 
     Attributes
     ----------
     params : ModelParams
         Couplings, with ``n_sites`` set.
-    ks : ndarray of int
-        Pair indices 1 .. N/2 - 1.
     alphas, thetas, energies : ndarray
         Momentum, pairing angle, and quasiparticle energy per pair.
     u, v : ndarray of complex
         Amplitudes on the empty / doubly occupied pair states.
-    zero_mode_occupied, pi_mode_occupied : bool
-        Occupations of the unpaired momenta alpha = 0 and alpha = pi.
+    zero_mode_occupied : bool
+        Whether the state is in the odd sector, with alpha = 0 occupied.
     occupation_mask : ndarray of bool or None
         Full-grid occupation over momentum_grid(n_sites); set by the
         isotropic constructor, None otherwise.
     """
 
     params: ModelParams
-    ks: np.ndarray = field(repr=False)
     alphas: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     zero_mode_occupied: bool
-    pi_mode_occupied: bool
     occupation_mask: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -114,18 +115,16 @@ class GroundState:
                 "n_sites": p.n_sites,
             },
             "zero_mode_occupied": self.zero_mode_occupied,
-            "pi_mode_occupied": self.pi_mode_occupied,
             "modes": [
                 {
-                    "k": int(k),
                     "alpha": float(a),
                     "theta": float(t),
                     "energy": float(e),
                     "u": [float(np.real(uu)), float(np.imag(uu))],
                     "v": [float(np.real(vv)), float(np.imag(vv))],
                 }
-                for k, a, t, e, uu, vv in zip(
-                    self.ks, self.alphas, self.thetas, self.energies, self.u, self.v
+                for a, t, e, uu, vv in zip(
+                    self.alphas, self.thetas, self.energies, self.u, self.v
                 )
             ],
             "occupation_mask": (
@@ -142,25 +141,29 @@ class GroundState:
         p = d["params"]
         params = ModelParams(p["phi"], p["gamma"], p["lam"], p["n_sites"])
         modes = d["modes"]
-        ks = np.array([m["k"] for m in modes], dtype=int)
         mask = d["occupation_mask"]
         return cls(
             params=params,
-            ks=ks,
             alphas=np.array([m["alpha"] for m in modes]),
             thetas=np.array([m["theta"] for m in modes]),
             energies=np.array([m["energy"] for m in modes]),
             u=np.array([complex(m["u"][0], m["u"][1]) for m in modes]),
             v=np.array([complex(m["v"][0], m["v"][1]) for m in modes]),
             zero_mode_occupied=d["zero_mode_occupied"],
-            pi_mode_occupied=d["pi_mode_occupied"],
             occupation_mask=None if mask is None else np.array(mask, dtype=bool),
         )
 
 
-def _pair_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.arange(1, n_sites // 2)
-    return ks, 2.0 * np.pi * ks / n_sites
+def _pair_grid(n_sites: int, odd: bool) -> np.ndarray:
+    """Pair momenta of one parity sector of the N-site chain.
+
+    Odd parity: the periodic 2 pi k / N, k = 1 .. N/2 - 1, beside the
+    unpaired alpha = 0 and alpha = pi levels.  Even parity: the
+    antiperiodic (2k+1) pi / N, k = 0 .. N/2 - 1, with no unpaired level.
+    """
+    if odd:
+        return 2.0 * np.pi * np.arange(1, n_sites // 2) / n_sites
+    return (2.0 * np.arange(n_sites // 2) + 1.0) * np.pi / n_sites
 
 
 def _pair_arrays(
@@ -172,10 +175,11 @@ def _pair_arrays(
     """Raw (theta, u, v, energy) pair arrays of the ground state.
 
     All four come from one pairing kernel, so ``energy`` is bit-identical
-    to ``dispersion``.  No parameter validation: the closed forms continue
-    smoothly to gamma or lam slightly below zero.
+    to ``dispersion``.  The pairs sit on the momenta of the odd sector when
+    lam < 1 and of the even sector otherwise.  No parameter validation: the
+    closed forms continue smoothly to gamma or lam slightly below zero.
     """
-    _, alphas = _pair_grid(n_sites)
+    alphas = _pair_grid(n_sites, lam < 1.0)
     pairing = model._Pairing(alphas, gamma, lam)
     theta = pairing.theta
     u, v = _pair_block(theta, phi)
@@ -186,9 +190,12 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
     """Exact ground state at the given couplings.
 
     Every pair block carries (cos(theta/2), i e^{-2 i phi} sin(theta/2))
-    with theta = atan2(gamma sin(alpha), lam - cos(alpha)); the unpaired
-    alpha = 0 level is occupied exactly when lam < 1 and the alpha = pi
-    level never is (for lam >= 0).
+    with theta = atan2(gamma sin(alpha), lam - cos(alpha)).  Below the
+    field (lam < 1) the state is in the odd sector: periodic pair momenta
+    and an occupied alpha = 0 level.  Otherwise it is in the even sector,
+    on the antiperiodic momenta.  Embedded in Fock space it is an exact
+    eigenstate of the spin chain, with the closed-form energy of its sector
+    from ``free_fermion_parity_spectrum``.
 
     Parameters
     ----------
@@ -215,18 +222,16 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
         raise CriticalPoint(
             f"gapless couplings gamma={params.gamma}, lam={params.lam}"
         )
-    ks, alphas = _pair_grid(n)
+    odd = params.lam < 1.0
     theta, u, v, energies = _pair_arrays(params.phi, params.gamma, params.lam, n)
     return GroundState(
         params=params,
-        ks=ks,
-        alphas=alphas,
+        alphas=_pair_grid(n, odd),
         thetas=theta,
         energies=energies,
         u=u,
         v=v,
-        zero_mode_occupied=params.lam < 1.0,
-        pi_mode_occupied=params.lam < -1.0,
+        zero_mode_occupied=odd,
     )
 
 
@@ -234,56 +239,40 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     """Sharp Fermi sea at zero anisotropy.
 
     With no pairing the ground state is a filled shell in the number
-    basis: momenta with |k| <= fermi_cutoff(0, lam, n_sites) are occupied,
-    plus the unpaired k = 0 level whenever lam <= 1.  The construction
-    stays defined on the gapless line (the boundary shell is filled by
-    convention), so no criticality check is made here.
+    basis.  When lam <= 1 it is in the odd sector: the unpaired k = 0 level
+    and the periodic momenta with |k| <= fermi_cutoff(0, lam, n_sites) are
+    occupied.  Above the field every level is empty, on the antiperiodic
+    momenta of the even sector that ``build_ground_state`` uses there.  The
+    construction stays defined on the gapless line (the boundary shell is
+    filled by convention), so no criticality check is made here.
     """
     model._check_size(n_sites)
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     params = ModelParams(0.0, 0.0, lam, n_sites)
     k_t = model.fermi_cutoff(0.0, lam, n_sites)
-    ks, alphas = _pair_grid(n_sites)
-    filled = ks <= k_t
+    zero_occ = lam <= 1.0
+    alphas = _pair_grid(n_sites, zero_occ)
+    filled = np.arange(1, alphas.size + 1) <= k_t
     # exact number states at gamma = 0: occupied pairs are pure |11>,
     # empty ones pure |00>; the degenerate boundary shell follows the mask
     theta = np.where(filled, np.pi, 0.0)
     u = np.where(filled, 0.0, 1.0).astype(complex)
     v = np.where(filled, 1j, 0.0)
-    zero_occ = lam <= 1.0
     grid_k = np.arange(-(n_sites // 2) + 1, n_sites // 2 + 1)
     mask = np.abs(grid_k) <= k_t
     mask[grid_k == 0] = zero_occ
     mask[grid_k == n_sites // 2] = False
     return GroundState(
         params=params,
-        ks=ks,
         alphas=alphas,
         thetas=theta,
         energies=model.dispersion(alphas, 0.0, lam),
         u=u,
         v=v,
         zero_mode_occupied=zero_occ,
-        pi_mode_occupied=False,
         occupation_mask=mask,
     )
-
-
-def ground_energy(params: ModelParams, n_sites: int | None = None) -> float:
-    """Ground energy -(1/2) sum_k dispersion(alpha_k) over the full grid.
-
-    This equals the exact ground energy of the quadratic chain with the
-    boundary correction dropped; the parity-resolved oracle recovers the
-    full ring answer.
-    """
-    if n_sites is None:
-        n_sites = params.n_sites
-    if n_sites is None:
-        raise BadSize("ground_energy needs n_sites")
-    model._check_size(n_sites)
-    alphas = model.momentum_grid(n_sites)
-    return -0.5 * float(np.sum(model.dispersion(alphas, params.gamma, params.lam)))
 
 
 def _overlap_arrays(
@@ -295,9 +284,10 @@ def _overlap_arrays(
 def overlap(a: GroundState, b: GroundState) -> complex:
     """Fock-space inner product <a|b> of two product states on the same grid.
 
-    States whose unpaired occupations differ are orthogonal (for lam >= 0
-    they differ in fermion parity), so their overlap is exactly 0j;
-    otherwise it is the product of the pair block overlaps.
+    States in different parity sectors (one on each side of lam = 1) are
+    orthogonal, so their overlap is exactly 0j; otherwise both sit on the
+    same pair momenta and the overlap is the product of the pair block
+    overlaps.
 
     Raises
     ------
@@ -306,9 +296,6 @@ def overlap(a: GroundState, b: GroundState) -> complex:
     """
     if a.n_sites != b.n_sites:
         raise GridMismatch(f"n_sites {a.n_sites} != {b.n_sites}")
-    if (
-        a.zero_mode_occupied != b.zero_mode_occupied
-        or a.pi_mode_occupied != b.pi_mode_occupied
-    ):
+    if a.zero_mode_occupied != b.zero_mode_occupied:
         return 0j
     return _overlap_arrays(a.u, a.v, b.u, b.v)

@@ -3,6 +3,10 @@
 Exact diagonalization of the rotated chain, parity-resolved free-fermion
 spectra, Fock-space embedding of the product ground states, discrete Wilson
 loops, and the per-excited-state decomposition of the geometric tensor.
+The closed-form sector energies and the product states use one momentum
+rule (``ground_state._pair_grid``): periodic momenta in the odd fermion
+parity sector, antiperiodic ones in the even sector.  An embedded product
+state is therefore an exact eigenvector of the spin chain.
 
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
@@ -35,7 +39,7 @@ from .errors import (
     SizeLimit,
     ZeroOverlap,
 )
-from .ground_state import GroundState, build_ground_state, overlap
+from .ground_state import GroundState, _pair_grid, build_ground_state, overlap
 from .model import ModelParams
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "ed_ground",
     "free_fermion_parity_spectrum",
     "embed_ground_state",
-    "quadratic_ring_hamiltonian",
     "wilson_loop_berry_phase",
     "qgt_matrix_elements",
 ]
@@ -59,7 +62,7 @@ _FREE_MAX = 4096
 def _resolve_ed_size(params: ModelParams, n_sites: int | None, limit: int) -> int:
     n = n_sites if n_sites is not None else params.n_sites
     if n is None:
-        raise SizeLimit("a ring size is required")
+        raise BadSize("a ring size is required")
     model._check_integer(n)
     if not 2 <= n <= limit:
         raise SizeLimit(f"n_sites must be in [2, {limit}], got {n}")
@@ -85,8 +88,6 @@ class _Sector(NamedTuple):
 class _Operators(NamedTuple):
     hop: sp.csr_matrix
     pair: sp.csr_matrix
-    edge_hop: sp.csr_matrix
-    edge_pair: sp.csr_matrix
     pop: np.ndarray
     sectors: tuple[_Sector, _Sector]
 
@@ -95,9 +96,8 @@ class _Operators(NamedTuple):
 def _spin_operators(n_sites: int) -> _Operators:
     """Sparse bond sums (hopping, pair creation plus annihilation) and popcounts.
 
-    The boundary bond N-1 -> 0 is also kept on its own (hopping and pair
-    terms).  The pieces are sliced once into the even and odd parity
-    blocks, kept sparse.
+    The sums are sliced once into the even and odd parity blocks, kept
+    sparse.
     """
     n = n_sites
     dim = 1 << n
@@ -129,16 +129,13 @@ def _spin_operators(n_sites: int) -> _Operators:
         return m.tocsr()
 
     hop, pair = assemble(hop_r, hop_c), assemble(pair_r, pair_c)
-    # the last bond of the loop is the boundary bond
-    edge_hop = assemble(hop_r[-2:], hop_c[-2:])
-    edge_pair = assemble(pair_r[-1:], pair_c[-1:])
     sectors = []
     for parity in (0, 1):
         index = np.where(pop % 2 == parity)[0]
         sectors.append(
             _Sector(index, pop[index], hop[index][:, index], pair[index][:, index])
         )
-    return _Operators(hop, pair, edge_hop, edge_pair, pop, tuple(sectors))
+    return _Operators(hop, pair, pop, tuple(sectors))
 
 
 def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix:
@@ -226,13 +223,14 @@ class ParitySectorResult:
     the odd sector uses periodic (integer) momenta and must place one
     unpaired excitation, chosen as the cheapest of: occupy alpha = 0,
     occupy alpha = pi, break the cheapest pair, or occupy both unpaired
-    levels and break a pair.
+    levels and break a pair.  Below the field (lam < 1) occupying alpha = 0
+    is the cheapest, so ``odd_sector_energy`` is then the energy of the
+    odd-sector product state of ``build_ground_state``; at lam >= 1 that
+    state is in the even sector and has ``even_sector_energy``.
     """
 
     even_sector_energy: float
     odd_sector_energy: float
-    momenta_even: np.ndarray
-    momenta_odd: np.ndarray
     ground_energy: float
 
 
@@ -248,6 +246,8 @@ def build_spin_hamiltonian(
 
     Raises
     ------
+    BadSize
+        If the ring size is missing or not an integer.
     SizeLimit
         Unless 2 <= N <= 12.
     """
@@ -270,7 +270,7 @@ def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
     Raises
     ------
     BadSize
-        If the ring size is not an integer.
+        If the ring size is missing or not an integer.
     SizeLimit
         Unless 2 <= N <= 12.
     """
@@ -313,25 +313,18 @@ def free_fermion_parity_spectrum(
         raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n}")
     g, lam = params.gamma, params.lam
 
-    a_even = (2.0 * np.arange(n // 2) + 1.0) * np.pi / n
-    even = model._Pairing(a_even, g, lam)
+    even = model._Pairing(_pair_grid(n, False), g, lam)
     e_even = -0.5 * n * lam + float(np.sum(even.a - even.energy))
 
-    a_pairs = 2.0 * np.pi * np.arange(1, n // 2) / n
-    pairs = model._Pairing(a_pairs, g, lam)
+    pairs = model._Pairing(_pair_grid(n, True), g, lam)
     disp_pairs = pairs.energy
     base = -0.5 * n * lam + float(np.sum(pairs.a - disp_pairs))
     cheapest_pair = float(np.min(disp_pairs))
     corr = min(lam - 1.0, lam + 1.0, cheapest_pair, 2.0 * lam + cheapest_pair)
     e_odd = base + corr
-
-    momenta_even = np.concatenate([-a_even[::-1], a_even])
-    momenta_odd = np.concatenate([-a_pairs[::-1], [0.0], a_pairs, [np.pi]])
     return ParitySectorResult(
         even_sector_energy=e_even,
         odd_sector_energy=e_odd,
-        momenta_even=momenta_even,
-        momenta_odd=momenta_odd,
         ground_energy=min(e_even, e_odd),
     )
 
@@ -367,8 +360,8 @@ def embed_ground_state(state: GroundState) -> np.ndarray:
     """Expand a product ground state into the full 2^N basis.
 
     Pairs contribute u + v a^dag_(+alpha) a^dag_(-alpha) acting on the
-    vacuum (the doubly occupied pair state is created minus-first), and
-    each occupied unpaired level contributes its plane-wave creator.
+    vacuum (the doubly occupied pair state is created minus-first), and an
+    occupied alpha = 0 level contributes its plane-wave creator.
 
     Raises
     ------
@@ -382,34 +375,12 @@ def embed_ground_state(state: GroundState) -> np.ndarray:
     psi[0] = 1.0
     if state.zero_mode_occupied:
         psi = _apply_momentum_creator(psi, 0.0, n)
-    if state.pi_mode_occupied:
-        psi = _apply_momentum_creator(psi, np.pi, n)
     for alpha, u, v in zip(state.alphas, state.u, state.v):
         pair = _apply_momentum_creator(
             _apply_momentum_creator(psi, -float(alpha), n), float(alpha), n
         )
         psi = u * psi + v * pair
     return psi
-
-
-def quadratic_ring_hamiltonian(
-    params: ModelParams, n_sites: int | None = None
-) -> np.ndarray:
-    """Dense quadratic fermion ring with a plain (c-number) boundary bond.
-
-    This is the translation-invariant ring the momentum-space product
-    states diagonalize exactly.  Under Jordan-Wigner the spin chain's
-    boundary bond B is the plain fermion bond times minus the fermion
-    parity (Lieb, Schultz and Mattis 1961), so the plain ring is the chain
-    with B reversed in the even sector: U [H(0) - 2 B(0) P_even] U^dag, with
-    P_even the projector on even popcount.
-    """
-    n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    ops = _spin_operators(n)
-    edge = -0.5 * (ops.edge_hop + params.gamma * ops.edge_pair)
-    even = sp.diags(1.0 - ops.pop % 2)
-    h = _hamiltonian_sparse(params.gamma, params.lam, n) - 2.0 * (edge @ even)
-    return _gauge(h.toarray(), params.phi, ops.pop)
 
 
 def _same_point(a: ModelParams, b: ModelParams) -> bool:
@@ -485,7 +456,7 @@ def qgt_matrix_elements(
     Raises
     ------
     BadSize
-        If the ring size is not an integer.
+        If the ring size is missing or not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState

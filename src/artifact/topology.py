@@ -185,21 +185,20 @@ def chern_discrete(
     lam: float,
     grid: tuple[int, int] = (64, 64),
     n_sites: int = 1024,
-    gamma_ref: float = 1.0,
 ) -> ChernResult:
     """Chern number from plaquette link variables on a closed grid.
 
     Grid rows are snapped to the physical pair momenta of an N-site ring
     (beta parametrizes half the band), columns sample the phase angle over
-    its period; the unpaired momenta provide the two pole states, the
-    bottom one occupied exactly when lam < 1.  The summed plaquette and
-    fan phases over 2 pi give a machine-precision integer.
+    its period, at the reference anisotropy gamma = 1 of ``chern_number``;
+    the unpaired momenta provide the two pole states, the bottom one
+    occupied exactly when lam < 1.  The summed plaquette and fan phases
+    over 2 pi give a machine-precision integer.
 
     Raises
     ------
     ValueError
-        If lam is negative or not finite, a grid side is below 16 or
-        gamma_ref is not positive.
+        If lam is negative or not finite, or a grid side is below 16.
     BadSize
         Unless N is even with N >= 256.
     GaplessOnGrid
@@ -210,15 +209,13 @@ def chern_discrete(
     """
     _check_field(lam)
     n_phi, n_beta, n = _check_grid(grid, n_sites)
-    if gamma_ref <= 0:
-        raise ValueError("gamma_ref must be positive")
     ks = np.clip(
         np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
         1,
         n // 2 - 1,
     )
     alphas = 2.0 * np.pi * ks / n
-    pairing = model._Pairing(alphas, gamma_ref, lam)
+    pairing = model._Pairing(alphas, 1.0, lam)
     if np.any(pairing.energy < 1e-9):
         raise GaplessOnGrid(f"sampled mode energy below 1e-9 at lam={lam}")
     phis = np.pi * np.arange(n_phi) / n_phi

@@ -1,0 +1,28 @@
+"""The package's public names are exactly its modules' public names."""
+
+import artifact
+from artifact import errors, geometry, ground_state, model, oracle, topology
+
+MODULES = (model, ground_state, geometry, topology, oracle)
+
+
+def _error_classes():
+    return {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ArtifactError)
+    }
+
+
+def test_package_exports_the_module_exports():
+    union = set().union(*(module.__all__ for module in MODULES)) | _error_classes()
+    assert len(artifact.__all__) == len(set(artifact.__all__))
+    assert set(artifact.__all__) == union
+
+
+def test_every_public_name_resolves():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(artifact, name) is getattr(module, name), name
+    for name in _error_classes():
+        assert getattr(artifact, name) is getattr(errors, name), name

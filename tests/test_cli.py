@@ -236,4 +236,10 @@ def test_oracle_verify_report(cli, tmp_path):
 
 
 def test_oracle_verify_size_limit(cli):
-    assert cli("oracle-verify", "--n-sites", 14).returncode == 2
+    # the library's size checks decide: SizeLimit above 12 sites, BadSize
+    # for the odd and the too-small ring of the closed-form energies
+    for n in (14, 7, 2):
+        res = cli("oracle-verify", "--n-sites", n, "--samples", 1)
+        assert res.returncode == 2, n
+        assert res.stdout == ""
+        assert "error:" in res.stderr

@@ -14,6 +14,7 @@ from artifact import (
     StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
+    free_fermion_parity_spectrum,
     gap,
     mode_amplitudes,
     qgt_finite_diff,
@@ -151,13 +152,6 @@ def test_qgt_exact_values():
     assert np.max(np.abs(t.matrix - expect)) < 1e-12
 
 
-def test_qgt_step_validation():
-    with pytest.raises(ValueError):
-        qgt_finite_diff(P(0.0, 0.5, 0.5, 6), 6, step=5e-3)
-    with pytest.raises(ValueError):
-        qgt_finite_diff(P(0.0, 0.5, 0.5, 6), 6, step=5e-7)
-
-
 def test_qgt_critical_guards():
     with pytest.raises(CriticalPoint):
         qgt_finite_diff(P(0.0, 0.7, 1.0, 6), 6)
@@ -203,6 +197,28 @@ def test_qgt_product_matches_product_finite_differences(phi, gamma, lam, n):
     q = qgt_product(p).matrix
     ref = _product_finite_diff(p, n)
     assert np.max(np.abs(q - ref)) <= 1e-5 * max(1.0, float(np.max(np.abs(q))))
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, math.pi, exclude_max=True),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 2.5),
+    st.sampled_from([4, 6, 8, 10]),
+)
+def test_qgt_product_is_the_chain_tensor(phi, gamma, lam, n):
+    # the product state sits in the odd sector below the field and in the
+    # even one above it; wherever that sector holds the chain's ground state
+    # (by a margin the ED solve resolves), its closed-form tensor is the
+    # spin chain's spectral tensor
+    assume(gap(gamma, lam) >= 0.05)
+    p = P(phi, gamma, lam, n)
+    sectors = free_fermion_parity_spectrum(p)
+    splitting = sectors.even_sector_energy - sectors.odd_sector_energy
+    assume((splitting if lam < 1.0 else -splitting) > 1e-8)
+    q = qgt_product(p).matrix
+    spectral = qgt_spectral(p).matrix
+    assert np.max(np.abs(q - spectral)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
 
 
 def test_metric_growth_toward_critical():

@@ -11,18 +11,33 @@ from artifact import (
     GroundState,
     ModelParams,
     build_ground_state,
+    build_spin_hamiltonian,
     dispersion,
     ed_ground,
     embed_ground_state,
+    free_fermion_parity_spectrum,
     gap,
-    ground_energy,
     isotropic_ground_state,
     mode_amplitudes,
     overlap,
-    quadratic_ring_hamiltonian,
 )
 
 P = ModelParams
+
+
+def _sector_energy(p):
+    """Closed-form energy of the product state's sector: odd below the field."""
+    sectors = free_fermion_parity_spectrum(p)
+    return sectors.odd_sector_energy if p.lam < 1.0 else sectors.even_sector_energy
+
+
+def _assert_chain_eigenstate(p, v):
+    """<v|H|v> is the sector energy E and ||Hv - Ev|| <= 1e-9 on the spin chain."""
+    h = build_spin_hamiltonian(p)
+    energy = _sector_energy(p)
+    assert np.vdot(v, h @ v).real == pytest.approx(energy, abs=1e-10)
+    assert np.linalg.norm(h @ v - energy * v) <= 1e-9
+    return energy
 
 
 def test_mode_amplitudes_examples():
@@ -93,15 +108,16 @@ def test_isotropic_occupation():
 
 
 def test_ground_energy_flat_band():
-    assert ground_energy(P(0.0, 1.0, 0.0, 8)) == pytest.approx(-4.0, abs=1e-14)
-    assert ground_energy(P(0.0, 1.0, 0.0, 4096)) / 4096 == pytest.approx(-0.5, abs=1e-14)
+    p = P(0.0, 1.0, 0.0, 8)
+    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
+    assert energy == pytest.approx(-4.0, abs=1e-14)
+    assert _sector_energy(P(0.0, 1.0, 0.0, 4096)) / 4096 == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_ground_energy_matches_ed():
     p = P(0.0, 0.5, 0.5, 8)
-    assert ground_energy(p) == pytest.approx(ed_ground(p).ground_energy, abs=1e-9)
-    ring = np.linalg.eigvalsh(quadratic_ring_hamiltonian(p))[0]
-    assert ground_energy(p) == pytest.approx(ring, abs=1e-9)
+    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
+    assert energy == pytest.approx(ed_ground(p).odd_sector_energy, abs=1e-10)
 
 
 def test_overlap_self():
@@ -147,42 +163,68 @@ def test_phase_periodicity():
 
 
 def test_ring_eigenstate_without_holes():
+    # above the field the state is in the even sector, on antiperiodic momenta
     p = P(0.3, 0.5, 2.0, 8)
-    v = embed_ground_state(build_ground_state(p))
-    h = quadratic_ring_hamiltonian(p)
-    energy = np.vdot(v, h @ v).real
-    assert energy == pytest.approx(ground_energy(p), abs=1e-8)
-    assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
+    state = build_ground_state(p)
+    assert not state.zero_mode_occupied
+    assert np.allclose(state.alphas, np.pi * np.array([1, 3, 5, 7]) / 8, atol=1e-15)
+    energy = _assert_chain_eigenstate(p, embed_ground_state(state))
+    assert energy == pytest.approx(ed_ground(p).ground_energy, abs=1e-10)
 
 
 def test_ring_eigenstate_inside_fermi_edge():
     # at (gamma=1, lam=0, N=8) the pairs k = 1, 2 sit inside the Fermi edge
     p = P(0.0, 1.0, 0.0, 8)
-    v = embed_ground_state(build_ground_state(p))
-    h = quadratic_ring_hamiltonian(p)
-    assert np.vdot(v, h @ v).real == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
+    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
+    assert energy == pytest.approx(ed_ground(p).ground_energy, abs=1e-10)
 
 
 PROPERTY = settings(max_examples=30)
-# Subnormal couplings slow LAPACK's eigvalsh on the ring Hamiltonian about
-# 60-fold (23 s at N = 10), so they are left out.
 couplings = st.tuples(
-    st.floats(0.0, math.pi, exclude_max=True, allow_subnormal=False),
-    st.floats(0.0, 1.5, allow_subnormal=False),
-    st.floats(0.0, 2.5, allow_subnormal=False),
+    st.floats(0.0, math.pi, exclude_max=True),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 2.5),
 )
 
 
 @PROPERTY
 @given(st.sampled_from([4, 6, 8, 10]), couplings, couplings)
 def test_product_state_is_fock_ground_state(n, a, b):
+    # an exact chain eigenstate on both sides of the field; it is the chain's
+    # ground state wherever its sector's closed-form energy is the lower one
     assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
     pa, pb = P(*a, n), P(*b, n)
     sa, sb = build_ground_state(pa), build_ground_state(pb)
     va, vb = embed_ground_state(sa), embed_ground_state(sb)
-    h = quadratic_ring_hamiltonian(pa)
-    assert np.vdot(va, h @ va).real == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-8)
+    _assert_chain_eigenstate(pa, va)
     assert overlap(sa, sb) == pytest.approx(np.vdot(va, vb), abs=1e-12)
+
+
+even_sizes = st.integers(2, 2048).map(lambda half: 2 * half)
+
+
+@PROPERTY
+@given(even_sizes, couplings, couplings)
+def test_overlap_is_bounded(n, a, b):
+    # product states on both sides of the field; across it they are in
+    # different parity sectors and the overlap is exactly zero
+    assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
+    sa, sb = build_ground_state(P(*a, n)), build_ground_state(P(*b, n))
+    value = overlap(sa, sb)
+    assert abs(value) <= 1.0 + 1e-12
+    if (a[2] < 1.0) != (b[2] < 1.0):
+        assert value == 0j
+
+
+@PROPERTY
+@given(even_sizes, st.floats(1.05, 3.0), st.floats(0.0, math.pi, exclude_max=True))
+def test_isotropic_state_shares_the_even_grid(n, lam, phi):
+    # at gamma = 0 above the field every level is empty, on the same
+    # antiperiodic momenta that build_ground_state pairs
+    iso = isotropic_ground_state(lam, n)
+    built = build_ground_state(P(phi, 0.0, lam, n))
+    assert np.array_equal(iso.alphas, built.alphas)
+    assert overlap(iso, built) == 1.0
 
 
 def test_json_roundtrip():
@@ -190,4 +232,6 @@ def test_json_roundtrip():
     t = GroundState.from_json(s.to_json())
     assert np.allclose(t.u, s.u, atol=1e-15)
     assert np.allclose(t.v, s.v, atol=1e-15)
+    assert np.array_equal(t.alphas, s.alphas)
+    assert t.zero_mode_occupied == s.zero_mode_occupied
     assert t.params == s.params

@@ -8,7 +8,6 @@ from artifact import (
     DegenerateGroundState,
     ModelParams,
     SizeLimit,
-    berry_curvature_mode,
     build_ground_state,
     build_spin_hamiltonian,
     chern_discrete,
@@ -18,6 +17,7 @@ from artifact import (
     free_fermion_parity_spectrum,
     qgt_finite_diff,
     qgt_matrix_elements,
+    qgt_product,
     qgt_spectral,
     wilson_loop_berry_phase,
 )
@@ -100,6 +100,8 @@ def test_free_fermion_bad_size():
 def test_ed_size_limit():
     with pytest.raises(SizeLimit):
         ed_ground(P(0.0, 0.5, 0.5), 14)
+    with pytest.raises(BadSize):
+        ed_ground(P(0.0, 0.5, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -185,10 +187,8 @@ def test_wilson_small_plaquette_matches_curvature():
     ]
     phase = wilson_loop_berry_phase(pts, 64)
     mid = P(0.4 + d / 2, 1.3 + d / 2, 1.7, 64)
-    predicted = d * d * sum(
-        berry_curvature_mode(2.0 * np.pi * k / 64, mid).imag
-        for k in range(1, 32)
-    )
+    # the curvature of the loop's own product states, on their pair momenta
+    predicted = 2.0 * d * d * qgt_product(mid).matrix[0, 1].imag
     assert phase == pytest.approx(predicted, rel=0.05)
 
 

@@ -3,9 +3,7 @@
 H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)).  The ED oracle
 solves the real phi = 0 blocks and applies U afterwards; these properties
 check that against a Hamiltonian assembled independently from Pauli
-operators and against complex-arithmetic diagonalization at phi.  The
-quadratic fermion ring is built from the same gauge and is checked against
-an independent Jordan-Wigner build.
+operators and against complex-arithmetic diagonalization at phi.
 """
 
 import math
@@ -22,7 +20,6 @@ from artifact import (
     ed_ground,
     free_fermion_parity_spectrum,
     qgt_spectral,
-    quadratic_ring_hamiltonian,
 )
 
 PROPERTY = settings(max_examples=30)
@@ -63,27 +60,6 @@ def _pauli_hamiltonian(phi, gamma, lam, n):
     return hop + gamma * pair + lam * field
 
 
-def _creator(j, n):
-    # Jordan-Wigner: the fermion string is sigma^z on every site before j;
-    # a fermion is a down spin, so the creator takes up to down
-    ops = [SZ if k < j else LOWER if k == j else np.eye(2) for k in range(n)]
-    return reduce(np.kron, ops)
-
-
-def _fermion_ring(phi, gamma, lam, n):
-    """Quadratic ring with the plain bond c_(N-1) -> c_0 closing the loop."""
-    c_dag = [_creator(j, n) for j in range(n)]
-    h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for j in range(n):
-        j2 = (j + 1) % n
-        hop = c_dag[j] @ c_dag[j2].T
-        pair = c_dag[j] @ c_dag[j2]
-        h += -0.5 * (hop + hop.T)
-        h += -0.5 * gamma * (np.exp(-2j * phi) * pair + np.exp(2j * phi) * pair.T)
-        h += -0.5 * lam * (np.eye(1 << n) - 2.0 * c_dag[j] @ c_dag[j].T)
-    return h
-
-
 def _gauge(phi, n):
     pop = np.array([bin(b).count("1") for b in range(1 << n)])
     return np.exp(-1j * phi * pop)
@@ -98,13 +74,6 @@ def test_hamiltonian_is_gauge_rotation(n, phi, gamma, lam):
     assert np.isrealobj(h_zero)
     assert np.max(np.abs(h_phi - _pauli_hamiltonian(phi, gamma, lam, n))) <= 1e-12
     assert np.max(np.abs(h_phi - u[:, None] * h_zero * u.conj())) <= 1e-12
-
-
-@PROPERTY
-@given(n=st.sampled_from([4, 6]), phi=phis, gamma=gammas, lam=lams)
-def test_quadratic_ring_matches_jordan_wigner_build(n, phi, gamma, lam):
-    h = quadratic_ring_hamiltonian(ModelParams(phi, gamma, lam), n)
-    assert np.max(np.abs(h - _fermion_ring(phi, gamma, lam, n))) <= 1e-12
 
 
 @PROPERTY

@@ -73,6 +73,20 @@ def test_discrete_grid_doubling_invariant():
     assert a.residual < 1e-9 and b.residual < 1e-9
 
 
+@settings(max_examples=60)
+@given(
+    st.floats(0.0, 3.0),
+    st.integers(16, 96),
+    st.integers(16, 96),
+    st.integers(128, 2048).map(lambda half: 2 * half),
+)
+def test_discrete_residual_is_machine_precision(lam, n_phi, n_beta, n):
+    # every link enters two cells with opposite orientation, so the summed
+    # phase is a multiple of 2 pi up to rounding on any valid grid
+    assume(abs(lam - 1.0) > 1e-3)
+    assert chern_discrete(lam, (n_phi, n_beta), n).residual < 1e-9
+
+
 def test_discrete_validation():
     with pytest.raises(ValueError):
         chern_discrete(0.5, (8, 32), 512)
@@ -80,8 +94,6 @@ def test_discrete_validation():
         chern_discrete(0.5, (32, 32), 513)
     with pytest.raises(BadSize):
         chern_discrete(0.5, (32, 32), 128)
-    with pytest.raises(ValueError):
-        chern_discrete(0.5, (32, 32), 512, gamma_ref=0.0)
 
 
 @pytest.mark.parametrize("fn", [chern_number, chern_discrete])
