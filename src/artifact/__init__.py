@@ -52,17 +52,32 @@ from .topology import (
     classify_phase,
     detect_transition,
 )
-from .oracle import (
-    ParitySectorResult,
-    SpectralTerm,
-    SpinSpectrum,
-    build_spin_hamiltonian,
-    ed_ground,
-    embed_ground_state,
-    free_fermion_parity_spectrum,
-    qgt_matrix_elements,
-    wilson_loop_berry_phase,
+# The exact-diagonalization oracle imports scipy; it is loaded on first use
+# of one of its names, so the closed-form paths never import scipy.
+_ORACLE_NAMES = (
+    "ParitySectorResult",
+    "SpectralTerm",
+    "SpinSpectrum",
+    "build_spin_hamiltonian",
+    "ed_ground",
+    "embed_ground_state",
+    "free_fermion_parity_spectrum",
+    "qgt_matrix_elements",
+    "wilson_loop_berry_phase",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
+
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, model, oracle, topology
+from . import geometry, model, topology
 from .errors import ArtifactError, BadSize, CriticalPoint, SizeLimit
 
 EXIT_OK = 0
@@ -296,6 +296,8 @@ def _run_metric_scan(args) -> int:
 
 
 def _run_oracle_verify(args) -> int:
+    from . import oracle
+
     n = args.n_sites
     if args.samples < 1:
         return _usage_error("--samples must be >= 1")

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import model, oracle
+from . import model
 from .errors import (
     BadSize,
     CriticalPoint,
@@ -107,7 +107,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     CriticalPoint
         On the gapless lines.
     """
-    from scipy.integrate import quad  # imported here: it dominates `import artifact`
+    from scipy.integrate import quad  # imported here, so only this function loads scipy
 
     if model.gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
@@ -240,6 +240,8 @@ def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> Geometri
     FiniteDifferenceUnstable
         If the step-halving check fails.
     """
+    from . import oracle
+
     n = oracle._resolve_ed_size(params, n_sites, oracle._QGT_MAX)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
@@ -279,6 +281,8 @@ def qgt_spectral(params: ModelParams, n_sites: int | None = None) -> GeometricTe
     DegenerateGroundState
         When the finite-size gap closes below 1e-10.
     """
+    from . import oracle
+
     total = np.zeros((3, 3), dtype=complex)
     for term in oracle.qgt_matrix_elements(params, n_sites):
         total += term.matrix

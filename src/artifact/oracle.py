@@ -8,6 +8,10 @@ rule (``ground_state._pair_grid``): periodic momenta in the odd fermion
 parity sector, antiperiodic ones in the even sector.  An embedded product
 state is therefore an exact eigenvector of the spin chain.
 
+This is the only module that imports scipy at module level; the package
+imports it on first use of one of its names, so the closed-form paths
+(``scan-chern``, ``gap-map``, ``metric-scan``) never load scipy.
+
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
 arithmetic.  The rotation phi enters the chain only as the diagonal gauge

@@ -64,6 +64,12 @@ class ChernResult:
     method : ChernMethod
     node_count : int
         Pairing-angle evaluations (winding) or grid nodes (discrete).
+    worst_cell_phase : float or None
+        Largest |phase| of one plaquette or pole-fan cell (discrete only);
+        the sum is unambiguous while it stays below pi.
+    min_link : float or None
+        Smallest link modulus on the grid (discrete only); a link near zero
+        marks a vortex on the grid.
     """
 
     value: float
@@ -71,6 +77,8 @@ class ChernResult:
     residual: float
     method: ChernMethod
     node_count: int
+    worst_cell_phase: float | None = None
+    min_link: float | None = None
 
 
 @dataclass(frozen=True)
@@ -235,6 +243,8 @@ def chern_discrete(
         residual=abs(value - nearest),
         method=ChernMethod.DISCRETE,
         node_count=n_phi * n_beta + 2,
+        worst_cell_phase=worst,
+        min_link=min_link,
     )
 
 

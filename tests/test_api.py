@@ -1,5 +1,10 @@
 """The package's public names are exactly its modules' public names."""
 
+import subprocess
+import sys
+
+import pytest
+
 import artifact
 from artifact import errors, geometry, ground_state, model, oracle, topology
 
@@ -26,3 +31,19 @@ def test_every_public_name_resolves():
             assert getattr(artifact, name) is getattr(module, name), name
     for name in _error_classes():
         assert getattr(artifact, name) is getattr(errors, name), name
+
+
+def test_lazy_names_are_listed_and_importable():
+    assert set(artifact.__all__) <= set(dir(artifact))
+    code = "from artifact import qgt_matrix_elements; print(qgt_matrix_elements.__name__)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["qgt_matrix_elements"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        artifact.no_such_name
+    assert not hasattr(artifact, "no_such_name")

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import VortexOnPlaquette, cli as artifact_cli, topology
 
@@ -85,6 +90,45 @@ def test_scan_chern_deterministic_bytes(cli, tmp_path):
     assert cli(*args, "--out", paths[2]).returncode == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = artifact_cli.main(argv)
+    return code, out.getvalue().encode()
+
+
+_coupling = st.floats(0.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def _closed_form_runs(draw):
+    lo = draw(_coupling)
+    hi = lo + draw(st.floats(0.05, 1.5))
+    steps = str(draw(st.integers(2, 5)))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    grid = f"{draw(st.integers(16, 24))}x{draw(st.integers(16, 24))}"
+    return [
+        ["scan-chern", "--lambda-min", repr(lo), "--lambda-max", repr(hi), "--steps", steps,
+         "--grid", grid, "--n-sites", str(draw(st.sampled_from([256, 512]))),
+         "--format", fmt],
+        ["gap-map", "--gamma-max", repr(hi), "--lambda-max", repr(hi),
+         "--grid", f"{draw(st.integers(2, 6))}x{draw(st.integers(2, 6))}", "--format", fmt],
+        ["metric-scan", "--gamma", repr(draw(_coupling)), "--lambda-min", repr(lo),
+         "--lambda-max", repr(hi), "--steps", steps,
+         "--n-sites", str(2 * draw(st.integers(2, 256))), "--format", fmt],
+    ]
+
+
+@settings(max_examples=25)
+@given(_closed_form_runs())
+def test_closed_form_output_is_byte_deterministic(runs):
+    for argv in runs:
+        first = _stdout_of(argv)
+        assert first[0] in (0, 3), argv
+        assert first[1]
+        assert _stdout_of(argv) == first, argv
 
 
 def test_scan_chern_csv(cli, tmp_path):
@@ -202,7 +246,9 @@ def test_non_finite_arguments_exit_2(cli, args):
     assert "finite" in res.stderr
 
 
-def test_import_defers_scipy_integrate(tmp_path):
+def test_closed_form_paths_load_no_scipy(tmp_path):
+    # scipy belongs to the ED oracle alone: neither the import nor the three
+    # closed-form subcommands may load it, and the oracle still loads on use
     runs = [
         ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
          "--grid", "16x16", "--n-sites", "256"],
@@ -210,18 +256,28 @@ def test_import_defers_scipy_integrate(tmp_path):
         ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
          "--steps", "3", "--n-sites", "256"],
     ]
-    code = (
-        "import sys, artifact.cli\n"
-        "print('scipy.integrate' in sys.modules)\n"
-        f"for i, argv in enumerate({runs!r}):\n"
-        f"    assert artifact.cli.main(argv + ['--out', r'{tmp_path}/%d.csv' % i]) == 0\n"
-        "    print('scipy.integrate' in sys.modules)\n"
-    )
+    verify = ["oracle-verify", "--n-sites", "4", "--samples", "1"]
+    code = textwrap.dedent(f"""
+        import sys
+
+        def scipy_loaded():
+            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+        import artifact
+        print(scipy_loaded())
+        import artifact.cli
+        print(scipy_loaded())
+        for i, argv in enumerate({runs!r}):
+            assert artifact.cli.main(argv + ["--out", r"{tmp_path}/%d.csv" % i]) == 0
+            print(scipy_loaded())
+        print(artifact.ed_ground is artifact.oracle.ed_ground)
+        print(artifact.cli.main({verify!r} + ["--out", r"{tmp_path}/verify.txt"]))
+    """)
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"] * 4
+    assert res.stdout.split() == ["False"] * 5 + ["True", "0"]
 
 
 def test_oracle_verify_report(cli, tmp_path):

@@ -66,6 +66,15 @@ def test_discrete_exact_integers():
         assert r.method is ChernMethod.DISCRETE
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_discrete_reports_its_diagnostics(lam):
+    r = chern_discrete(lam, (32, 32), 512)
+    assert math.isfinite(r.worst_cell_phase) and 0.0 <= r.worst_cell_phase < math.pi
+    assert math.isfinite(r.min_link) and 1e-12 < r.min_link <= 1.0 + 1e-12
+    winding = chern_number(lam)
+    assert winding.worst_cell_phase is None and winding.min_link is None
+
+
 def test_discrete_grid_doubling_invariant():
     a = chern_discrete(0.5, (32, 32), 512)
     b = chern_discrete(0.5, (64, 64), 512)
