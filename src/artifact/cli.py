@@ -145,8 +145,9 @@ def _run_scan_chern(args) -> int:
         return _usage_error("--lambda-min must be < --lambda-max")
     topology._check_grid(args.grid, args.n_sites)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    skipped = [float(l) for l in lams if abs(l - 1.0) <= 1e-3]
-    tasks = [(float(l), args.grid, args.n_sites) for l in lams if abs(l - 1.0) > 1e-3]
+    strip = topology._CRITICAL_STRIP
+    skipped = [float(l) for l in lams if abs(l - 1.0) <= strip]
+    tasks = [(float(l), args.grid, args.n_sites) for l in lams if abs(l - 1.0) > strip]
     rows = _map_rows(_chern_row, tasks)
     failed = [row for row in rows if row["label"] == "failed"]
     fieldnames = ["lambda", "chern_quadrature", "chern_error", "chern_discrete", "label"]
@@ -295,6 +296,13 @@ def _run_metric_scan(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
+def _verdict(lines, label: str, worst: float, tol: float) -> bool:
+    """Append one check's ``worst ... (tol ...) PASS/FAIL`` line; True when it passes."""
+    passed = worst < tol
+    lines.append(f"{label} {worst:.6e} (tol {tol:.6e}) " + ("PASS" if passed else "FAIL"))
+    return passed
+
+
 def _run_oracle_verify(args) -> int:
     from . import oracle
 
@@ -324,12 +332,7 @@ def _run_oracle_verify(args) -> int:
             f"[energy] sample {i:02d}: phi={phi:.6f} gamma={gamma:.6f} "
             f"lam={lam:.6f} dev {dev:.6e}"
         )
-    energy_pass = worst_energy < 1e-10
-    overall_pass &= energy_pass
-    lines.append(
-        f"[energy] worst deviation {worst_energy:.6e} (tol 1.000000e-10) "
-        + ("PASS" if energy_pass else "FAIL")
-    )
+    overall_pass &= _verdict(lines, "[energy] worst deviation", worst_energy, 1e-10)
 
     worst_qgt = 0.0
     for i in range(3):
@@ -348,12 +351,7 @@ def _run_oracle_verify(args) -> int:
             f"[qgt] sample {i}: phi={phi:.6f} gamma={gamma:.6f} lam={lam:.6f} "
             f"max component dev {dev:.6e}"
         )
-    qgt_pass = worst_qgt < 1e-6
-    overall_pass &= qgt_pass
-    lines.append(
-        f"[qgt] worst deviation {worst_qgt:.6e} (tol 1.000000e-06) "
-        + ("PASS" if qgt_pass else "FAIL")
-    )
+    overall_pass &= _verdict(lines, "[qgt] worst deviation", worst_qgt, 1e-6)
 
     worst_wilson = 0.0
     delta = 0.01
@@ -376,12 +374,7 @@ def _run_oracle_verify(args) -> int:
             f"[wilson] sample {i}: gamma={gamma:.6f} lam={lam:.6f} "
             f"loop phase {measured:.6e} predicted {predicted:.6e} rel dev {rel:.6e}"
         )
-    wilson_pass = worst_wilson < 0.05
-    overall_pass &= wilson_pass
-    lines.append(
-        f"[wilson] worst relative deviation {worst_wilson:.6e} (tol 5.000000e-02) "
-        + ("PASS" if wilson_pass else "FAIL")
-    )
+    overall_pass &= _verdict(lines, "[wilson] worst relative deviation", worst_wilson, 0.05)
 
     lines.append("overall: " + ("PASS" if overall_pass else "FAIL"))
     report = "\n".join(lines) + "\n"

@@ -20,13 +20,11 @@ import numpy as np
 
 from . import model
 from .errors import (
-    BadSize,
-    CriticalPoint,
     FiniteDifferenceUnstable,
     GaplessMode,
     StencilCrossesCritical,
 )
-from .ground_state import _pair_grid
+from .ground_state import _sector_pairs
 # Not called here; bench/tracer.py probes these names on this module.
 from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
 from .model import ModelParams
@@ -109,8 +107,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     """
     from scipy.integrate import quad  # imported here, so only this function loads scipy
 
-    if model.gap(gamma, lam) < 1e-12:
-        raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
+    model._check_gapped(gamma, lam)
     alpha_f = model._alpha_fermi(gamma, lam)
 
     def f(alpha: float) -> float:
@@ -142,14 +139,11 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
     CriticalPoint
         If the couplings are gapless.
     """
-    n = n_sites if n_sites is not None else params.n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
+    n = model._ring_size(params, n_sites)
     model._check_size(n)
     gamma, lam = params.gamma, params.lam
-    if model.gap(gamma, lam) < 1e-12:
-        raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
-    pairing = model._Pairing(_pair_grid(n, lam < 1.0), gamma, lam)
+    model._check_gapped(gamma, lam)
+    pairing = _sector_pairs(n, gamma, lam)[2]
     sin_theta = pairing.sin_theta
     d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)
@@ -245,8 +239,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> Geometri
     n = oracle._resolve_ed_size(params, n_sites, oracle._QGT_MAX)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
-    if model.gap(gamma, lam) < 1e-12:
-        raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
+    model._check_gapped(gamma, lam)
     if _stencil_gap_floor(gamma, lam, h) < 1e-10:
         raise StencilCrossesCritical(
             f"stencil around gamma={gamma}, lam={lam} touches the critical set"

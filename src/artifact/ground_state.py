@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .errors import BadSize, CriticalPoint, GridMismatch
+from .errors import GridMismatch
 from .model import ModelParams
 
 __all__ = [
@@ -30,10 +30,6 @@ __all__ = [
     "isotropic_ground_state",
     "overlap",
 ]
-
-# Below this gap the pair angles are numerically unreliable.
-_GAP_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ModeAmplitudes:
@@ -166,6 +162,24 @@ def _pair_grid(n_sites: int, odd: bool) -> np.ndarray:
     return (2.0 * np.arange(n_sites // 2) + 1.0) * np.pi / n_sites
 
 
+def _sector_pairs(n_sites: int, gamma: float, lam: float):
+    """The product state's sector, its pair momenta and their pairing kernel.
+
+    The one sector rule: the odd sector when lam < 1, the even one otherwise.
+    Returns ``(odd, alphas, pairing)``.
+    """
+    odd = lam < 1.0
+    alphas = _pair_grid(n_sites, odd)
+    return odd, alphas, model._Pairing(alphas, gamma, lam)
+
+
+def _pair_states(phi: float, pairing: model._Pairing):
+    """(theta, u, v, energy) of every pair block of ``pairing`` at rotation ``phi``."""
+    theta = pairing.theta
+    u, v = _pair_block(theta, phi)
+    return theta, u.astype(complex), v, pairing.energy
+
+
 def _pair_arrays(
     phi: float,
     gamma: float,
@@ -179,11 +193,7 @@ def _pair_arrays(
     lam < 1 and of the even sector otherwise.  No parameter validation: the
     closed forms continue smoothly to gamma or lam slightly below zero.
     """
-    alphas = _pair_grid(n_sites, lam < 1.0)
-    pairing = model._Pairing(alphas, gamma, lam)
-    theta = pairing.theta
-    u, v = _pair_block(theta, phi)
-    return theta, u.astype(complex), v, pairing.energy
+    return _pair_states(phi, _sector_pairs(n_sites, gamma, lam)[2])
 
 
 def build_ground_state(params: ModelParams, n_sites: int | None = None) -> GroundState:
@@ -210,23 +220,16 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
     CriticalPoint
         If the spectral gap is below 1e-12.
     """
-    if n_sites is None:
-        n_sites = params.n_sites
-    if n_sites is None:
-        raise BadSize("build_ground_state needs n_sites")
-    model._check_size(n_sites)
-    if params.n_sites != n_sites:
-        params = params.with_sites(n_sites)
-    n = n_sites
-    if model.gap(params.gamma, params.lam) < _GAP_FLOOR:
-        raise CriticalPoint(
-            f"gapless couplings gamma={params.gamma}, lam={params.lam}"
-        )
-    odd = params.lam < 1.0
-    theta, u, v, energies = _pair_arrays(params.phi, params.gamma, params.lam, n)
+    n = model._ring_size(params, n_sites)
+    model._check_size(n)
+    if params.n_sites != n:
+        params = params.with_sites(n)
+    model._check_gapped(params.gamma, params.lam)
+    odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
+    theta, u, v, energies = _pair_states(params.phi, pairing)
     return GroundState(
         params=params,
-        alphas=_pair_grid(n, odd),
+        alphas=alphas,
         thetas=theta,
         energies=energies,
         u=u,

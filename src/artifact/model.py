@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSize, DegenerateRatio, GaplessMode
+from .errors import BadSize, CriticalPoint, DegenerateRatio, GaplessMode
 
 __all__ = [
     "ModelParams",
@@ -80,6 +80,17 @@ def _check_size(n_sites: int) -> None:
     _check_integer(n_sites)
     if n_sites < 4 or n_sites % 2 != 0:
         raise BadSize(f"n_sites must be even and >= 4, got {n_sites}")
+
+
+def _ring_size(params: ModelParams, n_sites: int | None) -> int:
+    """The explicit ring size, else ``params.n_sites``; BadSize if neither is set.
+
+    Only the fallback: each caller validates the size against its own range.
+    """
+    n = n_sites if n_sites is not None else params.n_sites
+    if n is None:
+        raise BadSize("a ring size is required")
+    return n
 
 
 class _Pairing:
@@ -217,6 +228,12 @@ def gap(gamma: float, lam: float) -> float:
         omg2 = 1.0 - gamma * gamma
         return gamma * math.sqrt((omg2 - lam * lam) / omg2)
     return abs(1.0 - lam)
+
+
+def _check_gapped(gamma: float, lam: float) -> None:
+    """CriticalPoint where the gap is below 1e-12: pairing angles are unreliable there."""
+    if gap(gamma, lam) < 1e-12:
+        raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
 
 
 def momentum_grid(n_sites: int) -> np.ndarray:

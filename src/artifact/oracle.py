@@ -14,7 +14,10 @@ imports it on first use of one of its names, so the closed-form paths
 
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
-arithmetic.  The rotation phi enters the chain only as the diagonal gauge
+arithmetic.  Every bond flips two sites and so keeps a block's parity: the
+sparse bond sums are built in each block's own basis, and the full 2^N
+matrix of ``build_spin_hamiltonian`` is only the two blocks placed side by
+side.  The rotation phi enters the chain only as the diagonal gauge
 H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)), so the real
 phi = 0 blocks are solved, the energies carry no phi dependence, and U is
 applied to the eigenvectors afterwards.
@@ -26,7 +29,6 @@ all-up state is index 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,9 +66,7 @@ _FREE_MAX = 4096
 
 
 def _resolve_ed_size(params: ModelParams, n_sites: int | None, limit: int) -> int:
-    n = n_sites if n_sites is not None else params.n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
+    n = model._ring_size(params, n_sites)
     model._check_integer(n)
     if not 2 <= n <= limit:
         raise SizeLimit(f"n_sites must be in [2, {limit}], got {n}")
@@ -89,65 +89,35 @@ class _Sector(NamedTuple):
     pair: sp.csr_matrix
 
 
-class _Operators(NamedTuple):
-    hop: sp.csr_matrix
-    pair: sp.csr_matrix
-    pop: np.ndarray
-    sectors: tuple[_Sector, _Sector]
-
-
 @lru_cache(maxsize=None)
-def _spin_operators(n_sites: int) -> _Operators:
-    """Sparse bond sums (hopping, pair creation plus annihilation) and popcounts.
+def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
+    """The even and odd parity blocks with their sparse bond sums.
 
-    The sums are sliced once into the even and odd parity blocks, kept
-    sparse.
+    Each bond flips two sites, so it maps a block onto itself; the bond sums
+    (hopping, and pair creation plus annihilation) are built in the block's
+    own basis, the row of a flipped state found in the block's sorted index.
     """
     n = n_sites
-    dim = 1 << n
-    b = np.arange(dim, dtype=np.int64)
+    b = np.arange(1 << n, dtype=np.int64)
     pop = _popcounts(b, n)
-    hop_r, hop_c = [], []
-    pair_r, pair_c = [], []
-    for j in range(n):
-        j2 = (j + 1) % n
-        mj = 1 << (n - 1 - j)
-        mj2 = 1 << (n - 1 - j2)
-        mask = mj | mj2
-        down_j = (b & mj) != 0
-        down_j2 = (b & mj2) != 0
-        sel = down_j & ~down_j2
-        hop_c.append(b[sel])
-        hop_r.append(b[sel] ^ mask)
-        sel = ~down_j & down_j2
-        hop_c.append(b[sel])
-        hop_r.append(b[sel] ^ mask)
-        sel = down_j == down_j2
-        pair_c.append(b[sel])
-        pair_r.append(b[sel] ^ mask)
-
-    def assemble(rows, cols):
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        m = sp.coo_matrix((np.ones(r.size), (r, c)), shape=(dim, dim))
-        return m.tocsr()
-
-    hop, pair = assemble(hop_r, hop_c), assemble(pair_r, pair_c)
     sectors = []
     for parity in (0, 1):
-        index = np.where(pop % 2 == parity)[0]
-        sectors.append(
-            _Sector(index, pop[index], hop[index][:, index], pair[index][:, index])
+        index = b[pop % 2 == parity]
+        dim = index.size
+        rows, alike = [], []
+        for j in range(n):
+            mj, mj2 = 1 << (n - 1 - j), 1 << (n - 1 - (j + 1) % n)
+            rows.append(np.searchsorted(index, index ^ (mj | mj2)))
+            alike.append(((index & mj) != 0) == ((index & mj2) != 0))
+        rows, alike = np.concatenate(rows), np.concatenate(alike)
+        cols = np.tile(np.arange(dim), n)
+        # a bond on two alike sites creates or annihilates a pair, else it hops
+        hop, pair = (
+            sp.coo_matrix((np.ones(sel.sum()), (rows[sel], cols[sel])), shape=(dim, dim))
+            for sel in (~alike, alike)
         )
-    return _Operators(hop, pair, pop, tuple(sectors))
-
-
-def _hamiltonian_sparse(gamma: float, lam: float, n_sites: int) -> sp.csr_matrix:
-    """Real phi = 0 Hamiltonian in the full basis."""
-    ops = _spin_operators(n_sites)
-    zdiag = n_sites - 2.0 * ops.pop
-    h = -0.5 * (ops.hop + gamma * ops.pair) + sp.diags(-0.5 * lam * zdiag)
-    return h.tocsr()
+        sectors.append(_Sector(index, pop[index], hop.tocsr(), pair.tocsr()))
+    return tuple(sectors)
 
 
 def _gauge(h: np.ndarray, phi: float, pop: np.ndarray) -> np.ndarray:
@@ -159,9 +129,12 @@ def _gauge(h: np.ndarray, phi: float, pop: np.ndarray) -> np.ndarray:
 
 
 def _sector_blocks(gamma: float, lam: float, n_sites: int):
-    """Dense real phi = 0 blocks, paired with their sectors (even first)."""
+    """Dense real phi = 0 blocks, paired with their sectors (even first).
+
+    The one statement of the chain: -(hop + gamma pair)/2 - lam (N - 2P)/2.
+    """
     blocks = []
-    for sector in _spin_operators(n_sites).sectors:
+    for sector in _spin_operators(n_sites):
         h = (-0.5 * (sector.hop + gamma * sector.pair)).toarray()
         np.fill_diagonal(h, -0.5 * lam * (n_sites - 2.0 * sector.pop))
         blocks.append((sector, h))
@@ -206,18 +179,6 @@ class SpinSpectrum:
     def ground_energy(self) -> float:
         return min(self.even_sector_energy, self.odd_sector_energy)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_sites": int(self.n_sites),
-                "even_sector_energy": self.even_sector_energy,
-                "odd_sector_energy": self.odd_sector_energy,
-                "ground_vector": [
-                    [float(z.real), float(z.imag)] for z in self.ground_vector
-                ],
-            }
-        )
-
 
 @dataclass(frozen=True)
 class ParitySectorResult:
@@ -256,8 +217,10 @@ def build_spin_hamiltonian(
         Unless 2 <= N <= 12.
     """
     n = _resolve_ed_size(params, n_sites, _ED_MAX)
-    h = _hamiltonian_sparse(params.gamma, params.lam, n).toarray()
-    return _gauge(h, params.phi, _spin_operators(n).pop)
+    h = np.zeros((1 << n,) * 2, dtype=float if params.phi == 0.0 else complex)
+    for sector, block in _sector_blocks(params.gamma, params.lam, n):
+        h[np.ix_(sector.index, sector.index)] = _gauge(block, params.phi, sector.pop)
+    return h
 
 
 def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
@@ -309,9 +272,7 @@ def free_fermion_parity_spectrum(
     BadSize
         Unless N is an even integer with 4 <= N <= 4096.
     """
-    n = n_sites if n_sites is not None else params.n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
+    n = model._ring_size(params, n_sites)
     model._check_size(n)
     if n > _FREE_MAX:
         raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n}")
@@ -414,9 +375,7 @@ def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
         raise ValueError("empty loop")
     if len(points) > 1 and _same_point(points[0], points[-1]):
         points = points[:-1]
-    n = n_sites if n_sites is not None else points[0].n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
+    n = model._ring_size(points[0], n_sites)
     states = [build_ground_state(p, n) for p in points]
     links = [
         overlap(states[i], states[(i + 1) % len(states)]) for i in range(len(states))

@@ -21,6 +21,8 @@ from artifact import (
     qgt_spectral,
     wilson_loop_berry_phase,
 )
+from artifact import model
+from artifact.ground_state import _pair_grid
 
 P = ModelParams
 
@@ -113,8 +115,21 @@ def test_ed_size_limit():
         (lambda: qgt_spectral(P(0.0, 0.5, 1.5), 6.9), BadSize),
         (lambda: chern_discrete(0.5, (32.9, 32), 512.5), ValueError),
         (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3, 16.5), BadSize),
+        (lambda: build_ground_state(P(0.3, 1.0, 1.5)), BadSize),
+        (lambda: free_fermion_parity_spectrum(P(0.3, 1.0, 1.5)), BadSize),
+        (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3), BadSize),
     ],
-    ids=["ed-float", "ed-str", "free-fermion", "qgt-spectral", "chern-discrete", "wilson"],
+    ids=[
+        "ed-float",
+        "ed-str",
+        "free-fermion",
+        "qgt-spectral",
+        "chern-discrete",
+        "wilson",
+        "ground-state-no-size",
+        "free-fermion-no-size",
+        "wilson-no-size",
+    ],
 )
 def test_non_integer_sizes_rejected(call, error):
     with pytest.raises(error):
@@ -207,19 +222,46 @@ def test_spectral_terms_phi_diagonal_gram():
         assert term.energy_gap > 0.0
 
 
-@pytest.mark.xfail(
-    reason="measured max single-term magnitudes at N=6 over lam in {0.5, 0.8, 0.95} "
-    "are 0.800, 0.983, 0.973, and the smallest excitation gap inside the ground's "
-    "parity block is 1.24, 1.01, 1.01 (the near-degenerate parity partner lies in "
-    "the other block, which dH never reaches), so term magnitudes are not monotone "
-    "toward the critical field at fixed N",
+def _pair_tensor(sin_theta, d_gamma, d_lam):
+    """Bloch-sphere tensor of one pair block in (phi, gamma, lam)."""
+    d = np.array([d_gamma, d_lam])
+    q = np.empty((3, 3), dtype=complex)
+    q[0, 0] = sin_theta**2
+    q[1:, 1:] = 0.25 * np.outer(d, d)
+    q[0, 1:] = 0.5j * sin_theta * d
+    q[1:, 0] = q[0, 1:].conj()
+    return q
+
+
+_DRAWS = np.random.default_rng(3).uniform((0.0, 0.2, 0.05), (np.pi, 1.5, 2.0), (18, 3))
+
+
+@pytest.mark.parametrize(
+    "phi, gamma, lam, n",
+    [(0.0, 1.0, lam, 6) for lam in (0.5, 0.8, 0.95)]
+    + [(*draw, (4, 6, 8)[i % 3]) for i, draw in enumerate(_DRAWS)],
 )
-def test_spectral_term_growth_toward_critical():
-    maxima = []
-    for lam in (0.5, 0.8, 0.95):
-        terms = qgt_matrix_elements(P(0.0, 1.0, lam, 6))
-        maxima.append(max(float(np.max(np.abs(t.matrix))) for t in terms))
-    assert maxima[0] < maxima[1] < maxima[2]
+def test_spectral_terms_are_pair_tensors_of_ground_sector(phi, gamma, lam, n):
+    # every excitation dH reaches from the ground flips one pair of the
+    # ground's parity sector (the lower closed-form sector energy, which
+    # below lam = 1 is often the even one), so each nonzero term is that
+    # pair's Bloch-sphere tensor at gap 2 eps_k; at N = 6, gamma = 1 the
+    # smallest gap is 1.24, 1.01, 1.01 for lam = 0.5, 0.8, 0.95, so terms
+    # need not grow toward lam = 1 at fixed N
+    p = P(phi, gamma, lam, n)
+    ff = free_fermion_parity_spectrum(p)
+    odd = ff.odd_sector_energy < ff.even_sector_energy
+    k = model._Pairing(_pair_grid(n, odd), gamma, lam)
+    expected = sorted(
+        zip(2.0 * k.energy, map(_pair_tensor, k.sin_theta, k.d_gamma, k.d_lam)),
+        key=lambda pair: pair[0],
+    )
+    terms = [t for t in qgt_matrix_elements(p) if np.max(np.abs(t.matrix)) > 1e-12]
+    terms.sort(key=lambda t: t.energy_gap)
+    assert len(terms) == len(expected) == n // 2 - odd
+    for term, (gap, tensor) in zip(terms, expected):
+        assert term.energy_gap == pytest.approx(gap, abs=1e-12)
+        assert np.max(np.abs(term.matrix - tensor)) < 1e-12
 
 
 def test_spectral_terms_degenerate_ground():
