@@ -7,7 +7,8 @@ spin-chain tensor wherever that sector holds the chain's ground state.  On
 rings of up to 10 sites the spin-chain tensor also comes from two
 exact-diagonalization oracles: central finite differences of ED ground
 vectors and the spectral sum over excited states.  The curvature density
-comes from the closed form of the pairing angle.
+is the tensor's curvature per pair momentum in the limit N -> infinity:
+the even-sector sum on rings doubled until it has converged.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import numpy as np
 
 from . import model
 from .errors import (
+    CriticalPoint,
     FiniteDifferenceUnstable,
     GaplessMode,
     StencilCrossesCritical,
 )
-from .ground_state import _sector_pairs
+from .ground_state import _pair_grid, _sector_pairs
 # Not called here; bench/tracer.py probes these names on this module.
 from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
 from .model import ModelParams
@@ -41,6 +43,8 @@ __all__ = [
 
 # Probe-calibrated central-difference step for the ED ground vectors.
 _ED_STEP = 2e-4
+# Pair count past which the curvature density's midpoint sums stop doubling.
+_DENSITY_MAX_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,14 @@ class CurvatureDensity:
     """Thermodynamic-limit curvature per unit momentum measure.
 
     ``value`` is purely imaginary; ``gamma`` and ``lam`` record the
-    evaluation point.
+    evaluation point, and ``nodes`` the number of pair momenta of the
+    accepted midpoint sum.
     """
 
     value: complex
     gamma: float
     lam: float
+    nodes: int
 
 
 def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
@@ -96,28 +102,31 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
 def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     """Continuum curvature density i * integral of sin(theta) dtheta/dgamma.
 
-    Integrates over alpha in [0, pi] by adaptive quadrature at relative
-    tolerance 1e-9, split at alpha_F, where the dispersion of a gamma < 1
-    chain has its minimum, so the near-critical peak sits at a panel edge.
+    The thermodynamic limit of the closed-form tensor's curvature sum: the
+    even-sector pair momenta (2k+1) pi / N are the midpoint rule for the
+    integral over alpha in [0, pi], which converges geometrically in N at a
+    rate set by the gap.  N doubles from 64 pairs until two successive sums
+    agree to 1e-13; the finer one is returned, with its pair count.
 
     Raises
     ------
     CriticalPoint
-        On the gapless lines.
+        On the gapless lines, and where the gap is too small for the sums
+        to agree within 2^20 pairs.
     """
-    from scipy.integrate import quad  # imported here, so only this function loads scipy
-
     model._check_gapped(gamma, lam)
-    alpha_f = model._alpha_fermi(gamma, lam)
-
-    def f(alpha: float) -> float:
-        pairing = model._Pairing(alpha, gamma, lam)
-        return float(pairing.sin_theta * pairing.d_gamma)
-
-    total, _ = quad(f, alpha_f, math.pi, epsabs=1e-14, epsrel=1e-9, limit=200)
-    if alpha_f > 0.0:
-        total += quad(f, 0.0, alpha_f, epsabs=1e-14, epsrel=1e-9, limit=200)[0]
-    return CurvatureDensity(1j * total, float(gamma), float(lam))
+    pairs, previous = 64, None
+    while pairs <= _DENSITY_MAX_PAIRS:
+        n = 2 * pairs
+        p = model._Pairing(_pair_grid(n, False), gamma, lam)
+        total = (2.0 * math.pi / n) * float(p.sin_theta @ p.d_gamma)
+        if previous is not None and abs(total - previous) <= 1e-13:
+            return CurvatureDensity(1j * total, float(gamma), float(lam), pairs)
+        previous, pairs = total, 2 * pairs
+    raise CriticalPoint(
+        f"gap {model.gap(gamma, lam):.3e} at gamma={gamma}, lam={lam} is too small "
+        f"for the curvature density to converge within {_DENSITY_MAX_PAIRS} pairs"
+    )
 
 
 def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:

@@ -174,30 +174,16 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     return pairing.theta
 
 
-def _alpha_fermi(gamma: float, lam: float) -> float:
-    """Interior stationary point of the dispersion, gamma = 1 limit built in.
-
-    For gamma != 1 this is arccos(lam / (1 - gamma^2)) when the ratio lies
-    in [-1, 1] and 0 otherwise.  For gamma < 1 it is where the dispersion
-    has its minimum, and at gamma = 0 it is the Fermi edge.  At gamma == 1
-    the ratio degenerates; the limit is pi/2 for lam == 0 and 0 for lam > 0.
-    """
-    if gamma == 1.0:
-        return math.pi / 2.0 if lam == 0.0 else 0.0
-    r = lam / (1.0 - gamma * gamma)
-    if -1.0 <= r <= 1.0:
-        return math.acos(r)
-    return 0.0
-
-
 def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
     """Largest grid index inside the Fermi edge, floor(N * alpha_F / (2 pi)).
 
     alpha_F = arccos(lam / (1 - gamma^2)) when that ratio lies in [-1, 1],
-    else 0; at gamma = 0 it is the Fermi edge of the filled sea, and for
-    0 < gamma < 1 it is where the dispersion has its minimum.  A tiny
-    positive snap (1e-9) is added before the floor so that ratios landing
-    exactly on a grid momentum count that momentum as inside the edge.
+    else 0.  At gamma = 0 it is the Fermi edge of the filled sea, for
+    0 < gamma < 1 it is where the dispersion has its minimum, and for
+    gamma > 1 the ratio is <= 0, so alpha_F lies in [pi/2, pi] or is 0.
+    A tiny positive snap (1e-9) is added before the floor so that ratios
+    landing exactly on a grid momentum count that momentum as inside the
+    edge.
 
     Raises
     ------
@@ -213,7 +199,8 @@ def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
         raise DegenerateRatio(
             "fermi_cutoff is 0/0 at gamma = 1; use the limit (0 for lam > 0, N//4 at lam = 0)"
         )
-    alpha_f = _alpha_fermi(gamma, lam)
+    r = lam / (1.0 - gamma * gamma)
+    alpha_f = math.acos(r) if -1.0 <= r <= 1.0 else 0.0
     return int(math.floor(n_sites * alpha_f / (2.0 * math.pi) + 1e-9))
 
 

@@ -186,9 +186,10 @@ class ParitySectorResult:
 
     The even sector fills pairs on the antiperiodic (half-integer) momenta;
     the odd sector uses periodic (integer) momenta and must place one
-    unpaired excitation, chosen as the cheapest of: occupy alpha = 0,
-    occupy alpha = pi, break the cheapest pair, or occupy both unpaired
-    levels and break a pair.  Below the field (lam < 1) occupying alpha = 0
+    unpaired excitation, the cheaper of occupying alpha = 0 (lam - 1) and
+    breaking the cheapest pair; occupying alpha = pi (lam + 1), or both
+    unpaired levels and breaking a pair (2 lam plus that pair), never costs
+    less for lam >= 0.  Below the field (lam < 1) occupying alpha = 0
     is the cheapest, so ``odd_sector_energy`` is then the energy of the
     odd-sector product state of ``build_ground_state``; at lam >= 1 that
     state is in the even sector and has ``even_sector_energy``.
@@ -285,7 +286,7 @@ def free_fermion_parity_spectrum(
     disp_pairs = pairs.energy
     base = -0.5 * n * lam + float(np.sum(pairs.a - disp_pairs))
     cheapest_pair = float(np.min(disp_pairs))
-    corr = min(lam - 1.0, lam + 1.0, cheapest_pair, 2.0 * lam + cheapest_pair)
+    corr = min(lam - 1.0, cheapest_pair)
     e_odd = base + corr
     return ParitySectorResult(
         even_sector_energy=e_even,
@@ -406,7 +407,8 @@ def qgt_matrix_elements(
 ) -> list[SpectralTerm]:
     """Per-excited-state geometric tensor terms from the ground's parity block.
 
-    Both parity blocks are diagonalized.  Every coupling derivative
+    The lowest level of each parity block picks the ground's block, and
+    only that block is fully diagonalized.  Every coupling derivative
     conserves parity, so only the excited states of the ground's block
     contribute; the other block's terms are exactly zero and are not
     returned.  The gauge U multiplies both the eigenvectors and the
@@ -428,15 +430,15 @@ def qgt_matrix_elements(
         lowest.
     """
     n = _resolve_ed_size(params, n_sites, _QGT_MAX)
-    ground, other = sorted(
-        [
-            (*scipy.linalg.eigh(h), sector)
-            for sector, h in _sector_blocks(params.gamma, params.lam, n)
-        ],
-        key=lambda solved: solved[0][0],
-    )
-    w, vectors, sector = ground
-    e1 = min(w[1], other[0][0])
+    blocks = _sector_blocks(params.gamma, params.lam, n)
+    lowest = [
+        scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[0, 0])[0]
+        for _, h in blocks
+    ]
+    k = 0 if lowest[0] <= lowest[1] else 1
+    sector, h = blocks[k]
+    w, vectors = scipy.linalg.eigh(h)
+    e1 = min(w[1], lowest[1 - k])
     if e1 - w[0] < 1e-10:
         raise DegenerateGroundState(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]

@@ -247,8 +247,9 @@ def test_non_finite_arguments_exit_2(cli, args):
 
 
 def test_closed_form_paths_load_no_scipy(tmp_path):
-    # scipy belongs to the ED oracle alone: neither the import nor the three
-    # closed-form subcommands may load it, and the oracle still loads on use
+    # scipy belongs to the ED oracle alone: neither the import, the three
+    # closed-form subcommands nor the curvature density may load it, and the
+    # oracle still loads on use
     runs = [
         ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
          "--grid", "16x16", "--n-sites", "256"],
@@ -270,6 +271,8 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         for i, argv in enumerate({runs!r}):
             assert artifact.cli.main(argv + ["--out", r"{tmp_path}/%d.csv" % i]) == 0
             print(scipy_loaded())
+        artifact.berry_curvature_density(0.5, 0.5)
+        print(scipy_loaded())
         print(artifact.ed_ground is artifact.oracle.ed_ground)
         print(artifact.cli.main({verify!r} + ["--out", r"{tmp_path}/verify.txt"]))
     """)
@@ -277,7 +280,7 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"] * 5 + ["True", "0"]
+    assert res.stdout.split() == ["False"] * 6 + ["True", "0"]
 
 
 def test_oracle_verify_report(cli, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from artifact import (
     BadSize,
@@ -75,8 +76,10 @@ def test_density_vanishing_anisotropy():
 
 
 def test_density_purely_imaginary_frozen_values():
-    # regression values; the mode sum is the trapezoidal rule of a smooth
-    # periodic integrand, so at N = 4096 it matches the quadrature to rounding
+    # regression values; the density is the converged midpoint sum on the
+    # even-sector momenta, and the odd-sector mode sum is the trapezoidal
+    # rule of the same smooth periodic integrand, so at N = 4096 they agree
+    # to rounding
     frozen = {
         (0.5, 0.5): 0.26523127887688697,
         (1.0, 0.3): 0.12057851184870061,
@@ -91,6 +94,51 @@ def test_density_purely_imaginary_frozen_values():
         assert d.value.imag == pytest.approx(expect, abs=1e-9)
         riemann = 2.0 * np.pi / 4096 * _mode_sum(g, lam, 4096)
         assert abs(riemann - d.value.imag) < 1e-12
+
+
+def _density_by_quadrature(gamma, lam):
+    # adaptive quadrature of sin(theta) dtheta/dgamma over [0, pi], split
+    # where the dispersion of a gamma < 1 chain has its minimum
+    def f(alpha):
+        a = lam - math.cos(alpha)
+        b = gamma * math.sin(alpha)
+        r2 = a * a + b * b
+        return b / math.sqrt(r2) * a * math.sin(alpha) / r2
+
+    ratio = lam / (1.0 - gamma * gamma) if gamma < 1.0 else 2.0
+    split = math.acos(ratio) if -1.0 <= ratio <= 1.0 else 0.0
+    total = 0.0
+    for lo, hi in ((0.0, split), (split, math.pi)):
+        if hi > lo:
+            total += quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+    return total
+
+
+def _log_offset(lo, hi):
+    return st.floats(lo, hi).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(st.floats(0.05, 2.0), _log_offset(-3.0, -1.0)),
+    st.one_of(
+        st.floats(0.0, 3.0),
+        _log_offset(-3.0, 0.0).map(lambda d: 1.0 - d),
+        _log_offset(-3.0, 0.0).map(lambda d: 1.0 + d),
+    ),
+)
+def test_density_matches_quadrature(gamma, lam):
+    # the midpoint sums are checked against an independent adaptive
+    # quadrature, down to gaps of 1e-3 where they need the most pairs
+    assume(gap(gamma, lam) >= 1e-3)
+    d = berry_curvature_density(gamma, lam)
+    assert abs(d.value.imag - _density_by_quadrature(gamma, lam)) <= 1e-12
+
+
+def test_density_nodes_grow_toward_critical_point():
+    nodes = [berry_curvature_density(1.0, lam).nodes for lam in (0.5, 0.9, 0.99, 0.999)]
+    assert all(n >= 64 and n & (n - 1) == 0 for n in nodes), nodes
+    assert nodes == sorted(nodes), nodes
 
 
 def test_density_matches_riemann_sum():
@@ -111,6 +159,9 @@ def test_density_critical_point():
         berry_curvature_density(0.7, 1.0)
     with pytest.raises(CriticalPoint):
         berry_curvature_density(0.0, 0.5)
+    # gapped, but past the pair cap's reach
+    with pytest.raises(CriticalPoint, match="gap 1.000e-07"):
+        berry_curvature_density(1.0, 1.0 - 1e-7)
 
 
 def test_density_growth_into_critical_point():

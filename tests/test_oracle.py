@@ -152,6 +152,25 @@ def test_ed_ground_solves_each_parity_block_once(monkeypatch):
     assert dims == [128, 128]
 
 
+@pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4)])
+def test_spectral_terms_fully_solve_only_the_ground_block(monkeypatch, gamma, lam):
+    # the odd block holds the ground at (0.4, 0.9) and the even one at (0.7, 1.4)
+    dims, full = [], []
+    eigh = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        out = eigh(a, *args, **kwargs)
+        dims.append(len(a))
+        if "subset_by_index" not in kwargs:
+            full.append(out[0][0])
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    qgt_matrix_elements(P(0.0, gamma, lam, 8))
+    assert dims == [128, 128, 128]
+    assert full == [pytest.approx(ed_ground(P(0.0, gamma, lam, 8)).ground_energy, abs=1e-12)]
+
+
 def test_wilson_constant_loop():
     pts = [P(0.3, 1.0, 1.5, 16)] * 5
     assert wilson_loop_berry_phase(pts, 16) == pytest.approx(0.0, abs=1e-14)
