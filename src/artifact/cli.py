@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 oracle check breach, 2 bad usage or configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -76,34 +77,36 @@ def _resolve_format(args) -> str:
     return "csv"
 
 
-def _emit(args, fieldnames, rows, summary, config) -> None:
-    if _resolve_format(args) == "json":
-        doc = {
-            "config": config,
-            "rows": [
-                {key: _jnum(row.get(key)) for key in fieldnames} for row in rows
-            ],
-            "summary": summary,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _output(args):
+    """The one destination of rendered output: ``--out`` when given, else stdout.
+
+    Yields a stream rather than taking a finished string, so a large CSV
+    is written row by row and never held in memory whole.
+    """
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            _write_csv(handle, fieldnames, rows)
+            yield handle
     else:
-        _write_csv(sys.stdout, fieldnames, rows)
+        yield sys.stdout
 
 
-def _write_csv(stream, fieldnames, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+def _emit(args, fieldnames, rows, summary, config) -> None:
+    with _output(args) as stream:
+        if _resolve_format(args) == "json":
+            doc = {
+                "config": config,
+                "rows": [
+                    {key: _jnum(row.get(key)) for key in fieldnames} for row in rows
+                ],
+                "summary": summary,
+            }
+            stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(fieldnames)
+            for row in rows:
+                writer.writerow([_fmt(row.get(name)) for name in fieldnames])
 
 
 def _chern_row(task):
@@ -377,12 +380,8 @@ def _run_oracle_verify(args) -> int:
     overall_pass &= _verdict(lines, "[wilson] worst relative deviation", worst_wilson, 0.05)
 
     lines.append("overall: " + ("PASS" if overall_pass else "FAIL"))
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
+    with _output(args) as stream:
+        stream.write("\n".join(lines) + "\n")
     return EXIT_OK if overall_pass else EXIT_CHECK_FAILED
 
 

@@ -5,6 +5,12 @@ its values at the two unpaired momenta; the discrete route closes the
 (phi, momentum) cylinder into a sphere with the two unpaired levels as pole
 states and sums gauge-invariant plaquette and pole-fan phases.  Both jump
 from -1 to 0 at the critical field.
+
+A step in phi maps every pair block by diag(1, e^{-2i dphi}), which fixes
+both pole states, so every phi-column of cells carries the same phases.
+The discrete route therefore evaluates one strip of cells, the 2 n_beta
+nodes of two adjacent columns, and multiplies its flux by n_phi: the
+result is the flux of the whole n_phi x n_beta grid.
 """
 
 from __future__ import annotations
@@ -63,7 +69,9 @@ class ChernResult:
         Distance |value - nearest_integer|.
     method : ChernMethod
     node_count : int
-        Pairing-angle evaluations (winding) or grid nodes (discrete).
+        Pairing-angle evaluations (winding), or the n_phi * n_beta + 2 nodes
+        of the grid the discrete flux covers; by the phi symmetry it
+        evaluates 2 * n_beta of them.
     worst_cell_phase : float or None
         Largest |phase| of one plaquette or pole-fan cell (discrete only);
         the sum is unambiguous while it stays below pi.
@@ -119,6 +127,16 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     return n_phi, n_beta, n_sites
 
 
+def _pole_thetas(lam: float) -> np.ndarray:
+    """Pairing angle at the two unpaired momenta alpha = 0 and pi (gamma = 1)."""
+    return model._Pairing(np.array([0.0, math.pi]), 1.0, lam).theta
+
+
+def _pole_state(theta: float) -> tuple[float, float]:
+    """Unpaired level as an exact cap state: occupied (0, 1) past theta = pi/2."""
+    return (0.0, 1.0) if theta > 0.5 * math.pi else (1.0, 0.0)
+
+
 def chern_number(lam: float) -> ChernResult:
     """Chern number from the winding of the pairing angle.
 
@@ -138,7 +156,7 @@ def chern_number(lam: float) -> ChernResult:
     _check_field(lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
-    theta = model._Pairing(np.array([0.0, math.pi]), 1.0, lam).theta
+    theta = _pole_thetas(lam)
     value = float(theta[1] - theta[0]) / math.pi
     nearest = int(round(value))
     return ChernResult(
@@ -151,17 +169,18 @@ def chern_number(lam: float) -> ChernResult:
 
 
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
-    """Summed plaquette and pole-fan phases of a ray field on the sphere.
+    """Summed plaquette and pole-fan phases of a strip of cells on the sphere.
 
-    ``u`` and ``v`` are amplitude arrays that broadcast to (n_phi, n_beta);
-    the phi direction wraps, the beta direction is closed by triangle fans
-    to the two cap states.  Returns (total phase, worst |cell phase|, smallest
-    link modulus); every link enters exactly two cells with opposite
-    orientation, so the total is an exact multiple of 2 pi.
+    ``u`` and ``v`` are amplitude arrays of shape (n_cols, n_beta): rows are
+    consecutive phi-columns of nodes, joined by links with no wrap, so they
+    bound n_cols - 1 columns of cells.  The beta direction is closed by
+    triangle fans to the two cap states.  The whole closed grid is the
+    strip whose last row repeats the first.  Returns (total phase, worst
+    |cell phase|, smallest link modulus); on a closed grid every link
+    enters exactly two cells with opposite orientation, so the total is an
+    exact multiple of 2 pi.
     """
-    u_next = np.roll(u, -1, axis=0)
-    v_next = np.roll(v, -1, axis=0)
-    link_phi = np.conj(u) * u_next + np.conj(v) * v_next
+    link_phi = np.conj(u[:-1]) * u[1:] + np.conj(v[:-1]) * v[1:]
     link_beta = np.conj(u[:, :-1]) * u[:, 1:] + np.conj(v[:, :-1]) * v[:, 1:]
     cb_u, cb_v = cap_bottom
     ct_u, ct_v = cap_top
@@ -175,12 +194,12 @@ def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
     )
     plaq = (
         link_phi[:, :-1]
-        * np.roll(link_beta, -1, axis=0)
+        * link_beta[1:]
         * np.conj(link_phi[:, 1:])
-        * np.conj(link_beta)
+        * np.conj(link_beta[:-1])
     )
-    tri_bottom = np.roll(bottom, -1) * np.conj(link_phi[:, 0]) * np.conj(bottom)
-    tri_top = np.conj(top) * link_phi[:, -1] * np.roll(top, -1)
+    tri_bottom = bottom[1:] * np.conj(link_phi[:, 0]) * np.conj(bottom[:-1])
+    tri_top = np.conj(top[:-1]) * link_phi[:, -1] * top[1:]
     phases = np.concatenate(
         [np.angle(plaq).ravel(), np.angle(tri_bottom), np.angle(tri_top)]
     )
@@ -199,9 +218,12 @@ def chern_discrete(
     Grid rows are snapped to the physical pair momenta of an N-site ring
     (beta parametrizes half the band), columns sample the phase angle over
     its period, at the reference anisotropy gamma = 1 of ``chern_number``;
-    the unpaired momenta provide the two pole states, the bottom one
-    occupied exactly when lam < 1.  The summed plaquette and fan phases
-    over 2 pi give a machine-precision integer.
+    the unpaired momenta provide the two pole states, each occupied when
+    its pairing angle exceeds pi/2.  The grid has n_phi * n_beta + 2
+    nodes, but every phi-column of cells carries the same phases, so only
+    the strip between phi = 0 and pi / n_phi is evaluated (2 * n_beta
+    nodes) and its flux is multiplied by n_phi.  The summed plaquette and
+    fan phases over 2 pi give a machine-precision integer.
 
     Raises
     ------
@@ -226,16 +248,16 @@ def chern_discrete(
     pairing = model._Pairing(alphas, 1.0, lam)
     if np.any(pairing.energy < 1e-9):
         raise GaplessOnGrid(f"sampled mode energy below 1e-9 at lam={lam}")
-    phis = np.pi * np.arange(n_phi) / n_phi
-    u, v = _pair_block(pairing.theta, phis[:, None])
-    cap_bottom = (0.0, 1.0) if lam < 1.0 else (1.0, 0.0)
-    cap_top = (1.0, 0.0)
-    total, worst, min_link = _total_flux(u[None, :], v, cap_bottom, cap_top)
+    u, v = _pair_block(pairing.theta, np.array([[0.0], [math.pi / n_phi]]))
+    theta_0, theta_pi = _pole_thetas(lam)
+    strip, worst, min_link = _total_flux(
+        np.broadcast_to(u, v.shape), v, _pole_state(theta_0), _pole_state(theta_pi)
+    )
     if min_link < 1e-12:
         raise VortexOnPlaquette(f"link modulus {min_link:.3e}; refine the grid")
     if worst >= math.pi - 1e-9:
         raise VortexOnPlaquette(f"cell phase {worst:.6f} is ambiguous; refine the grid")
-    value = total / (2.0 * math.pi)
+    value = n_phi * strip / (2.0 * math.pi)
     nearest = int(round(value))
     return ChernResult(
         value=float(value),

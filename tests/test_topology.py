@@ -17,7 +17,25 @@ from artifact import (
     classify_phase,
     detect_transition,
 )
+from artifact import topology
+from artifact.ground_state import _pair_block
 from artifact.topology import _total_flux
+
+
+def _closed(a):
+    """Grid rows plus the first row again as the closing phi-column."""
+    return np.concatenate([a, a[:1]])
+
+
+def _grid_thetas(lam, n_beta, n):
+    # rows of the discrete grid: pair momenta of the N-site ring over half the band
+    ks = np.clip(
+        np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
+        1,
+        n // 2 - 1,
+    )
+    alphas = 2.0 * np.pi * ks / n
+    return np.arctan2(np.sin(alphas), lam - np.cos(alphas))
 
 
 def test_quadrature_basic():
@@ -116,7 +134,7 @@ def test_flux_vortex_detected():
     # which is exactly the ambiguity the production guard rejects
     u = np.array([[1.0, 2**-0.5], [2**-0.5, 0.0]], dtype=complex)
     v = np.array([[0.0, -1j * 2**-0.5], [1j * 2**-0.5, 1.0]], dtype=complex)
-    total, worst, min_link = _total_flux(u, v, (1.0, 0.0), (0.0, 1.0))
+    total, worst, min_link = _total_flux(_closed(u), _closed(v), (1.0, 0.0), (0.0, 1.0))
     assert worst == pytest.approx(math.pi, abs=1e-12)
     assert min_link == pytest.approx(2**-0.5, abs=1e-12)
     assert abs(total / (2.0 * math.pi) - round(total / (2.0 * math.pi))) < 1e-12
@@ -124,21 +142,15 @@ def test_flux_vortex_detected():
 
 def test_flux_gauge_invariance():
     n, n_phi, n_beta, lam = 256, 16, 16, 0.4
-    ks = np.clip(
-        np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
-        1,
-        n // 2 - 1,
-    )
-    alphas = 2.0 * np.pi * ks / n
-    thetas = np.arctan2(np.sin(alphas), lam - np.cos(alphas))
+    thetas = _grid_thetas(lam, n_beta, n)
     phis = np.pi * np.arange(n_phi) / n_phi
     u = np.broadcast_to(np.cos(0.5 * thetas), (n_phi, n_beta)).astype(complex)
     v = 1j * np.exp(-2j * phis)[:, None] * np.sin(0.5 * thetas)[None, :]
     caps = ((0.0, 1.0), (1.0, 0.0))
-    plain = _total_flux(u, v, *caps)[0]
+    plain = _total_flux(_closed(u), _closed(v), *caps)[0]
     rng = np.random.default_rng(3)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_phi, n_beta)))
-    regauged = _total_flux(u * phase, v * phase, *caps)[0]
+    regauged = _total_flux(_closed(u * phase), _closed(v * phase), *caps)[0]
     assert regauged == pytest.approx(plain, abs=1e-12)
     assert plain / (2.0 * np.pi) == pytest.approx(-1.0, abs=1e-9)
 
@@ -154,7 +166,48 @@ def test_methods_agree():
     for lam in (0.0, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0):
         q = chern_number(lam).value
         d = chern_discrete(lam, (32, 32), 512).value
-        assert abs(q - d) < 0.02
+        assert abs(q - d) < 1e-9
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(0.0, 3.0),
+    st.integers(16, 96),
+    st.integers(16, 96),
+    st.integers(128, 2048).map(lambda half: 2 * half),
+)
+def test_strip_flux_equals_closed_grid(lam, n_phi, n_beta, n):
+    # every phi-column of cells carries the same phases, so n_phi times the
+    # flux of one strip is the flux of the whole closed grid; the reference
+    # caps take the unpaired alpha = 0 level as occupied exactly when lam < 1
+    assume(abs(lam - 1.0) > 1e-3)
+    phis = np.pi * np.arange(n_phi) / n_phi
+    u, v = _pair_block(_grid_thetas(lam, n_beta, n), phis[:, None])
+    caps = ((0.0, 1.0), (1.0, 0.0)) if lam < 1.0 else ((1.0, 0.0), (1.0, 0.0))
+    total, worst, min_link = _total_flux(
+        _closed(np.broadcast_to(u, v.shape)), _closed(v), *caps
+    )
+    r = chern_discrete(lam, (n_phi, n_beta), n)
+    assert abs(r.value - total / (2.0 * math.pi)) <= 1e-12
+    assert r.nearest_integer == round(total / (2.0 * math.pi))
+    assert abs(r.worst_cell_phase - worst) <= 1e-12
+    assert abs(r.min_link - min_link) <= 1e-12
+    assert r.node_count == n_phi * n_beta + 2
+
+
+@pytest.mark.parametrize("n_phi", [16, 64, 128])
+def test_discrete_evaluates_two_phi_columns(monkeypatch, n_phi):
+    shapes = []
+
+    def spy(theta, phi):
+        u, v = _pair_block(theta, phi)
+        shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return u, v
+
+    monkeypatch.setattr(topology, "_pair_block", spy)
+    r = chern_discrete(0.5, (n_phi, 32), 512)
+    assert r.nearest_integer == -1
+    assert shapes == [(2, 32)]
 
 
 def test_classify_phase():
