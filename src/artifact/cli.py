@@ -82,10 +82,15 @@ def _output(args):
     """The one destination of rendered output: ``--out`` when given, else stdout.
 
     Yields a stream rather than taking a finished string, so a large CSV
-    is written row by row and never held in memory whole.
+    is written row by row and never held in memory whole.  A file that
+    cannot be opened is a usage error (ValueError).
     """
     if args.out:
-        with open(args.out, "w", newline="") as handle:
+        try:
+            handle = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        with handle:
             yield handle
     else:
         yield sys.stdout
@@ -230,8 +235,7 @@ def _metric_row(task):
         "error": None,
     }
     try:
-        params = model.ModelParams(0.0, gamma, lam, n_sites)
-        tensor = geometry.qgt_product(params, n_sites)
+        tensor = geometry.qgt_product(model.ModelParams(0.0, gamma, lam), n_sites)
     except BadSize:
         raise
     except CriticalPoint as exc:
@@ -345,9 +349,9 @@ def _run_oracle_verify(args) -> int:
             lam = rng.uniform(0.15, 0.8)
         else:
             lam = rng.uniform(1.25, 2.5)
-        params = model.ModelParams(phi, gamma, lam, 6)
-        spectral = geometry.qgt_spectral(params).matrix
-        fd = geometry.qgt_finite_diff(params).matrix
+        params = model.ModelParams(phi, gamma, lam)
+        spectral = geometry.qgt_spectral(params, 6).matrix
+        fd = geometry.qgt_finite_diff(params, 6).matrix
         dev = float(np.max(np.abs(spectral - fd)))
         worst_qgt = max(worst_qgt, dev)
         lines.append(
@@ -363,14 +367,14 @@ def _run_oracle_verify(args) -> int:
         gamma = rng.uniform(0.5, 1.5)
         lam = rng.uniform(1.2, 2.2)
         loop = [
-            model.ModelParams(phi0, gamma, lam, 64),
-            model.ModelParams(phi0 + delta, gamma, lam, 64),
-            model.ModelParams(phi0 + delta, gamma + delta, lam, 64),
-            model.ModelParams(phi0, gamma + delta, lam, 64),
+            model.ModelParams(phi0, gamma, lam),
+            model.ModelParams(phi0 + delta, gamma, lam),
+            model.ModelParams(phi0 + delta, gamma + delta, lam),
+            model.ModelParams(phi0, gamma + delta, lam),
         ]
         measured = oracle.wilson_loop_berry_phase(loop, 64)
-        mid = model.ModelParams(phi0 + delta / 2, gamma + delta / 2, lam, 64)
-        predicted = 2.0 * delta * delta * geometry.qgt_product(mid).matrix[0, 1].imag
+        mid = model.ModelParams(phi0 + delta / 2, gamma + delta / 2, lam)
+        predicted = 2.0 * delta * delta * geometry.qgt_product(mid, 64).matrix[0, 1].imag
         rel = abs(measured - predicted) / abs(predicted)
         worst_wilson = max(worst_wilson, rel)
         lines.append(
@@ -451,7 +455,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (ValueError, BadSize, SizeLimit) as exc:
-        # a library input check; rows are gathered before output, so none is written
+        # a library input check or an unwritable --out; rows are gathered
+        # before output is opened, so none is written
         return _usage_error(str(exc))
 
 

@@ -110,10 +110,14 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
 
     Raises
     ------
+    ValueError
+        If gamma or lam is not finite or is negative.
     CriticalPoint
         On the gapless lines, and where the gap is too small for the sums
         to agree within 2^20 pairs.
     """
+    model._check_coupling("gamma", gamma)
+    model._check_coupling("lam", lam)
     model._check_gapped(gamma, lam)
     pairs, previous = 64, None
     while pairs <= _DENSITY_MAX_PAIRS:
@@ -129,7 +133,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     )
 
 
-def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
+def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
     """Closed-form geometric tensor of the product ground state.
 
     Each pair block (cos(theta/2), i e^{-2i phi} sin(theta/2)) is a Bloch
@@ -144,15 +148,14 @@ def qgt_product(params: ModelParams, n_sites: int | None = None) -> GeometricTen
     Raises
     ------
     BadSize
-        If no ring length is available, or it is not an even integer >= 4.
+        Unless ``n_sites`` is an even integer >= 4.
     CriticalPoint
         If the couplings are gapless.
     """
-    n = model._ring_size(params, n_sites)
-    model._check_size(n)
+    model._check_size(n_sites)
     gamma, lam = params.gamma, params.lam
     model._check_gapped(gamma, lam)
-    pairing = _sector_pairs(n, gamma, lam)[2]
+    pairing = _sector_pairs(n_sites, gamma, lam)[2]
     sin_theta = pairing.sin_theta
     d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)
@@ -216,7 +219,7 @@ def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
     return worst
 
 
-def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
+def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     """Central-difference geometric tensor of the exact-diagonalization ground vector.
 
     An oracle for the spin chain on small rings, comparable with
@@ -224,16 +227,10 @@ def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> Geometri
     the step and the pair must agree before the finer answer is returned,
     Hermitized.
 
-    Parameters
-    ----------
-    params : ModelParams
-    n_sites : int, optional
-        Ring length; falls back to ``params.n_sites``.
-
     Raises
     ------
     BadSize
-        If the ring size is missing or not an integer.
+        If ``n_sites`` is not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     CriticalPoint
@@ -245,7 +242,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> Geometri
     """
     from . import oracle
 
-    n = oracle._resolve_ed_size(params, n_sites, oracle._QGT_MAX)
+    n = oracle._resolve_ed_size(n_sites, oracle._QGT_MAX)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
     model._check_gapped(gamma, lam)
@@ -271,13 +268,13 @@ def qgt_finite_diff(params: ModelParams, n_sites: int | None = None) -> Geometri
     return GeometricTensor(0.5 * (g_half + g_half.conj().T))
 
 
-def qgt_spectral(params: ModelParams, n_sites: int | None = None) -> GeometricTensor:
+def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     """Geometric tensor as the sum over the ground block's excited states.
 
     Raises
     ------
     BadSize
-        If the ring size is missing or not an integer.
+        If ``n_sites`` is not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState

@@ -76,7 +76,9 @@ class GroundState:
     Attributes
     ----------
     params : ModelParams
-        Couplings, with ``n_sites`` set.
+        The point (phi, gamma, lam).
+    n_sites : int
+        Ring length; ``to_json`` writes it among the ``"params"``.
     alphas, thetas, energies : ndarray
         Momentum, pairing angle, and quasiparticle energy per pair.
     u, v : ndarray of complex
@@ -89,6 +91,7 @@ class GroundState:
     """
 
     params: ModelParams
+    n_sites: int
     alphas: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
@@ -97,10 +100,6 @@ class GroundState:
     zero_mode_occupied: bool
     occupation_mask: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def n_sites(self) -> int:
-        return int(self.params.n_sites)
-
     def to_json(self) -> str:
         p = self.params
         payload = {
@@ -108,7 +107,7 @@ class GroundState:
                 "phi": p.phi,
                 "gamma": p.gamma,
                 "lam": p.lam,
-                "n_sites": p.n_sites,
+                "n_sites": self.n_sites,
             },
             "zero_mode_occupied": self.zero_mode_occupied,
             "modes": [
@@ -135,11 +134,12 @@ class GroundState:
     def from_json(cls, text: str) -> "GroundState":
         d = json.loads(text)
         p = d["params"]
-        params = ModelParams(p["phi"], p["gamma"], p["lam"], p["n_sites"])
+        model._check_size(p["n_sites"])
         modes = d["modes"]
         mask = d["occupation_mask"]
         return cls(
-            params=params,
+            params=ModelParams(p["phi"], p["gamma"], p["lam"]),
+            n_sites=p["n_sites"],
             alphas=np.array([m["alpha"] for m in modes]),
             thetas=np.array([m["theta"] for m in modes]),
             energies=np.array([m["energy"] for m in modes]),
@@ -196,7 +196,7 @@ def _pair_arrays(
     return _pair_states(phi, _sector_pairs(n_sites, gamma, lam)[2])
 
 
-def build_ground_state(params: ModelParams, n_sites: int | None = None) -> GroundState:
+def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     """Exact ground state at the given couplings.
 
     Every pair block carries (cos(theta/2), i e^{-2 i phi} sin(theta/2))
@@ -210,25 +210,23 @@ def build_ground_state(params: ModelParams, n_sites: int | None = None) -> Groun
     Parameters
     ----------
     params : ModelParams
-    n_sites : int, optional
-        Ring length; falls back to ``params.n_sites`` when omitted.
+    n_sites : int
+        Ring length.
 
     Raises
     ------
     BadSize
-        If no ring length is available from either argument.
+        Unless ``n_sites`` is an even integer >= 4.
     CriticalPoint
         If the spectral gap is below 1e-12.
     """
-    n = model._ring_size(params, n_sites)
-    model._check_size(n)
-    if params.n_sites != n:
-        params = params.with_sites(n)
+    model._check_size(n_sites)
     model._check_gapped(params.gamma, params.lam)
-    odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
+    odd, alphas, pairing = _sector_pairs(n_sites, params.gamma, params.lam)
     theta, u, v, energies = _pair_states(params.phi, pairing)
     return GroundState(
         params=params,
+        n_sites=int(n_sites),
         alphas=alphas,
         thetas=theta,
         energies=energies,
@@ -250,9 +248,7 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     filled by convention), so no criticality check is made here.
     """
     model._check_size(n_sites)
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    params = ModelParams(0.0, 0.0, lam, n_sites)
+    params = ModelParams(0.0, 0.0, lam)
     k_t = model.fermi_cutoff(0.0, lam, n_sites)
     zero_occ = lam <= 1.0
     alphas = _pair_grid(n_sites, zero_occ)
@@ -268,6 +264,7 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     mask[grid_k == n_sites // 2] = False
     return GroundState(
         params=params,
+        n_sites=int(n_sites),
         alphas=alphas,
         thetas=theta,
         energies=model.dispersion(alphas, 0.0, lam),

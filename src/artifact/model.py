@@ -28,7 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of the chain.
+    """A point (phi, gamma, lam) of the coupling manifold.
+
+    The fields are the coordinates of ``GeometricTensor``, in its order.
+    The ring size is not a coupling: each function that needs it takes
+    ``n_sites`` as its own argument.
 
     Parameters
     ----------
@@ -39,36 +43,32 @@ class ModelParams:
         would put subnormal entries into dense Hamiltonians, which slow
         LAPACK eigensolvers some 60-fold.
     gamma : float
-        XY anisotropy, >= 0.
+        XY anisotropy, finite and >= 0.
     lam : float
-        Transverse field strength, >= 0.
-    n_sites : int, optional
-        Ring length.  When given it must be even and >= 4.
+        Transverse field strength, finite and >= 0.
     """
 
     phi: float
     gamma: float
     lam: float
-    n_sites: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("phi", "gamma", "lam"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if 0.0 < self.phi < sys.float_info.min:
             object.__setattr__(self, "phi", 0.0)
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.n_sites is not None:
-            _check_size(self.n_sites)
+        _check_coupling("gamma", self.gamma)
+        _check_coupling("lam", self.lam)
 
-    def with_sites(self, n_sites: int) -> "ModelParams":
-        return ModelParams(self.phi, self.gamma, self.lam, n_sites)
+
+def _check_coupling(name: str, value: float) -> None:
+    """ValueError unless the coupling ``name`` (gamma or lam) is finite and >= 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _check_integer(n_sites: int) -> None:
@@ -80,17 +80,6 @@ def _check_size(n_sites: int) -> None:
     _check_integer(n_sites)
     if n_sites < 4 or n_sites % 2 != 0:
         raise BadSize(f"n_sites must be even and >= 4, got {n_sites}")
-
-
-def _ring_size(params: ModelParams, n_sites: int | None) -> int:
-    """The explicit ring size, else ``params.n_sites``; BadSize if neither is set.
-
-    Only the fallback: each caller validates the size against its own range.
-    """
-    n = n_sites if n_sites is not None else params.n_sites
-    if n is None:
-        raise BadSize("a ring size is required")
-    return n
 
 
 class _Pairing:
@@ -187,6 +176,8 @@ def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
 
     Raises
     ------
+    ValueError
+        If gamma or lam is not finite or is negative.
     DegenerateRatio
         At gamma == 1, where the defining ratio is 0/0 or infinite.
         Callers needing that point use the documented limit: cutoff 0 for
@@ -194,6 +185,8 @@ def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
     BadSize
         If ``n_sites`` is odd or < 4.
     """
+    _check_coupling("gamma", gamma)
+    _check_coupling("lam", lam)
     _check_size(n_sites)
     if gamma == 1.0:
         raise DegenerateRatio(

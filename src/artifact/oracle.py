@@ -65,12 +65,11 @@ _QGT_MAX = 10
 _FREE_MAX = 4096
 
 
-def _resolve_ed_size(params: ModelParams, n_sites: int | None, limit: int) -> int:
-    n = model._ring_size(params, n_sites)
-    model._check_integer(n)
-    if not 2 <= n <= limit:
-        raise SizeLimit(f"n_sites must be in [2, {limit}], got {n}")
-    return n
+def _resolve_ed_size(n_sites: int, limit: int) -> int:
+    model._check_integer(n_sites)
+    if not 2 <= n_sites <= limit:
+        raise SizeLimit(f"n_sites must be in [2, {limit}], got {n_sites}")
+    return n_sites
 
 
 def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
@@ -200,9 +199,7 @@ class ParitySectorResult:
     ground_energy: float
 
 
-def build_spin_hamiltonian(
-    params: ModelParams, n_sites: int | None = None
-) -> np.ndarray:
+def build_spin_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     """Dense 2^N Hamiltonian of the rotated chain on a periodic ring.
 
     Bonds run j -> j+1 with site N identified with site 0; at N = 2 the
@@ -213,18 +210,18 @@ def build_spin_hamiltonian(
     Raises
     ------
     BadSize
-        If the ring size is missing or not an integer.
+        If ``n_sites`` is not an integer.
     SizeLimit
         Unless 2 <= N <= 12.
     """
-    n = _resolve_ed_size(params, n_sites, _ED_MAX)
+    n = _resolve_ed_size(n_sites, _ED_MAX)
     h = np.zeros((1 << n,) * 2, dtype=float if params.phi == 0.0 else complex)
     for sector, block in _sector_blocks(params.gamma, params.lam, n):
         h[np.ix_(sector.index, sector.index)] = _gauge(block, params.phi, sector.pop)
     return h
 
 
-def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
+def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     """Exact parity-sector ground energies and ground vector.
 
     The chain conserves the number parity of down spins, so the 2^N matrix
@@ -238,11 +235,11 @@ def ed_ground(params: ModelParams, n_sites: int | None = None) -> SpinSpectrum:
     Raises
     ------
     BadSize
-        If the ring size is missing or not an integer.
+        If ``n_sites`` is not an integer.
     SizeLimit
         Unless 2 <= N <= 12.
     """
-    n = _resolve_ed_size(params, n_sites, _ED_MAX)
+    n = _resolve_ed_size(n_sites, _ED_MAX)
     return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
 
 
@@ -258,9 +255,7 @@ def _ed_vector(
     return float(w_even[0]), float(w_odd[0]), vec
 
 
-def free_fermion_parity_spectrum(
-    params: ModelParams, n_sites: int | None = None
-) -> ParitySectorResult:
+def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> ParitySectorResult:
     """Closed-form parity-sector ground energies of the exact ring.
 
     Keeps the boundary bond exactly: even fermion parity selects
@@ -273,18 +268,17 @@ def free_fermion_parity_spectrum(
     BadSize
         Unless N is an even integer with 4 <= N <= 4096.
     """
-    n = model._ring_size(params, n_sites)
-    model._check_size(n)
-    if n > _FREE_MAX:
-        raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n}")
+    model._check_size(n_sites)
+    if n_sites > _FREE_MAX:
+        raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n_sites}")
     g, lam = params.gamma, params.lam
 
-    even = model._Pairing(_pair_grid(n, False), g, lam)
-    e_even = -0.5 * n * lam + float(np.sum(even.a - even.energy))
+    even = model._Pairing(_pair_grid(n_sites, False), g, lam)
+    e_even = -0.5 * n_sites * lam + float(np.sum(even.a - even.energy))
 
-    pairs = model._Pairing(_pair_grid(n, True), g, lam)
+    pairs = model._Pairing(_pair_grid(n_sites, True), g, lam)
     disp_pairs = pairs.energy
-    base = -0.5 * n * lam + float(np.sum(pairs.a - disp_pairs))
+    base = -0.5 * n_sites * lam + float(np.sum(pairs.a - disp_pairs))
     cheapest_pair = float(np.min(disp_pairs))
     corr = min(lam - 1.0, cheapest_pair)
     e_odd = base + corr
@@ -349,11 +343,7 @@ def embed_ground_state(state: GroundState) -> np.ndarray:
     return psi
 
 
-def _same_point(a: ModelParams, b: ModelParams) -> bool:
-    return a.phi == b.phi and a.gamma == b.gamma and a.lam == b.lam
-
-
-def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
+def wilson_loop_berry_phase(loop, n_sites: int) -> float:
     """Discrete Berry phase of a closed loop of parameter points.
 
     The loop is traversed in order with an implicit closing link back to
@@ -374,10 +364,9 @@ def wilson_loop_berry_phase(loop, n_sites: int | None = None) -> float:
     points = list(loop)
     if not points:
         raise ValueError("empty loop")
-    if len(points) > 1 and _same_point(points[0], points[-1]):
+    if len(points) > 1 and points[0] == points[-1]:
         points = points[:-1]
-    n = model._ring_size(points[0], n_sites)
-    states = [build_ground_state(p, n) for p in points]
+    states = [build_ground_state(p, n_sites) for p in points]
     links = [
         overlap(states[i], states[(i + 1) % len(states)]) for i in range(len(states))
     ]
@@ -402,9 +391,7 @@ class SpectralTerm:
     matrix: np.ndarray
 
 
-def qgt_matrix_elements(
-    params: ModelParams, n_sites: int | None = None
-) -> list[SpectralTerm]:
+def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]:
     """Per-excited-state geometric tensor terms from the ground's parity block.
 
     The lowest level of each parity block picks the ground's block, and
@@ -421,7 +408,7 @@ def qgt_matrix_elements(
     Raises
     ------
     BadSize
-        If the ring size is missing or not an integer.
+        If ``n_sites`` is not an integer.
     SizeLimit
         Unless 2 <= N <= 10.
     DegenerateGroundState
@@ -429,7 +416,7 @@ def qgt_matrix_elements(
         lower of the ground block's second level and the other block's
         lowest.
     """
-    n = _resolve_ed_size(params, n_sites, _QGT_MAX)
+    n = _resolve_ed_size(n_sites, _QGT_MAX)
     blocks = _sector_blocks(params.gamma, params.lam, n)
     lowest = [
         scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[0, 0])[0]

@@ -99,13 +99,6 @@ class PhasePoint:
     label: PhaseLabel
 
 
-def _check_field(lam: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-
-
 def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     """Validated plaquette grid sides and ring length of the discrete route.
 
@@ -153,7 +146,7 @@ def chern_number(lam: float) -> ChernResult:
     TooCloseToCritical
         If |lam - 1| <= 1e-3.
     """
-    _check_field(lam)
+    model._check_coupling("lam", lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
     theta = _pole_thetas(lam)
@@ -237,7 +230,7 @@ def chern_discrete(
         If a cell phase reaches pi or a link modulus collapses, making
         the phase assignment ambiguous.
     """
-    _check_field(lam)
+    model._check_coupling("lam", lam)
     n_phi, n_beta, n = _check_grid(grid, n_sites)
     ks = np.clip(
         np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
@@ -282,7 +275,7 @@ def classify_phase(lam: float) -> PhasePoint:
     ValueError
         For negative or non-finite lam, or if the snapped integer is not -1 or 0.
     """
-    _check_field(lam)
+    model._check_coupling("lam", lam)
     gap_one = model.gap(1.0, lam)
     if abs(lam - 1.0) <= _CRITICAL_STRIP:
         return PhasePoint(lam, None, gap_one, PhaseLabel.BOUNDARY)

@@ -95,8 +95,8 @@ def test_criterion_06_spectral_tensor_matches_finite_difference():
             lam = rng.uniform(0.15, 0.8)
         else:
             lam = rng.uniform(1.25, 2.5)
-        params = ModelParams(phi, gamma, lam, 6)
-        dev = np.max(np.abs(qgt_spectral(params).matrix - qgt_finite_diff(params).matrix))
+        params = ModelParams(phi, gamma, lam)
+        dev = np.max(np.abs(qgt_spectral(params, 6).matrix - qgt_finite_diff(params, 6).matrix))
         worst = max(worst, float(dev))
     assert worst < 1e-6, f"worst componentwise deviation {worst:.3e}"
 
@@ -107,7 +107,7 @@ def test_criterion_07_curvature_matches_density():
     for gamma, lam in points:
         target = berry_curvature_density(gamma, lam).value.imag
         for n in (2048, 4096):
-            t = qgt_product(ModelParams(0.0, gamma, lam, n), n)
+            t = qgt_product(ModelParams(0.0, gamma, lam), n)
             lattice = (2.0 * np.pi / n) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
             err = abs(lattice - target)
             assert err < 1e-12, f"({gamma},{lam}) at N={n}: error {err:.3e}"
@@ -116,7 +116,7 @@ def test_criterion_07_curvature_matches_density():
 def test_criterion_08_field_metric_grows_toward_transition():
     n = 2048
     values = [
-        qgt_product(ModelParams(0.0, 1.0, lam, n), n).real_metric[2, 2]
+        qgt_product(ModelParams(0.0, 1.0, lam), n).real_metric[2, 2]
         for lam in (0.5, 0.9, 0.95, 0.99)
     ]
     assert all(b > a for a, b in zip(values, values[1:])), values

@@ -1,5 +1,6 @@
 """The package's public names are exactly its modules' public names."""
 
+import inspect
 import subprocess
 import sys
 
@@ -41,6 +42,20 @@ def test_lazy_names_are_listed_and_importable():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["qgt_matrix_elements"]
+
+
+def test_ring_size_has_no_default():
+    # the ring size is a required argument; only the plaquette-grid routes
+    # of the topology module keep their grid defaults
+    defaulted = set()
+    for name in set(artifact.__all__) - _error_classes():
+        obj = getattr(artifact, name)
+        if not callable(obj):
+            continue
+        n_sites = inspect.signature(obj).parameters.get("n_sites")
+        if n_sites is not None and n_sites.default is not inspect.Parameter.empty:
+            defaulted.add(name)
+    assert defaulted == {"chern_discrete", "detect_transition"}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -283,6 +283,26 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
     assert res.stdout.split() == ["False"] * 6 + ["True", "0"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*_SCAN, "--grid", "16x16", "--n-sites", 256),
+        ("gap-map", "--grid", "3x3"),
+        ("metric-scan", "--gamma", 1.0, "--lambda-min", 0.2, "--lambda-max", 0.6,
+         "--steps", 3, "--n-sites", 64),
+        ("oracle-verify", "--n-sites", 4, "--samples", 1),
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(cli, tmp_path, args, target):
+    out = tmp_path / "no" / "such.out" if target == "missing-dir" else tmp_path
+    res = cli(*args, "--out", out)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
 def test_oracle_verify_report(cli, tmp_path):
     first = tmp_path / "r1.txt"
     second = tmp_path / "r2.txt"

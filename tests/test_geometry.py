@@ -30,7 +30,7 @@ PROPERTY = settings(max_examples=30)
 
 
 def _mode_sum(g, lam, n, phi=0.0):
-    p = P(phi, g, lam, n)
+    p = P(phi, g, lam)
     return sum(
         berry_curvature_mode(2.0 * np.pi * k / n, p).imag for k in range(1, n // 2)
     )
@@ -148,7 +148,7 @@ def test_density_matches_riemann_sum():
 
 
 def test_density_matches_product_tensor():
-    t = qgt_product(P(0.0, 0.5, 0.5, 4096), 4096)
+    t = qgt_product(P(0.0, 0.5, 0.5), 4096)
     lattice = (2.0 * np.pi / 4096) * (t.matrix[0, 1] - t.matrix[1, 0]).imag
     d = berry_curvature_density(0.5, 0.5).value.imag
     assert abs(lattice - d) < 1e-12
@@ -172,21 +172,20 @@ def test_density_growth_into_critical_point():
 def test_qgt_consistency_with_mode_sum():
     cases = [(0.5, 0.5, 1024), (0.3, 0.2, 512), (1.0, 1.5, 1024), (0.8, 0.15, 1024)]
     for g, lam, n in cases:
-        p = P(0.0, g, lam, n)
-        t = qgt_product(p, n)
+        t = qgt_product(P(0.0, g, lam), n)
         im_q = (t.matrix[0, 1] - t.matrix[1, 0]).imag
         assert (2.0 * np.pi / n) * abs(im_q - _mode_sum(g, lam, n)) < 1e-12
 
 
 def test_qgt_curvature_normalized():
-    t = qgt_product(P(0.0, 0.5, 0.5, 1024), 1024)
+    t = qgt_product(P(0.0, 0.5, 0.5), 1024)
     lhs = -2.0 * t.matrix[0, 1].imag
     rhs = -(1024 / (2.0 * np.pi)) * berry_curvature_density(0.5, 0.5).value.imag
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_qgt_structure():
-    t = qgt_product(P(0.0, 1.0, 0.0, 64), 64)
+    t = qgt_product(P(0.0, 1.0, 0.0), 64)
     g = t.matrix
     assert g[0, 0].imag == 0.0
     assert g[0, 0].real >= 0.0
@@ -198,25 +197,25 @@ def test_qgt_exact_values():
     # at gamma = 1, lam = 0 the pairing angle is theta = pi - alpha, so
     # sin(theta) = sin(alpha), dtheta/dgamma = -sin(alpha) cos(alpha) and
     # dtheta/dlam = -sin(alpha); the sums over k = 1 ... 31 are exact
-    t = qgt_product(P(0.7, 1.0, 0.0, 64), 64)
+    t = qgt_product(P(0.7, 1.0, 0.0), 64)
     expect = np.array([[16, 0, -8j], [0, 1, 0], [8j, 0, 4]])
     assert np.max(np.abs(t.matrix - expect)) < 1e-12
 
 
 def test_qgt_critical_guards():
     with pytest.raises(CriticalPoint):
-        qgt_finite_diff(P(0.0, 0.7, 1.0, 6), 6)
+        qgt_finite_diff(P(0.0, 0.7, 1.0), 6)
     with pytest.raises(StencilCrossesCritical):
-        qgt_finite_diff(P(0.0, 5e-11, 0.5, 6), 6)
+        qgt_finite_diff(P(0.0, 5e-11, 0.5), 6)
     with pytest.raises(SizeLimit):
-        qgt_finite_diff(P(0.0, 0.5, 0.5, 12), 12)
+        qgt_finite_diff(P(0.0, 0.5, 0.5), 12)
 
 
 def test_qgt_product_input_checks():
     with pytest.raises(CriticalPoint):
-        qgt_product(P(0.0, 0.7, 1.0, 256), 256)
+        qgt_product(P(0.0, 0.7, 1.0), 256)
     with pytest.raises(BadSize):
-        qgt_product(P(0.0, 0.5, 0.5))
+        qgt_product(P(0.0, 0.5, 0.5), n_sites=None)
     with pytest.raises(BadSize):
         qgt_product(P(0.0, 0.5, 0.5), 7)
     with pytest.raises(BadSize):
@@ -244,8 +243,8 @@ def _product_finite_diff(p, n, h=1e-4):
 )
 def test_qgt_product_matches_product_finite_differences(phi, gamma, lam, n):
     assume(gap(gamma, lam) >= 0.05)
-    p = P(phi, gamma, lam, n)
-    q = qgt_product(p).matrix
+    p = P(phi, gamma, lam)
+    q = qgt_product(p, n).matrix
     ref = _product_finite_diff(p, n)
     assert np.max(np.abs(q - ref)) <= 1e-5 * max(1.0, float(np.max(np.abs(q))))
 
@@ -263,28 +262,28 @@ def test_qgt_product_is_the_chain_tensor(phi, gamma, lam, n):
     # (by a margin the ED solve resolves), its closed-form tensor is the
     # spin chain's spectral tensor
     assume(gap(gamma, lam) >= 0.05)
-    p = P(phi, gamma, lam, n)
-    sectors = free_fermion_parity_spectrum(p)
+    p = P(phi, gamma, lam)
+    sectors = free_fermion_parity_spectrum(p, n)
     splitting = sectors.even_sector_energy - sectors.odd_sector_energy
     assume((splitting if lam < 1.0 else -splitting) > 1e-8)
-    q = qgt_product(p).matrix
-    spectral = qgt_spectral(p).matrix
+    q = qgt_product(p, n).matrix
+    spectral = qgt_spectral(p, n).matrix
     assert np.max(np.abs(q - spectral)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
 
 
 def test_metric_growth_toward_critical():
-    a = qgt_product(P(0.0, 1.0, 0.9, 2048), 2048).real_metric[2, 2]
-    b = qgt_product(P(0.0, 1.0, 0.99, 2048), 2048).real_metric[2, 2]
+    a = qgt_product(P(0.0, 1.0, 0.9), 2048).real_metric[2, 2]
+    b = qgt_product(P(0.0, 1.0, 0.99), 2048).real_metric[2, 2]
     assert 0.0 < a < b
 
 
 def test_metric_symmetric():
-    m = qgt_product(P(0.0, 1.0, 0.0, 64), 64).real_metric
+    m = qgt_product(P(0.0, 1.0, 0.0), 64).real_metric
     assert np.max(np.abs(m - m.T)) < 1e-10
     assert m[2, 2] > 0.0
 
 
 def test_spectral_matches_finite_diff():
-    p = P(0.3, 0.8, 0.4, 6)
-    dev = np.max(np.abs(qgt_spectral(p).matrix - qgt_finite_diff(p, 6).matrix))
+    p = P(0.3, 0.8, 0.4)
+    dev = np.max(np.abs(qgt_spectral(p, 6).matrix - qgt_finite_diff(p, 6).matrix))
     assert dev < 1e-6

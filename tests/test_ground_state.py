@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,16 +26,16 @@ from artifact import (
 P = ModelParams
 
 
-def _sector_energy(p):
+def _sector_energy(p, n):
     """Closed-form energy of the product state's sector: odd below the field."""
-    sectors = free_fermion_parity_spectrum(p)
+    sectors = free_fermion_parity_spectrum(p, n)
     return sectors.odd_sector_energy if p.lam < 1.0 else sectors.even_sector_energy
 
 
-def _assert_chain_eigenstate(p, v):
+def _assert_chain_eigenstate(p, n, v):
     """<v|H|v> is the sector energy E and ||Hv - Ev|| <= 1e-9 on the spin chain."""
-    h = build_spin_hamiltonian(p)
-    energy = _sector_energy(p)
+    h = build_spin_hamiltonian(p, n)
+    energy = _sector_energy(p, n)
     assert np.vdot(v, h @ v).real == pytest.approx(energy, abs=1e-10)
     assert np.linalg.norm(h @ v - energy * v) <= 1e-9
     return energy
@@ -68,8 +69,8 @@ def test_build_all_particle():
     # every pair carries (cos(theta/2), i e^{-2i phi} sin(theta/2)), also
     # below the field where theta passes pi/2 inside the Fermi edge
     for lam, zero_occupied in ((0.0, True), (2.0, False)):
-        p = P(0.4, 1.0, lam, 8)
-        s = build_ground_state(p)
+        p = P(0.4, 1.0, lam)
+        s = build_ground_state(p, 8)
         phase = 1j * np.exp(-2j * p.phi)
         assert np.allclose(s.u, np.cos(s.thetas / 2), atol=1e-15)
         assert np.allclose(s.v, phase * np.sin(s.thetas / 2), atol=1e-15)
@@ -78,7 +79,7 @@ def test_build_all_particle():
 
 def test_build_critical_point():
     with pytest.raises(CriticalPoint):
-        build_ground_state(P(0.0, 0.7, 1.0, 8))
+        build_ground_state(P(0.0, 0.7, 1.0), 8)
 
 
 def test_normalization():
@@ -90,7 +91,7 @@ def test_normalization():
         lam = rng.uniform(0.0, 2.5)
         if abs(lam - 1.0) < 0.05:
             continue
-        s = build_ground_state(P(phi, g, lam, 32))
+        s = build_ground_state(P(phi, g, lam), 32)
         norms = np.abs(s.u) ** 2 + np.abs(s.v) ** 2
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert np.prod(norms) == pytest.approx(1.0, abs=1e-10)
@@ -108,75 +109,75 @@ def test_isotropic_occupation():
 
 
 def test_ground_energy_flat_band():
-    p = P(0.0, 1.0, 0.0, 8)
-    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
+    p = P(0.0, 1.0, 0.0)
+    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
     assert energy == pytest.approx(-4.0, abs=1e-14)
-    assert _sector_energy(P(0.0, 1.0, 0.0, 4096)) / 4096 == pytest.approx(-0.5, abs=1e-14)
+    assert _sector_energy(P(0.0, 1.0, 0.0), 4096) / 4096 == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_ground_energy_matches_ed():
-    p = P(0.0, 0.5, 0.5, 8)
-    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
-    assert energy == pytest.approx(ed_ground(p).odd_sector_energy, abs=1e-10)
+    p = P(0.0, 0.5, 0.5)
+    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
+    assert energy == pytest.approx(ed_ground(p, 8).odd_sector_energy, abs=1e-10)
 
 
 def test_overlap_self():
-    s = build_ground_state(P(0.3, 0.8, 0.4, 16))
+    s = build_ground_state(P(0.3, 0.8, 0.4), 16)
     assert overlap(s, s) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
 def test_overlap_phase_rotation_single_pair():
     # N = 4 has one paired mode; at gamma = 1, lam = 0 its pairing angle is
     # pi/2, so a quarter turn of phi rotates the state into an orthogonal one
-    a = build_ground_state(P(0.0, 1.0, 0.0, 4))
-    b = build_ground_state(P(np.pi / 2, 1.0, 0.0, 4))
+    a = build_ground_state(P(0.0, 1.0, 0.0), 4)
+    b = build_ground_state(P(np.pi / 2, 1.0, 0.0), 4)
     assert overlap(a, b) == pytest.approx(0.0 + 0.0j, abs=1e-12)
 
 
 def test_overlap_cross_sector():
-    a = build_ground_state(P(0.0, 1.0, 0.0, 8))
-    b = build_ground_state(P(0.0, 1.0, 0.1, 8))
+    a = build_ground_state(P(0.0, 1.0, 0.0), 8)
+    b = build_ground_state(P(0.0, 1.0, 0.1), 8)
     fock = np.vdot(embed_ground_state(a), embed_ground_state(b))
     # frozen from the Fock-space evaluation of the two product states
     assert abs(fock) == pytest.approx(0.9974960775806171, abs=1e-12)
     assert overlap(a, b) == pytest.approx(fock, abs=1e-12)
     # across the transition the alpha = 0 level empties: the fermion
     # parities differ and the states are orthogonal
-    c = build_ground_state(P(0.0, 1.0, 1.5, 8))
+    c = build_ground_state(P(0.0, 1.0, 1.5), 8)
     assert overlap(a, c) == 0j
     assert np.vdot(embed_ground_state(a), embed_ground_state(c)) == 0j
 
 
 def test_overlap_grid_mismatch():
-    a = build_ground_state(P(0.0, 0.8, 1.5, 8))
-    b = build_ground_state(P(0.0, 0.8, 1.5, 16))
+    a = build_ground_state(P(0.0, 0.8, 1.5), 8)
+    b = build_ground_state(P(0.0, 0.8, 1.5), 16)
     with pytest.raises(GridMismatch):
         overlap(a, b)
 
 
 def test_phase_periodicity():
-    p = P(0.4, 0.8, 0.5, 12)
-    q = P((0.4 + np.pi) % np.pi, 0.8, 0.5, 12)
-    assert abs(overlap(build_ground_state(p), build_ground_state(q))) == pytest.approx(
+    p = P(0.4, 0.8, 0.5)
+    q = P((0.4 + np.pi) % np.pi, 0.8, 0.5)
+    assert abs(overlap(build_ground_state(p, 12), build_ground_state(q, 12))) == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_ring_eigenstate_without_holes():
     # above the field the state is in the even sector, on antiperiodic momenta
-    p = P(0.3, 0.5, 2.0, 8)
-    state = build_ground_state(p)
+    p = P(0.3, 0.5, 2.0)
+    state = build_ground_state(p, 8)
     assert not state.zero_mode_occupied
     assert np.allclose(state.alphas, np.pi * np.array([1, 3, 5, 7]) / 8, atol=1e-15)
-    energy = _assert_chain_eigenstate(p, embed_ground_state(state))
-    assert energy == pytest.approx(ed_ground(p).ground_energy, abs=1e-10)
+    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(state))
+    assert energy == pytest.approx(ed_ground(p, 8).ground_energy, abs=1e-10)
 
 
 def test_ring_eigenstate_inside_fermi_edge():
     # at (gamma=1, lam=0, N=8) the pairs k = 1, 2 sit inside the Fermi edge
-    p = P(0.0, 1.0, 0.0, 8)
-    energy = _assert_chain_eigenstate(p, embed_ground_state(build_ground_state(p)))
-    assert energy == pytest.approx(ed_ground(p).ground_energy, abs=1e-10)
+    p = P(0.0, 1.0, 0.0)
+    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
+    assert energy == pytest.approx(ed_ground(p, 8).ground_energy, abs=1e-10)
 
 
 PROPERTY = settings(max_examples=30)
@@ -193,10 +194,10 @@ def test_product_state_is_fock_ground_state(n, a, b):
     # an exact chain eigenstate on both sides of the field; it is the chain's
     # ground state wherever its sector's closed-form energy is the lower one
     assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
-    pa, pb = P(*a, n), P(*b, n)
-    sa, sb = build_ground_state(pa), build_ground_state(pb)
+    pa, pb = P(*a), P(*b)
+    sa, sb = build_ground_state(pa, n), build_ground_state(pb, n)
     va, vb = embed_ground_state(sa), embed_ground_state(sb)
-    _assert_chain_eigenstate(pa, va)
+    _assert_chain_eigenstate(pa, n, va)
     assert overlap(sa, sb) == pytest.approx(np.vdot(va, vb), abs=1e-12)
 
 
@@ -209,7 +210,7 @@ def test_overlap_is_bounded(n, a, b):
     # product states on both sides of the field; across it they are in
     # different parity sectors and the overlap is exactly zero
     assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
-    sa, sb = build_ground_state(P(*a, n)), build_ground_state(P(*b, n))
+    sa, sb = build_ground_state(P(*a), n), build_ground_state(P(*b), n)
     value = overlap(sa, sb)
     assert abs(value) <= 1.0 + 1e-12
     if (a[2] < 1.0) != (b[2] < 1.0):
@@ -222,16 +223,18 @@ def test_isotropic_state_shares_the_even_grid(n, lam, phi):
     # at gamma = 0 above the field every level is empty, on the same
     # antiperiodic momenta that build_ground_state pairs
     iso = isotropic_ground_state(lam, n)
-    built = build_ground_state(P(phi, 0.0, lam, n))
+    built = build_ground_state(P(phi, 0.0, lam), n)
     assert np.array_equal(iso.alphas, built.alphas)
     assert overlap(iso, built) == 1.0
 
 
 def test_json_roundtrip():
-    s = build_ground_state(P(0.7, 0.9, 1.6, 12))
+    s = build_ground_state(P(0.7, 0.9, 1.6), 12)
     t = GroundState.from_json(s.to_json())
     assert np.allclose(t.u, s.u, atol=1e-15)
     assert np.allclose(t.v, s.v, atol=1e-15)
     assert np.array_equal(t.alphas, s.alphas)
     assert t.zero_mode_occupied == s.zero_mode_occupied
     assert t.params == s.params
+    assert t.n_sites == s.n_sites
+    assert json.loads(s.to_json())["params"]["n_sites"] == 12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ from artifact import (
     BadSize,
     DegenerateRatio,
     GaplessMode,
+    GeometricTensor,
     ModelParams,
+    berry_curvature_density,
     berry_curvature_mode,
     bogoliubov_angle,
+    build_ground_state,
     dispersion,
     fermi_cutoff,
     gap,
@@ -143,9 +147,28 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(0.0, 0.5, -0.2)
     with pytest.raises(BadSize):
-        ModelParams(0.0, 0.5, 0.5, 5)
+        build_ground_state(ModelParams(0.0, 0.5, 0.5), 5)
     with pytest.raises(BadSize):
-        ModelParams(0.0, 0.5, 0.5, 2)
+        build_ground_state(ModelParams(0.0, 0.5, 0.5), 2)
+
+
+def test_params_are_the_tensor_coords():
+    # a point of the model is (phi, gamma, lam); the ring size is an argument
+    assert [f.name for f in dataclasses.fields(ModelParams)] == list(GeometricTensor.coords)
+
+
+@pytest.mark.parametrize(
+    "gamma, lam",
+    [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5), (0.5, -0.5)],
+)
+@pytest.mark.parametrize(
+    "call",
+    [berry_curvature_density, lambda gamma, lam: fermi_cutoff(gamma, lam, 64)],
+    ids=["density", "cutoff"],
+)
+def test_couplings_must_be_finite_and_non_negative(call, gamma, lam):
+    with pytest.raises(ValueError, match="must be finite|must be >= 0"):
+        call(gamma, lam)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ def test_two_site_hand_spectrum():
 
 def test_hamiltonian_hermitian():
     rng = np.random.default_rng(21)
-    h = build_spin_hamiltonian(P(0.7, 0.8, 0.5, 6))
+    h = build_spin_hamiltonian(P(0.7, 0.8, 0.5), 6)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     v /= np.linalg.norm(v)
@@ -42,20 +42,20 @@ def test_hamiltonian_hermitian():
 
 
 def test_phi_independent_spectrum():
-    e0 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.0, 0.8, 0.6, 8)))
-    e7 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.7, 0.8, 0.6, 8)))
+    e0 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.0, 0.8, 0.6), 8))
+    e7 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.7, 0.8, 0.6), 8))
     assert np.max(np.abs(e0 - e7)) < 1e-10
 
 
 def test_ed_energy_density():
-    sp = ed_ground(P(0.0, 1.0, 0.0, 8))
+    sp = ed_ground(P(0.0, 1.0, 0.0), 8)
     assert abs(sp.ground_energy / 8 + 0.5) < 0.07
-    ff = free_fermion_parity_spectrum(P(0.0, 1.0, 0.0, 8))
+    ff = free_fermion_parity_spectrum(P(0.0, 1.0, 0.0), 8)
     assert abs(sp.ground_energy - ff.ground_energy) < 1e-10
 
 
 def test_ed_polarized_limit():
-    sp = ed_ground(P(0.0, 0.5, 5.0, 6))
+    sp = ed_ground(P(0.0, 0.5, 5.0), 6)
     assert abs(sp.ground_vector[0]) ** 2 > 0.99
     assert abs(np.linalg.norm(sp.ground_vector) - 1.0) < 1e-12
 
@@ -66,20 +66,20 @@ def test_parity_splitting_law():
     # above it the splitting tends to lam - 1
     splits = []
     for n in (4, 6, 8, 10):
-        p = P(0.0, 1.0, 0.5, n)
-        ed, ff = ed_ground(p), free_fermion_parity_spectrum(p)
+        p = P(0.0, 1.0, 0.5)
+        ed, ff = ed_ground(p, n), free_fermion_parity_spectrum(p, n)
         assert abs(ed.even_sector_energy - ff.even_sector_energy) < 1e-10
         assert abs(ed.odd_sector_energy - ff.odd_sector_energy) < 1e-10
         splits.append(ed.odd_sector_energy - ed.even_sector_energy)
     assert min(splits) > 0.0
     assert all(b < 0.25 * a for a, b in zip(splits, splits[1:]))
-    far = free_fermion_parity_spectrum(P(0.0, 1.0, 1.5, 32))
+    far = free_fermion_parity_spectrum(P(0.0, 1.0, 1.5), 32)
     assert far.odd_sector_energy - far.even_sector_energy == pytest.approx(0.5, abs=1e-6)
 
 
 def test_parity_sector_agreement():
-    for p in (P(0.0, 1.0, 0.0, 8), P(0.0, 0.5, 0.5, 10)):
-        dev = abs(ed_ground(p).ground_energy - free_fermion_parity_spectrum(p).ground_energy)
+    for p, n in ((P(0.0, 1.0, 0.0), 8), (P(0.0, 0.5, 0.5), 10)):
+        dev = abs(ed_ground(p, n).ground_energy - free_fermion_parity_spectrum(p, n).ground_energy)
         assert dev < 1e-10
 
 
@@ -87,7 +87,7 @@ def test_energy_density_convergence():
     target = quad(lambda a: dispersion(a, 0.7, 1.6), 0.0, np.pi, epsabs=1e-14, epsrel=1e-12)[0]
     target /= 2.0 * np.pi
     errs = [
-        abs(free_fermion_parity_spectrum(P(0.0, 0.7, 1.6, n)).ground_energy / n + target)
+        abs(free_fermion_parity_spectrum(P(0.0, 0.7, 1.6), n).ground_energy / n + target)
         for n in (16, 32, 64)
     ]
     assert errs[1] < errs[0] / 4.0
@@ -103,7 +103,7 @@ def test_ed_size_limit():
     with pytest.raises(SizeLimit):
         ed_ground(P(0.0, 0.5, 0.5), 14)
     with pytest.raises(BadSize):
-        ed_ground(P(0.0, 0.5, 0.5))
+        ed_ground(P(0.0, 0.5, 0.5), n_sites=None)
 
 
 @pytest.mark.parametrize(
@@ -115,9 +115,18 @@ def test_ed_size_limit():
         (lambda: qgt_spectral(P(0.0, 0.5, 1.5), 6.9), BadSize),
         (lambda: chern_discrete(0.5, (32.9, 32), 512.5), ValueError),
         (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3, 16.5), BadSize),
-        (lambda: build_ground_state(P(0.3, 1.0, 1.5)), BadSize),
-        (lambda: free_fermion_parity_spectrum(P(0.3, 1.0, 1.5)), BadSize),
-        (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3), BadSize),
+        (lambda: build_ground_state(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: free_fermion_parity_spectrum(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: wilson_loop_berry_phase([P(0.3, 1.0, 1.5)] * 3, n_sites=None), BadSize),
+        (lambda: build_ground_state(P(0.3, 1.0, 1.5), 8.5), BadSize),
+        (lambda: qgt_product(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: qgt_product(P(0.3, 1.0, 1.5), 8.5), BadSize),
+        (lambda: qgt_finite_diff(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: qgt_finite_diff(P(0.3, 1.0, 1.5), 6.5), BadSize),
+        (lambda: qgt_matrix_elements(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: qgt_matrix_elements(P(0.3, 1.0, 1.5), 6.5), BadSize),
+        (lambda: build_spin_hamiltonian(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
+        (lambda: build_spin_hamiltonian(P(0.3, 1.0, 1.5), 6.5), BadSize),
     ],
     ids=[
         "ed-float",
@@ -129,6 +138,15 @@ def test_ed_size_limit():
         "ground-state-no-size",
         "free-fermion-no-size",
         "wilson-no-size",
+        "ground-state",
+        "qgt-product-no-size",
+        "qgt-product",
+        "qgt-finite-diff-no-size",
+        "qgt-finite-diff",
+        "matrix-elements-no-size",
+        "matrix-elements",
+        "hamiltonian-no-size",
+        "hamiltonian",
     ],
 )
 def test_non_integer_sizes_rejected(call, error):
@@ -148,7 +166,7 @@ def test_ed_ground_solves_each_parity_block_once(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh))
-    ed_ground(P(0.4, 0.7, 0.9, 8))
+    ed_ground(P(0.4, 0.7, 0.9), 8)
     assert dims == [128, 128]
 
 
@@ -166,23 +184,23 @@ def test_spectral_terms_fully_solve_only_the_ground_block(monkeypatch, gamma, la
         return out
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting)
-    qgt_matrix_elements(P(0.0, gamma, lam, 8))
+    qgt_matrix_elements(P(0.0, gamma, lam), 8)
     assert dims == [128, 128, 128]
-    assert full == [pytest.approx(ed_ground(P(0.0, gamma, lam, 8)).ground_energy, abs=1e-12)]
+    assert full == [pytest.approx(ed_ground(P(0.0, gamma, lam), 8).ground_energy, abs=1e-12)]
 
 
 def test_wilson_constant_loop():
-    pts = [P(0.3, 1.0, 1.5, 16)] * 5
+    pts = [P(0.3, 1.0, 1.5)] * 5
     assert wilson_loop_berry_phase(pts, 16) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_wilson_phi_circle():
     n = 8
-    loop = [P(float(ph), 1.0, 0.0, n) for ph in np.linspace(0.0, np.pi, 64, endpoint=False)]
+    loop = [P(float(ph), 1.0, 0.0) for ph in np.linspace(0.0, np.pi, 64, endpoint=False)]
     phase = wilson_loop_berry_phase(loop, n)
     # closed-form link product: every paired mode contributes a factor
     # cos^2 + sin^2 e^{-2i dphi} per link
-    s0 = build_ground_state(loop[0])
+    s0 = build_ground_state(loop[0], n)
     delta = np.pi / 64
     total = 1.0 + 0.0j
     for theta in s0.thetas:
@@ -199,9 +217,9 @@ def test_wilson_phi_circle():
 def test_wilson_regauge_invariance():
     rng = np.random.default_rng(4)
     ts = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
-    loop = [P(0.3 + 0.05 * np.cos(t), 1.0 + 0.1 * np.sin(t), 1.5, 8) for t in ts]
+    loop = [P(0.3 + 0.05 * np.cos(t), 1.0 + 0.1 * np.sin(t), 1.5) for t in ts]
     base = wilson_loop_berry_phase(loop, 8)
-    vecs = [embed_ground_state(build_ground_state(p)) for p in loop]
+    vecs = [embed_ground_state(build_ground_state(p, 8)) for p in loop]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(vecs)))
     gauged = [ph * v for ph, v in zip(phases, vecs)]
     prod = 1.0 + 0.0j
@@ -214,28 +232,28 @@ def test_wilson_regauge_invariance():
 def test_wilson_small_plaquette_matches_curvature():
     d = 0.01
     pts = [
-        P(0.4, 1.3, 1.7, 64),
-        P(0.4 + d, 1.3, 1.7, 64),
-        P(0.4 + d, 1.3 + d, 1.7, 64),
-        P(0.4, 1.3 + d, 1.7, 64),
+        P(0.4, 1.3, 1.7),
+        P(0.4 + d, 1.3, 1.7),
+        P(0.4 + d, 1.3 + d, 1.7),
+        P(0.4, 1.3 + d, 1.7),
     ]
     phase = wilson_loop_berry_phase(pts, 64)
-    mid = P(0.4 + d / 2, 1.3 + d / 2, 1.7, 64)
+    mid = P(0.4 + d / 2, 1.3 + d / 2, 1.7)
     # the curvature of the loop's own product states, on their pair momenta
-    predicted = 2.0 * d * d * qgt_product(mid).matrix[0, 1].imag
+    predicted = 2.0 * d * d * qgt_product(mid, 64).matrix[0, 1].imag
     assert phase == pytest.approx(predicted, rel=0.05)
 
 
 def test_spectral_terms_sum_matches_finite_diff():
-    p = P(0.0, 1.0, 0.5, 6)
-    total = sum(t.matrix[2, 2] for t in qgt_matrix_elements(p))
+    p = P(0.0, 1.0, 0.5)
+    total = sum(t.matrix[2, 2] for t in qgt_matrix_elements(p, 6))
     fd = qgt_finite_diff(p, 6).matrix[2, 2]
     assert total.real == pytest.approx(fd.real, abs=1e-6)
     assert abs(total.imag) < 1e-8
 
 
 def test_spectral_terms_phi_diagonal_gram():
-    for term in qgt_matrix_elements(P(0.9, 0.7, 1.4, 6)):
+    for term in qgt_matrix_elements(P(0.9, 0.7, 1.4), 6):
         assert term.matrix[0, 0].imag == pytest.approx(0.0, abs=1e-12)
         assert term.matrix[0, 0].real >= -1e-12
         assert term.energy_gap > 0.0
@@ -267,15 +285,15 @@ def test_spectral_terms_are_pair_tensors_of_ground_sector(phi, gamma, lam, n):
     # pair's Bloch-sphere tensor at gap 2 eps_k; at N = 6, gamma = 1 the
     # smallest gap is 1.24, 1.01, 1.01 for lam = 0.5, 0.8, 0.95, so terms
     # need not grow toward lam = 1 at fixed N
-    p = P(phi, gamma, lam, n)
-    ff = free_fermion_parity_spectrum(p)
+    p = P(phi, gamma, lam)
+    ff = free_fermion_parity_spectrum(p, n)
     odd = ff.odd_sector_energy < ff.even_sector_energy
     k = model._Pairing(_pair_grid(n, odd), gamma, lam)
     expected = sorted(
         zip(2.0 * k.energy, map(_pair_tensor, k.sin_theta, k.d_gamma, k.d_lam)),
         key=lambda pair: pair[0],
     )
-    terms = [t for t in qgt_matrix_elements(p) if np.max(np.abs(t.matrix)) > 1e-12]
+    terms = [t for t in qgt_matrix_elements(p, n) if np.max(np.abs(t.matrix)) > 1e-12]
     terms.sort(key=lambda t: t.energy_gap)
     assert len(terms) == len(expected) == n // 2 - odd
     for term, (gap, tensor) in zip(terms, expected):
@@ -285,5 +303,5 @@ def test_spectral_terms_are_pair_tensors_of_ground_sector(phi, gamma, lam, n):
 
 def test_spectral_terms_degenerate_ground():
     with pytest.raises(DegenerateGroundState):
-        qgt_matrix_elements(P(0.0, 1.0, 0.0, 6))
+        qgt_matrix_elements(P(0.0, 1.0, 0.0), 6)
 

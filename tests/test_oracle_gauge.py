@@ -128,8 +128,8 @@ def test_spectral_tensor_does_not_depend_on_phi(n, phi, gamma, lam):
     energies = scipy.linalg.eigvalsh(build_spin_hamiltonian(ModelParams(0.0, gamma, lam), n))
     # a near-degenerate pair lets the full-basis reference solve mix parity sectors
     assume(energies[1] - energies[0] > 1e-3)
-    rotated = qgt_spectral(ModelParams(phi, gamma, lam, n)).matrix
-    plain = qgt_spectral(ModelParams(0.0, gamma, lam, n)).matrix
+    rotated = qgt_spectral(ModelParams(phi, gamma, lam), n).matrix
+    plain = qgt_spectral(ModelParams(0.0, gamma, lam), n).matrix
     reference = _complex_spectral_tensor(ModelParams(phi, gamma, lam), n)
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert np.max(np.abs(rotated - plain)) <= 1e-10 * scale
