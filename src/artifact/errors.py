@@ -30,7 +30,11 @@ class GridMismatch(ArtifactError):
 
 
 class StencilCrossesCritical(ArtifactError):
-    """A finite-difference stencil point lands on the gapless set."""
+    """A finite-difference stencil touches the gapless set or a level crossing.
+
+    Either a stencil point lands on the gapless set, or the two parity
+    sectors of an exact-diagonalization ring swap order inside the stencil.
+    """
 
 
 class FiniteDifferenceUnstable(ArtifactError):

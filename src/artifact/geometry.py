@@ -225,7 +225,10 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     An oracle for the spin chain on small rings, comparable with
     ``qgt_spectral``.  The estimate at the step 2e-4 is recomputed at half
     the step and the pair must agree before the finer answer is returned,
-    Hermitized.
+    Hermitized.  The same parity sector must hold the ground level at every
+    stencil point: where the two sector levels cross inside the stencil
+    (the doublet crossings of small rings below lam = 1) the ground vector
+    jumps between orthogonal sectors and no derivative exists.
 
     Raises
     ------
@@ -236,7 +239,8 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     CriticalPoint
         If the center point is gapless.
     StencilCrossesCritical
-        If any stencil point has gap below 1e-10.
+        If any stencil point has gap below 1e-10, or the two parity
+        sectors swap order inside the stencil.
     FiniteDifferenceUnstable
         If the step-halving check fails.
     """
@@ -251,13 +255,22 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
             f"stencil around gamma={gamma}, lam={lam} touches the critical set"
         )
 
+    even_lower = set()
+
     def state_at(offset):
-        return oracle._ed_vector(
+        e_even, e_odd, vec = oracle._ed_vector(
             phi + offset[0], gamma + offset[1], lam + offset[2], n
-        )[2]
+        )
+        even_lower.add(e_even <= e_odd)
+        return vec
 
     g_h = _qgt_raw(state_at, np.vdot, h)
     g_half = _qgt_raw(state_at, np.vdot, 0.5 * h)
+    if len(even_lower) > 1:
+        raise StencilCrossesCritical(
+            f"the parity sectors of the {n}-site ring cross inside the stencil "
+            f"around gamma={gamma}, lam={lam}"
+        )
     scale = max(1.0, float(np.max(np.abs(g_half))))
     drift = float(np.max(np.abs(g_h - g_half)))
     if drift > 1e-6 * scale:

@@ -132,20 +132,41 @@ class GroundState:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundState":
+        """The state ``to_json`` wrote; its momenta round-trip bit for bit.
+
+        Raises
+        ------
+        BadSize
+            Unless ``n_sites`` is an even integer >= 4.
+        ValueError
+            On any non-finite number, or (phi, gamma, lam) that
+            ``ModelParams`` rejects.
+        GridMismatch
+            Unless the modes' momenta are exactly the pair momenta of the
+            stored sector on the stored ring.
+        """
         d = json.loads(text)
-        p = d["params"]
-        model._check_size(p["n_sites"])
-        modes = d["modes"]
+        p, modes = d["params"], d["modes"]
+        n, odd = p["n_sites"], d["zero_mode_occupied"]
+        model._check_size(n)
+        alphas, thetas, energies = (
+            np.array([m[key] for m in modes]) for key in ("alpha", "theta", "energy")
+        )
+        u, v = (np.array([complex(*m[key]) for m in modes]) for key in ("u", "v"))
+        if not all(np.isfinite(a).all() for a in (alphas, thetas, energies, u, v)):
+            raise ValueError("ground-state modes must be finite")
+        if not np.array_equal(alphas, _pair_grid(n, odd)):
+            raise GridMismatch(f"modes are not the pair momenta of the {n}-site ring")
         mask = d["occupation_mask"]
         return cls(
             params=ModelParams(p["phi"], p["gamma"], p["lam"]),
-            n_sites=p["n_sites"],
-            alphas=np.array([m["alpha"] for m in modes]),
-            thetas=np.array([m["theta"] for m in modes]),
-            energies=np.array([m["energy"] for m in modes]),
-            u=np.array([complex(m["u"][0], m["u"][1]) for m in modes]),
-            v=np.array([complex(m["v"][0], m["v"][1]) for m in modes]),
-            zero_mode_occupied=d["zero_mode_occupied"],
+            n_sites=n,
+            alphas=alphas,
+            thetas=thetas,
+            energies=energies,
+            u=u,
+            v=v,
+            zero_mode_occupied=odd,
             occupation_mask=None if mask is None else np.array(mask, dtype=bool),
         )
 

@@ -328,9 +328,7 @@ def embed_ground_state(state: GroundState) -> np.ndarray:
     SizeLimit
         If the ring is larger than 12 sites.
     """
-    n = state.n_sites
-    if n > _ED_MAX:
-        raise SizeLimit(f"embedding needs n_sites <= {_ED_MAX}, got {n}")
+    n = _resolve_ed_size(state.n_sites, _ED_MAX)
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
     if state.zero_mode_occupied:

@@ -31,7 +31,10 @@ def test_scan_chern_json(cli, tmp_path):
     assert res.returncode == 0
     doc = _load(out)
     assert set(doc) == {"config", "rows", "summary"}
-    assert doc["config"]["command"] == "scan-chern"
+    assert doc["config"] == {
+        "command": "scan-chern", "lambda_min": 0.0, "lambda_max": 2.0, "steps": 21,
+        "grid": "32x32", "n_sites": 512,
+    }
     assert doc["summary"]["skipped_critical"] == [1.0]
     assert doc["summary"]["failed"] == []
     rows = doc["rows"]
@@ -157,6 +160,10 @@ def test_gap_map_grid(cli, tmp_path):
     res = cli("gap-map", "--grid", "21x21", "--out", out)
     assert res.returncode == 0
     doc = _load(out)
+    assert doc["config"] == {
+        "command": "gap-map", "gamma_min": 0.0, "gamma_max": 2.0, "lambda_min": 0.0,
+        "lambda_max": 2.0, "grid": "21x21",
+    }
     rows = doc["rows"]
     assert len(rows) == 441
     assert doc["summary"]["exact_zero_rows"] == 31
@@ -177,6 +184,10 @@ def test_metric_scan_monotone_and_skip(cli, tmp_path):
     )
     assert res.returncode == 0
     doc = _load(out)
+    assert doc["config"] == {
+        "command": "metric-scan", "gamma": 1.0, "lambda_min": 0.5, "lambda_max": 1.0,
+        "steps": 3, "n_sites": 512,
+    }
     assert doc["summary"]["skipped_critical"] == [1.0]
     assert doc["summary"]["ok"] == 2
     assert doc["summary"]["g_lambda_lambda_monotone"] is True
@@ -223,6 +234,8 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
         (*_STRIP, "--n-sites", 257),
         ("scan-chern", "--lambda-min", -2, "--lambda-max", -0.5, "--steps", 4,
          "--grid", "32x32", "--n-sites", 512),
+        ("gap-map", "--gamma-min", -1),
+        ("gap-map", "--lambda-min", -1),
     ],
 )
 def test_library_input_checks_exit_2(cli, args):
@@ -312,6 +325,46 @@ def test_oracle_verify_report(cli, tmp_path):
     assert "overall: PASS" in text
     assert text.count("PASS") >= 4
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_config_is_the_parsed_command_line(tmp_path):
+    # floats are written to 12 significant digits, the grid as AxB, and
+    # --out and --format are left out
+    runs = {
+        "scan-chern": (
+            ["--lambda-min", "0.1", "--lambda-max", "0.30000000000000004", "--steps", "3",
+             "--grid", "16x32", "--n-sites", "256"],
+            {"lambda_min": 0.1, "lambda_max": 0.3, "steps": 3, "grid": "16x32",
+             "n_sites": 256},
+        ),
+        "gap-map": (
+            ["--gamma-min", "0.1", "--gamma-max", "0.30000000000000004", "--grid", "2x3"],
+            {"gamma_min": 0.1, "gamma_max": 0.3, "lambda_min": 0.0, "lambda_max": 2.0,
+             "grid": "2x3"},
+        ),
+        "metric-scan": (
+            ["--gamma", "0.30000000000000004", "--lambda-min", "0.1", "--lambda-max", "0.7",
+             "--steps", "3", "--n-sites", "64"],
+            {"gamma": 0.3, "lambda_min": 0.1, "lambda_max": 0.7, "steps": 3, "n_sites": 64},
+        ),
+    }
+    for command, (argv, config) in runs.items():
+        out = tmp_path / f"{command}.json"
+        assert artifact_cli.main([command, *argv, "--out", str(out)]) == 0
+        assert _load(out)["config"] == {"command": command, **config}
+
+
+@pytest.mark.parametrize(
+    "args", [("--n-sites", 4, "--samples", 3, "--seed", 89), ("--samples", 1, "--seed", 442)]
+)
+def test_oracle_verify_redraws_across_a_parity_crossing(cli, args):
+    # a [qgt] draw whose stencil straddles a crossing of the 6-site ring's
+    # parity levels is drawn again instead of ending the run
+    res = cli("oracle-verify", *args)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert sum(line.startswith("[qgt] sample") for line in lines) == 3
+    assert lines[-1] == "overall: PASS"
 
 
 def test_oracle_verify_size_limit(cli):

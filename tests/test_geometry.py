@@ -211,6 +211,15 @@ def test_qgt_critical_guards():
         qgt_finite_diff(P(0.0, 0.5, 0.5), 12)
 
 
+def test_qgt_finite_diff_stencil_across_a_parity_crossing():
+    # a doublet crossing of the 6-site ring below lam = 1: the even and odd
+    # sector levels swap order inside the 2e-4 stencil, so the ED ground
+    # vector jumps between orthogonal sectors
+    p = P(1.0313884634358206, 0.5389645705735325, 0.6325752805066802)
+    with pytest.raises(StencilCrossesCritical, match="parity sectors"):
+        qgt_finite_diff(p, 6)
+
+
 def test_qgt_product_input_checks():
     with pytest.raises(CriticalPoint):
         qgt_product(P(0.0, 0.7, 1.0), 256)

@@ -238,3 +238,18 @@ def test_json_roundtrip():
     assert t.params == s.params
     assert t.n_sites == s.n_sites
     assert json.loads(s.to_json())["params"]["n_sites"] == 12
+
+
+def test_json_rejects_modes_off_the_ring():
+    # one mode of a 12-site state would broadcast against the full state
+    doc = json.loads(build_ground_state(P(0.7, 0.9, 1.6), 12).to_json())
+    doc["modes"] = doc["modes"][:1]
+    with pytest.raises(GridMismatch):
+        GroundState.from_json(json.dumps(doc))
+
+
+def test_json_rejects_a_non_finite_amplitude():
+    doc = json.loads(build_ground_state(P(0.7, 0.9, 1.6), 12).to_json())
+    doc["modes"][2]["u"][0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        GroundState.from_json(json.dumps(doc))

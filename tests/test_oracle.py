@@ -102,6 +102,8 @@ def test_free_fermion_bad_size():
 def test_ed_size_limit():
     with pytest.raises(SizeLimit):
         ed_ground(P(0.0, 0.5, 0.5), 14)
+    with pytest.raises(SizeLimit):
+        embed_ground_state(build_ground_state(P(0.0, 0.5, 0.5), 14))
     with pytest.raises(BadSize):
         ed_ground(P(0.0, 0.5, 0.5), n_sites=None)
 
