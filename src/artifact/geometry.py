@@ -5,10 +5,11 @@ product ground state is a closed-form sum of per-mode Bloch-sphere tensors
 over the pair momenta of its parity sector, at any ring size; it is the
 spin-chain tensor wherever that sector holds the chain's ground state.  On
 rings of up to 10 sites the spin-chain tensor also comes from two
-exact-diagonalization oracles: central finite differences of ED ground
-vectors and the spectral sum over excited states.  The curvature density
-is the tensor's curvature per pair momentum in the limit N -> infinity:
-the even-sector sum on rings doubled until it has converged.
+exact-diagonalization oracles: the spectral sum over excited states, and
+derivative vectors of the ED ground vector, with gamma and lam stepped and
+phi exact from the gauge.  The curvature density is the tensor's curvature
+per pair momentum in the limit N -> infinity: the even-sector sum on rings
+doubled until it has converged.
 """
 
 from __future__ import annotations
@@ -166,42 +167,6 @@ def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
     return GeometricTensor(q)
 
 
-def _shift(mu: int, amount: float) -> tuple[float, float, float]:
-    out = [0.0, 0.0, 0.0]
-    out[mu] = amount
-    return tuple(out)
-
-
-def _qgt_raw(state_at, braket, h: float) -> np.ndarray:
-    cache: dict = {}
-
-    def at(offset):
-        if offset not in cache:
-            cache[offset] = state_at(offset)
-        return cache[offset]
-
-    zero = (0.0, 0.0, 0.0)
-    conn_left = np.zeros(3, dtype=complex)
-    conn_right = np.zeros(3, dtype=complex)
-    for mu in range(3):
-        plus, minus = at(_shift(mu, h)), at(_shift(mu, -h))
-        conn_left[mu] = (braket(plus, at(zero)) - braket(minus, at(zero))) / (2 * h)
-        conn_right[mu] = (braket(at(zero), plus) - braket(at(zero), minus)) / (2 * h)
-    g = np.zeros((3, 3), dtype=complex)
-    for mu in range(3):
-        bra_p, bra_m = at(_shift(mu, h)), at(_shift(mu, -h))
-        for nu in range(3):
-            ket_p, ket_m = at(_shift(nu, h)), at(_shift(nu, -h))
-            second = (
-                braket(bra_p, ket_p)
-                - braket(bra_p, ket_m)
-                - braket(bra_m, ket_p)
-                + braket(bra_m, ket_m)
-            ) / (4 * h * h)
-            g[mu, nu] = second - conn_left[mu] * conn_right[nu]
-    return g
-
-
 def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
     worst = math.inf
     for dg, dl in (
@@ -223,12 +188,14 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     """Central-difference geometric tensor of the exact-diagonalization ground vector.
 
     An oracle for the spin chain on small rings, comparable with
-    ``qgt_spectral``.  The estimate at the step 2e-4 is recomputed at half
-    the step and the pair must agree before the finer answer is returned,
-    Hermitized.  The same parity sector must hold the ground level at every
-    stencil point: where the two sector levels cross inside the stencil
-    (the doublet crossings of small rings below lam = 1) the ground vector
-    jumps between orthogonal sectors and no derivative exists.
+    ``qgt_spectral``: D^dag D - a a^dag with a = D^dag psi, for the stack D
+    of derivative vectors (Provost and Vallee 1980).  phi is the gauge
+    exp(-i phi P), P the popcount, so its column is exactly -i P psi; the
+    gamma and lam columns are central differences at the step 2e-4 and at
+    half of it (nine ED solves), which must agree before the finer estimate
+    is returned, Hermitized.  The same parity sector must hold the ground
+    level at every stencil point: where the sector levels cross inside the
+    stencil (doublet crossings of small rings below lam = 1) no derivative exists.
 
     Raises
     ------
@@ -257,15 +224,24 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
 
     even_lower = set()
 
-    def state_at(offset):
-        e_even, e_odd, vec = oracle._ed_vector(
-            phi + offset[0], gamma + offset[1], lam + offset[2], n
-        )
+    def ground(at_gamma, at_lam):
+        e_even, e_odd, vec = oracle._ed_vector(phi, at_gamma, at_lam, n)
         even_lower.add(e_even <= e_odd)
         return vec
 
-    g_h = _qgt_raw(state_at, np.vdot, h)
-    g_half = _qgt_raw(state_at, np.vdot, 0.5 * h)
+    psi = ground(gamma, lam)
+    d_phi = -1j * oracle._popcounts(np.arange(psi.size), n) * psi
+
+    def tensor(step):
+        d = np.column_stack((
+            d_phi,
+            (ground(gamma + step, lam) - ground(gamma - step, lam)) / (2 * step),
+            (ground(gamma, lam + step) - ground(gamma, lam - step)) / (2 * step),
+        ))
+        a = d.conj().T @ psi
+        return d.conj().T @ d - np.outer(a, a.conj())
+
+    g_h, g_half = tensor(h), tensor(0.5 * h)
     if len(even_lower) > 1:
         raise StencilCrossesCritical(
             f"the parity sectors of the {n}-site ring cross inside the stencil "
@@ -298,4 +274,4 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     total = np.zeros((3, 3), dtype=complex)
     for term in oracle.qgt_matrix_elements(params, n_sites):
         total += term.matrix
-    return GeometricTensor(0.5 * (total + total.conj().T))
+    return GeometricTensor(total)

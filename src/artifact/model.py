@@ -202,9 +202,10 @@ def gap(gamma: float, lam: float) -> float:
 
     The dispersion minimum sits in the band interior when gamma < 1 and
     lam < 1 - gamma^2, and at the band edge alpha = 0 otherwise.  Returns
-    exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1}.
+    exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1},
+    and NaN when either coupling is NaN.
     """
-    if gamma < 1.0 and lam < 1.0 - gamma * gamma:
+    if not (gamma >= 1.0 or lam >= 1.0 - gamma * gamma):
         omg2 = 1.0 - gamma * gamma
         return gamma * math.sqrt((omg2 - lam * lam) / omg2)
     return abs(1.0 - lam)

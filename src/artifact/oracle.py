@@ -243,16 +243,24 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
 
 
+def _ground_block(gamma: float, lam: float, n_sites: int):
+    """Each parity block, its lowest (energy, vector), and the ground block's index.
+
+    The one ground-block rule: even unless the odd level is strictly lower.
+    """
+    blocks = _sector_blocks(gamma, lam, n_sites)
+    pairs = [scipy.linalg.eigh(h, subset_by_index=[0, 0]) for _, h in blocks]
+    lowest = [(float(w[0]), v[:, 0]) for w, v in pairs]
+    return blocks, lowest, 0 if lowest[0][0] <= lowest[1][0] else 1
+
+
 def _ed_vector(
     phi: float, gamma: float, lam: float, n_sites: int
 ) -> tuple[float, float, np.ndarray]:
     """Lowest level of each parity block and the gauge-fixed ground vector."""
-    blocks = _sector_blocks(gamma, lam, n_sites)
-    lowest = [scipy.linalg.eigh(h, subset_by_index=[0, 0]) for _, h in blocks]
-    (w_even, _), (w_odd, _) = lowest
-    k = 0 if w_even[0] <= w_odd[0] else 1
-    vec = _rotated_vector(blocks[k][0], lowest[k][1][:, 0], phi, n_sites)
-    return float(w_even[0]), float(w_odd[0]), vec
+    blocks, lowest, k = _ground_block(gamma, lam, n_sites)
+    vec = _rotated_vector(blocks[k][0], lowest[k][1], phi, n_sites)
+    return lowest[0][0], lowest[1][0], vec
 
 
 def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> ParitySectorResult:
@@ -415,15 +423,10 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
         lowest.
     """
     n = _resolve_ed_size(n_sites, _QGT_MAX)
-    blocks = _sector_blocks(params.gamma, params.lam, n)
-    lowest = [
-        scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[0, 0])[0]
-        for _, h in blocks
-    ]
-    k = 0 if lowest[0] <= lowest[1] else 1
+    blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
     sector, h = blocks[k]
     w, vectors = scipy.linalg.eigh(h)
-    e1 = min(w[1], lowest[1 - k])
+    e1 = min(w[1], lowest[1 - k][0])
     if e1 - w[0] < 1e-10:
         raise DegenerateGroundState(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from artifact import (
     StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
+    build_ground_state,
+    embed_ground_state,
     free_fermion_parity_spectrum,
     gap,
     mode_amplitudes,
@@ -22,8 +25,8 @@ from artifact import (
     qgt_product,
     qgt_spectral,
 )
-from artifact.geometry import _qgt_raw
-from artifact.ground_state import _overlap_arrays, _pair_arrays
+from artifact import oracle
+from artifact.ground_state import _pair_arrays
 
 P = ModelParams
 PROPERTY = settings(max_examples=30)
@@ -232,14 +235,18 @@ def test_qgt_product_input_checks():
 
 
 def _product_finite_diff(p, n, h=1e-4):
-    def state_at(offset):
-        _, u, v, _ = _pair_arrays(p.phi + offset[0], p.gamma + offset[1], p.lam + offset[2], n)
-        return u, v
+    # every coordinate stepped, phi included: the reference uses no gauge
+    def embedded(dphi=0.0, dgamma=0.0, dlam=0.0):
+        _, u, v, _ = _pair_arrays(p.phi + dphi, p.gamma + dgamma, p.lam + dlam, n)
+        return embed_ground_state(replace(build_ground_state(p, n), u=u, v=v))
 
-    def braket(a, b):
-        return _overlap_arrays(a[0], a[1], b[0], b[1])
-
-    g = _qgt_raw(state_at, braket, h)
+    psi = embedded()
+    d = np.column_stack([
+        (embedded(**{key: h}) - embedded(**{key: -h})) / (2.0 * h)
+        for key in ("dphi", "dgamma", "dlam")
+    ])
+    a = d.conj().T @ psi
+    g = d.conj().T @ d - np.outer(a, a.conj())
     return 0.5 * (g + g.conj().T)
 
 
@@ -296,3 +303,44 @@ def test_spectral_matches_finite_diff():
     p = P(0.3, 0.8, 0.4)
     dev = np.max(np.abs(qgt_spectral(p, 6).matrix - qgt_finite_diff(p, 6).matrix))
     assert dev < 1e-6
+
+
+def _oracle_draws():
+    # gapped points on both sides of lam = 1 at each ring size the oracles take
+    rng = np.random.default_rng(15)
+    for n in (4, 6, 8, 10):
+        for _ in range(3):
+            p = P(rng.uniform(0.0, math.pi), rng.uniform(0.1, 1.5), rng.uniform(0.0, 2.5))
+            if gap(p.gamma, p.lam) >= 0.05:
+                yield p, n
+
+
+def test_finite_diff_phi_phi_is_exact():
+    # the phi column is -i P psi from the gauge, not a difference quotient
+    for p, n in _oracle_draws():
+        fd = qgt_finite_diff(p, n).matrix[0, 0]
+        assert abs(fd - qgt_spectral(p, n).matrix[0, 0]) <= 1e-10, (p, n)
+
+
+def test_finite_diff_solves_nine_points(monkeypatch):
+    # the centre and gamma, lam at +-h and +-h/2; phi needs no solve
+    calls = []
+    solve = oracle._ed_vector
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "_ed_vector", counting)
+    p = P(0.3, 0.8, 0.4)
+    qgt_finite_diff(p, 6)
+    assert len(calls) == 9
+    assert {args[0] for args in calls} == {p.phi}
+
+
+def test_spectral_tensor_is_exactly_hermitian():
+    # every term outer(conj(c), c) / gap^2 is Hermitian bit for bit, so the
+    # sum needs no Hermitization
+    for p, n in _oracle_draws():
+        m = qgt_spectral(p, n).matrix
+        assert np.array_equal(m, m.conj().T), (p, n)

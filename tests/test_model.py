@@ -94,6 +94,20 @@ def test_gap_values():
     assert gap(1.0, 0.0) == 1.0
 
 
+def test_gap_nan_coupling_is_nan():
+    for gamma, lam in ((math.nan, 0.5), (0.5, math.nan), (2.0, math.nan), (math.nan, 2.0)):
+        assert math.isnan(gap(gamma, lam)), (gamma, lam)
+    # the gap-map edges keep their values: the lines gamma = 0, lam = 0 and
+    # lam = 1, the band-interior boundary lam = 1 - gamma^2, and infinities
+    assert gap(0.0, 1.5) == 0.5
+    assert gap(0.5, 0.0) == 0.5
+    assert gap(2.0, 0.0) == 1.0
+    assert gap(0.5, 0.75) == 0.25
+    assert gap(1.0, 0.5) == 0.5
+    assert gap(math.inf, 0.5) == 0.5
+    assert gap(0.5, math.inf) == math.inf
+
+
 def test_gap_bounds_dispersion():
     rng = np.random.default_rng(7)
     for _ in range(300):
