@@ -1,61 +1,15 @@
 """Exact ground states, quantum geometry, and topology of a rotated XY ring."""
 
-from .errors import (
-    ArtifactError,
-    BadSize,
-    CriticalPoint,
-    DegenerateGroundState,
-    DegenerateRatio,
-    FiniteDifferenceUnstable,
-    GaplessMode,
-    GaplessOnGrid,
-    GridMismatch,
-    NoJumpFound,
-    SizeLimit,
-    StencilCrossesCritical,
-    TooCloseToCritical,
-    VortexOnPlaquette,
-    ZeroOverlap,
-)
-from .model import (
-    ModelParams,
-    bogoliubov_angle,
-    dispersion,
-    fermi_cutoff,
-    gap,
-    momentum_grid,
-)
-from .ground_state import (
-    GroundState,
-    ModeAmplitudes,
-    build_ground_state,
-    isotropic_ground_state,
-    mode_amplitudes,
-    overlap,
-)
-from .geometry import (
-    CurvatureDensity,
-    GeometricTensor,
-    berry_curvature_density,
-    berry_curvature_mode,
-    qgt_finite_diff,
-    qgt_product,
-    qgt_spectral,
-)
-from .topology import (
-    ChernMethod,
-    ChernResult,
-    PhaseLabel,
-    PhasePoint,
-    chern_discrete,
-    chern_number,
-    classify_phase,
-    detect_transition,
-)
+from . import errors, geometry, ground_state, model, topology
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .ground_state import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .topology import *  # noqa: F403
+
 # The exact-diagonalization oracle imports scipy; it is loaded on first use
 # of one of its names, so the closed-form paths never import scipy.
 _ORACLE_NAMES = (
-    "ParitySectorResult",
     "SpectralTerm",
     "SpinSpectrum",
     "build_spin_hamiltonian",
@@ -82,55 +36,10 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtifactError",
-    "BadSize",
-    "ChernMethod",
-    "ChernResult",
-    "CriticalPoint",
-    "CurvatureDensity",
-    "DegenerateGroundState",
-    "DegenerateRatio",
-    "FiniteDifferenceUnstable",
-    "GaplessMode",
-    "GaplessOnGrid",
-    "GeometricTensor",
-    "GridMismatch",
-    "GroundState",
-    "ModeAmplitudes",
-    "ModelParams",
-    "NoJumpFound",
-    "ParitySectorResult",
-    "PhaseLabel",
-    "PhasePoint",
-    "SizeLimit",
-    "SpectralTerm",
-    "SpinSpectrum",
-    "StencilCrossesCritical",
-    "TooCloseToCritical",
-    "VortexOnPlaquette",
-    "ZeroOverlap",
-    "berry_curvature_density",
-    "berry_curvature_mode",
-    "bogoliubov_angle",
-    "build_ground_state",
-    "build_spin_hamiltonian",
-    "chern_discrete",
-    "chern_number",
-    "classify_phase",
-    "detect_transition",
-    "dispersion",
-    "ed_ground",
-    "embed_ground_state",
-    "fermi_cutoff",
-    "free_fermion_parity_spectrum",
-    "gap",
-    "isotropic_ground_state",
-    "mode_amplitudes",
-    "momentum_grid",
-    "overlap",
-    "qgt_finite_diff",
-    "qgt_matrix_elements",
-    "qgt_product",
-    "qgt_spectral",
-    "wilson_loop_berry_phase",
+    *errors.__all__,
+    *model.__all__,
+    *ground_state.__all__,
+    *geometry.__all__,
+    *topology.__all__,
+    *_ORACLE_NAMES,
 ]

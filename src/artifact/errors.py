@@ -4,6 +4,24 @@ Every error carries a human-readable message; callers that need to branch
 on failure mode should catch the specific class, not the common base.
 """
 
+__all__ = [
+    "ArtifactError",
+    "BadSize",
+    "GaplessMode",
+    "DegenerateRatio",
+    "CriticalPoint",
+    "GridMismatch",
+    "StencilCrossesCritical",
+    "FiniteDifferenceUnstable",
+    "DegenerateGroundState",
+    "TooCloseToCritical",
+    "GaplessOnGrid",
+    "VortexOnPlaquette",
+    "NoJumpFound",
+    "SizeLimit",
+    "ZeroOverlap",
+]
+
 
 class ArtifactError(Exception):
     """Base class for all package-specific errors."""

@@ -168,6 +168,11 @@ def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
 
 
 def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
+    """Smallest gap over the stencil points.
+
+    The gap is even in both couplings (alpha -> pi - alpha), so a point
+    stepped below zero takes the gap of its mirror image.
+    """
     worst = math.inf
     for dg, dl in (
         (0.0, 0.0),
@@ -180,7 +185,7 @@ def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
         (0.0, 0.5 * h),
         (0.0, -0.5 * h),
     ):
-        worst = min(worst, model.gap(abs(gamma + dg), lam + dl))
+        worst = min(worst, model.gap(abs(gamma + dg), abs(lam + dl)))
     return worst
 
 

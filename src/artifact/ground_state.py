@@ -8,7 +8,8 @@ antiperiodic momenta (2k+1) pi / N, which all pair.  The product state
 lives in the odd sector exactly when lam < 1.  Each pair block (alpha,
 -alpha) is described by two complex amplitudes on the empty and doubly
 occupied states, so every product state is an exact eigenstate of the
-spin chain.
+spin chain.  ``_pair_block`` is the one statement of those amplitudes;
+``GroundState.u`` and ``.v`` carry them for every pair of a ring.
 """
 
 from __future__ import annotations
@@ -23,24 +24,11 @@ from .errors import GridMismatch
 from .model import ModelParams
 
 __all__ = [
-    "ModeAmplitudes",
     "GroundState",
-    "mode_amplitudes",
     "build_ground_state",
     "isotropic_ground_state",
     "overlap",
 ]
-
-@dataclass(frozen=True)
-class ModeAmplitudes:
-    """Amplitudes of one pair block on (empty, doubly occupied).
-
-    The lower state of the block is (cos(theta/2), i e^{-2 i phi}
-    sin(theta/2)) with theta the pairing angle.
-    """
-
-    u: complex
-    v: complex
 
 
 def _pair_block(theta, phi):
@@ -49,19 +37,6 @@ def _pair_block(theta, phi):
     Broadcasts ``theta`` against ``phi``.
     """
     return np.cos(0.5 * theta), 1j * np.exp(-2j * phi) * np.sin(0.5 * theta)
-
-
-def mode_amplitudes(alpha: float, params: ModelParams) -> ModeAmplitudes:
-    """Pair-block amplitudes of the ground state at momentum ``alpha``.
-
-    Raises
-    ------
-    GaplessMode
-        Propagated from the pairing angle at a band touching.
-    """
-    theta = model.bogoliubov_angle(alpha, params.gamma, params.lam)
-    u, v = _pair_block(theta, params.phi)
-    return ModeAmplitudes(complex(u), complex(v))
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,6 +67,11 @@ def _check_coupling(name: str, value: float) -> None:
     """ValueError unless the coupling ``name`` (gamma or lam) is finite and >= 0."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    _check_sign(name, value)
+
+
+def _check_sign(name: str, value: float) -> None:
+    """ValueError if the coupling ``name`` is negative; NaN and +inf pass."""
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -204,7 +209,15 @@ def gap(gamma: float, lam: float) -> float:
     lam < 1 - gamma^2, and at the band edge alpha = 0 otherwise.  Returns
     exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1},
     and NaN when either coupling is NaN.
+
+    Raises
+    ------
+    ValueError
+        If gamma or lam is negative.
     """
+    if gamma < 0.0 or lam < 0.0:
+        _check_sign("gamma", gamma)
+        _check_sign("lam", lam)
     if not (gamma >= 1.0 or lam >= 1.0 - gamma * gamma):
         omg2 = 1.0 - gamma * gamma
         return gamma * math.sqrt((omg2 - lam * lam) / omg2)

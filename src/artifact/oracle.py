@@ -3,10 +3,12 @@
 Exact diagonalization of the rotated chain, parity-resolved free-fermion
 spectra, Fock-space embedding of the product ground states, discrete Wilson
 loops, and the per-excited-state decomposition of the geometric tensor.
-The closed-form sector energies and the product states use one momentum
-rule (``ground_state._pair_grid``): periodic momenta in the odd fermion
-parity sector, antiperiodic ones in the even sector.  An embedded product
-state is therefore an exact eigenvector of the spin chain.
+Both sector-energy routes, exact diagonalization and the closed form,
+return one type, ``SpinSpectrum``.  The closed-form sector energies and the
+product states use one momentum rule (``ground_state._pair_grid``):
+periodic momenta in the odd fermion parity sector, antiperiodic ones in
+the even sector.  An embedded product state is therefore an exact
+eigenvector of the spin chain.
 
 This is the only module that imports scipy at module level; the package
 imports it on first use of one of its names, so the closed-form paths
@@ -39,18 +41,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import model
-from .errors import (
-    BadSize,
-    DegenerateGroundState,
-    SizeLimit,
-    ZeroOverlap,
-)
+from .errors import DegenerateGroundState, SizeLimit, ZeroOverlap
 from .ground_state import GroundState, _pair_grid, build_ground_state, overlap
 from .model import ModelParams
 
 __all__ = [
     "SpinSpectrum",
-    "ParitySectorResult",
     "SpectralTerm",
     "build_spin_hamiltonian",
     "ed_ground",
@@ -62,7 +58,6 @@ __all__ = [
 
 _ED_MAX = 12
 _QGT_MAX = 10
-_FREE_MAX = 4096
 
 
 def _resolve_ed_size(n_sites: int, limit: int) -> int:
@@ -157,46 +152,31 @@ def _rotated_vector(
 
 @dataclass(frozen=True)
 class SpinSpectrum:
-    """Exact ground state of the chain, resolved by fermion parity.
+    """Ground state of the chain, resolved by fermion parity.
+
+    The one result type of both sector-energy routes: exact
+    diagonalization (``ed_ground``) and the closed form
+    (``free_fermion_parity_spectrum``).
 
     Attributes
     ----------
     n_sites : int
     even_sector_energy, odd_sector_energy : float
         Lowest level of the even and of the odd parity block.
-    ground_vector : ndarray of complex
+    ground_vector : ndarray of complex or None
         Unit-norm 2^N ground vector of the lower sector, gauge fixed so its
-        largest-magnitude component is real positive.
+        largest-magnitude component is real positive; None from the closed
+        form, which builds no vector.
     """
 
     n_sites: int
     even_sector_energy: float
     odd_sector_energy: float
-    ground_vector: np.ndarray
+    ground_vector: np.ndarray | None
 
     @property
     def ground_energy(self) -> float:
         return min(self.even_sector_energy, self.odd_sector_energy)
-
-
-@dataclass(frozen=True)
-class ParitySectorResult:
-    """Exact ring ground energies resolved by fermion-number parity.
-
-    The even sector fills pairs on the antiperiodic (half-integer) momenta;
-    the odd sector uses periodic (integer) momenta and must place one
-    unpaired excitation, the cheaper of occupying alpha = 0 (lam - 1) and
-    breaking the cheapest pair; occupying alpha = pi (lam + 1), or both
-    unpaired levels and breaking a pair (2 lam plus that pair), never costs
-    less for lam >= 0.  Below the field (lam < 1) occupying alpha = 0
-    is the cheapest, so ``odd_sector_energy`` is then the energy of the
-    odd-sector product state of ``build_ground_state``; at lam >= 1 that
-    state is in the even sector and has ``even_sector_energy``.
-    """
-
-    even_sector_energy: float
-    odd_sector_energy: float
-    ground_energy: float
 
 
 def build_spin_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
@@ -263,22 +243,27 @@ def _ed_vector(
     return lowest[0][0], lowest[1][0], vec
 
 
-def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> ParitySectorResult:
+def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpectrum:
     """Closed-form parity-sector ground energies of the exact ring.
 
-    Keeps the boundary bond exactly: even fermion parity selects
-    antiperiodic momenta alpha = (2m+1)pi/N, odd parity selects periodic
-    momenta 2pi m/N together with one enforced unpaired excitation.
-    Energies depend only on (gamma, lam).
+    Keeps the boundary bond exactly.  The even sector fills pairs on the
+    antiperiodic momenta alpha = (2m+1) pi / N.  The odd sector uses the
+    periodic momenta 2 pi m / N and must place one unpaired excitation,
+    the cheaper of occupying alpha = 0 (lam - 1) and breaking the cheapest
+    pair; occupying alpha = pi (lam + 1), or both unpaired levels and
+    breaking a pair (2 lam plus that pair), never costs less for lam >= 0.
+    Below the field (lam < 1) occupying alpha = 0 is the cheapest, so
+    ``odd_sector_energy`` is then the energy of the odd-sector product
+    state of ``build_ground_state``; at lam >= 1 that state is in the even
+    sector and has ``even_sector_energy``.  The energies depend only on
+    (gamma, lam), hold at any ring size, and come with no ground vector.
 
     Raises
     ------
     BadSize
-        Unless N is an even integer with 4 <= N <= 4096.
+        Unless N is an even integer >= 4.
     """
     model._check_size(n_sites)
-    if n_sites > _FREE_MAX:
-        raise BadSize(f"n_sites must be <= {_FREE_MAX}, got {n_sites}")
     g, lam = params.gamma, params.lam
 
     even = model._Pairing(_pair_grid(n_sites, False), g, lam)
@@ -289,12 +274,7 @@ def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> ParitySec
     base = -0.5 * n_sites * lam + float(np.sum(pairs.a - disp_pairs))
     cheapest_pair = float(np.min(disp_pairs))
     corr = min(lam - 1.0, cheapest_pair)
-    e_odd = base + corr
-    return ParitySectorResult(
-        even_sector_energy=e_even,
-        odd_sector_energy=e_odd,
-        ground_energy=min(e_even, e_odd),
-    )
+    return SpinSpectrum(n_sites, e_even, base + corr, None)
 
 
 @lru_cache(maxsize=None)

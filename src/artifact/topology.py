@@ -4,7 +4,9 @@ The winding route reads the total pairing angle swept across the band off
 its values at the two unpaired momenta; the discrete route closes the
 (phi, momentum) cylinder into a sphere with the two unpaired levels as pole
 states and sums gauge-invariant plaquette and pole-fan phases.  Both jump
-from -1 to 0 at the critical field.
+from -1 to 0 at the critical field.  Both return a ``ChernResult`` that
+stores the raw estimate only; its nearest integer and residual are
+derived from it.
 
 A step in phi maps every pair block by diag(1, e^{-2i dphi}), which fixes
 both pole states, so every phi-column of cells carries the same phases.
@@ -63,10 +65,8 @@ class ChernResult:
     Attributes
     ----------
     value : float
-        Raw estimate before integer snapping.
-    nearest_integer : int
-    residual : float
-        Distance |value - nearest_integer|.
+        Raw estimate before integer snapping; ``nearest_integer`` and
+        ``residual`` (the distance |value - nearest_integer|) derive from it.
     method : ChernMethod
     node_count : int
         Pairing-angle evaluations (winding), or the n_phi * n_beta + 2 nodes
@@ -81,12 +81,18 @@ class ChernResult:
     """
 
     value: float
-    nearest_integer: int
-    residual: float
     method: ChernMethod
     node_count: int
     worst_cell_phase: float | None = None
     min_link: float | None = None
+
+    @property
+    def nearest_integer(self) -> int:
+        return int(round(self.value))
+
+    @property
+    def residual(self) -> float:
+        return abs(self.value - self.nearest_integer)
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,7 @@ def chern_number(lam: float) -> ChernResult:
         raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
     theta = _pole_thetas(lam)
     value = float(theta[1] - theta[0]) / math.pi
-    nearest = int(round(value))
-    return ChernResult(
-        value=value,
-        nearest_integer=nearest,
-        residual=abs(value - nearest),
-        method=ChernMethod.WINDING,
-        node_count=2,
-    )
+    return ChernResult(value=value, method=ChernMethod.WINDING, node_count=2)
 
 
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
@@ -250,12 +249,8 @@ def chern_discrete(
         raise VortexOnPlaquette(f"link modulus {min_link:.3e}; refine the grid")
     if worst >= math.pi - 1e-9:
         raise VortexOnPlaquette(f"cell phase {worst:.6f} is ambiguous; refine the grid")
-    value = n_phi * strip / (2.0 * math.pi)
-    nearest = int(round(value))
     return ChernResult(
-        value=float(value),
-        nearest_integer=nearest,
-        residual=abs(value - nearest),
+        value=float(n_phi * strip / (2.0 * math.pi)),
         method=ChernMethod.DISCRETE,
         node_count=n_phi * n_beta + 2,
         worst_cell_phase=worst,

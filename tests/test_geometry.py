@@ -16,17 +16,17 @@ from artifact import (
     StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
+    bogoliubov_angle,
     build_ground_state,
     embed_ground_state,
     free_fermion_parity_spectrum,
     gap,
-    mode_amplitudes,
     qgt_finite_diff,
     qgt_product,
     qgt_spectral,
 )
 from artifact import oracle
-from artifact.ground_state import _pair_arrays
+from artifact.ground_state import _pair_arrays, _pair_block
 
 P = ModelParams
 PROPERTY = settings(max_examples=30)
@@ -41,8 +41,7 @@ def _mode_sum(g, lam, n, phi=0.0):
 
 def _single_mode_fd(alpha, phi, g, lam, h=1e-5):
     def state(p, q):
-        amp = mode_amplitudes(alpha, P(p, q, lam))
-        return np.array([amp.u, amp.v])
+        return np.array(_pair_block(bogoliubov_angle(alpha, q, lam), p))
 
     d_phi = (state(phi + h, g) - state(phi - h, g)) / (2.0 * h)
     d_gam = (state(phi, g + h) - state(phi, g - h)) / (2.0 * h)
@@ -300,9 +299,11 @@ def test_metric_symmetric():
 
 
 def test_spectral_matches_finite_diff():
-    p = P(0.3, 0.8, 0.4)
-    dev = np.max(np.abs(qgt_spectral(p, 6).matrix - qgt_finite_diff(p, 6).matrix))
-    assert dev < 1e-6
+    # at lam = 1e-5 the stencil steps the field below zero; the gap is even
+    # in lam, so the stencil's gap check takes the mirror point and passes
+    for p in (P(0.3, 0.8, 0.4), P(0.0, 0.5, 1e-5)):
+        dev = np.max(np.abs(qgt_spectral(p, 6).matrix - qgt_finite_diff(p, 6).matrix))
+        assert dev < 1e-6, p
 
 
 def _oracle_draws():

@@ -11,6 +11,7 @@ from artifact import (
     GridMismatch,
     GroundState,
     ModelParams,
+    bogoliubov_angle,
     build_ground_state,
     build_spin_hamiltonian,
     dispersion,
@@ -19,9 +20,9 @@ from artifact import (
     free_fermion_parity_spectrum,
     gap,
     isotropic_ground_state,
-    mode_amplitudes,
     overlap,
 )
+from artifact.ground_state import _pair_block
 
 P = ModelParams
 
@@ -42,12 +43,12 @@ def _assert_chain_eigenstate(p, n, v):
 
 
 def test_mode_amplitudes_examples():
-    flat = mode_amplitudes(math.pi / 2, P(0.0, 0.0, 2.0))
-    assert flat.u == pytest.approx(1.0, abs=1e-15)
-    assert flat.v == pytest.approx(0.0, abs=1e-15)
-    part = mode_amplitudes(math.pi / 2, P(0.0, 1.0, 0.0))
-    assert part.u == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
-    assert part.v == pytest.approx(1j * math.sin(math.pi / 4), abs=1e-15)
+    u, v = _pair_block(bogoliubov_angle(math.pi / 2, 0.0, 2.0), 0.0)
+    assert u == pytest.approx(1.0, abs=1e-15)
+    assert v == pytest.approx(0.0, abs=1e-15)
+    u, v = _pair_block(bogoliubov_angle(math.pi / 2, 1.0, 0.0), 0.0)
+    assert u == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
+    assert v == pytest.approx(1j * math.sin(math.pi / 4), abs=1e-15)
 
 
 def test_mode_amplitudes_norm():
@@ -60,8 +61,8 @@ def test_mode_amplitudes_norm():
         alpha = rng.uniform(0.05, np.pi - 0.05)
         if dispersion(alpha, g, lam) < 1e-6:
             continue
-        amp = mode_amplitudes(alpha, P(phi, g, lam))
-        assert abs(amp.u) ** 2 + abs(amp.v) ** 2 == pytest.approx(1.0, abs=1e-12)
+        u, v = _pair_block(bogoliubov_angle(alpha, g, lam), phi)
+        assert abs(u) ** 2 + abs(v) ** 2 == pytest.approx(1.0, abs=1e-12)
         checked += 1
 
 
@@ -112,7 +113,9 @@ def test_ground_energy_flat_band():
     p = P(0.0, 1.0, 0.0)
     energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
     assert energy == pytest.approx(-4.0, abs=1e-14)
-    assert _sector_energy(P(0.0, 1.0, 0.0), 4096) / 4096 == pytest.approx(-0.5, abs=1e-14)
+    # the closed-form sums hold on any even ring
+    for n in (4096, 8192, 65536):
+        assert _sector_energy(P(0.0, 1.0, 0.0), n) / n == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_ground_energy_matches_ed():

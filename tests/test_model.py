@@ -108,6 +108,19 @@ def test_gap_nan_coupling_is_nan():
     assert gap(0.5, math.inf) == math.inf
 
 
+@pytest.mark.parametrize(
+    "gamma, lam, message",
+    [
+        (-0.5, 0.5, "gamma must be >= 0, got -0.5"),
+        (0.5, -1.0, "lam must be >= 0, got -1.0"),
+        (-1.0, -1.0, "gamma must be >= 0, got -1.0"),
+    ],
+)
+def test_gap_rejects_negative_coupling(gamma, lam, message):
+    with pytest.raises(ValueError, match=message):
+        gap(gamma, lam)
+
+
 def test_gap_bounds_dispersion():
     rng = np.random.default_rng(7)
     for _ in range(300):

@@ -52,6 +52,9 @@ def test_ed_energy_density():
     assert abs(sp.ground_energy / 8 + 0.5) < 0.07
     ff = free_fermion_parity_spectrum(P(0.0, 1.0, 0.0), 8)
     assert abs(sp.ground_energy - ff.ground_energy) < 1e-10
+    # both routes return one type; the closed form builds no vector
+    assert type(sp) is type(ff)
+    assert ff.ground_vector is None
 
 
 def test_ed_polarized_limit():
