@@ -8,7 +8,6 @@ __all__ = [
     "ArtifactError",
     "BadSize",
     "GaplessMode",
-    "DegenerateRatio",
     "CriticalPoint",
     "GridMismatch",
     "StencilCrossesCritical",
@@ -33,10 +32,6 @@ class BadSize(ArtifactError):
 
 class GaplessMode(ArtifactError):
     """Both rotation arguments of the pairing angle vanish at this momentum."""
-
-
-class DegenerateRatio(ArtifactError):
-    """Fermi cutoff is undefined because the anisotropy hits the unit circle."""
 
 
 class CriticalPoint(ArtifactError):

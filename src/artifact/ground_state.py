@@ -15,6 +15,7 @@ spin chain.  ``_pair_block`` is the one statement of those amplitudes;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,9 @@ class GroundState:
     zero_mode_occupied : bool
         Whether the state is in the odd sector, with alpha = 0 occupied.
     occupation_mask : ndarray of bool or None
-        Full-grid occupation over momentum_grid(n_sites); set by the
-        isotropic constructor, None otherwise.
+        Occupation of every level of the periodic ring, indexed by
+        k = -N/2 + 1, ..., N/2 (momentum 2 pi k / N); set by the isotropic
+        constructor, None otherwise.
     """
 
     params: ModelParams
@@ -118,7 +120,10 @@ class GroundState:
             ``ModelParams`` rejects.
         GridMismatch
             Unless the modes' momenta are exactly the pair momenta of the
-            stored sector on the stored ring.
+            stored sector on the stored ring, and a stored
+            ``occupation_mask`` has one entry per site.
+        ValueError
+            Also if a stored ``occupation_mask`` holds anything but booleans.
         """
         d = json.loads(text)
         p, modes = d["params"], d["modes"]
@@ -133,6 +138,12 @@ class GroundState:
         if not np.array_equal(alphas, _pair_grid(n, odd)):
             raise GridMismatch(f"modes are not the pair momenta of the {n}-site ring")
         mask = d["occupation_mask"]
+        if mask is not None:
+            if not isinstance(mask, list) or not all(isinstance(b, bool) for b in mask):
+                raise ValueError("occupation_mask must be a list of booleans")
+            if len(mask) != n:
+                raise GridMismatch(f"occupation_mask has {len(mask)} entries, not {n}")
+            mask = np.array(mask, dtype=bool)
         return cls(
             params=ModelParams(p["phi"], p["gamma"], p["lam"]),
             n_sites=n,
@@ -142,7 +153,7 @@ class GroundState:
             u=u,
             v=v,
             zero_mode_occupied=odd,
-            occupation_mask=None if mask is None else np.array(mask, dtype=bool),
+            occupation_mask=mask,
         )
 
 
@@ -237,15 +248,17 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
 
     With no pairing the ground state is a filled shell in the number
     basis.  When lam <= 1 it is in the odd sector: the unpaired k = 0 level
-    and the periodic momenta with |k| <= fermi_cutoff(0, lam, n_sites) are
-    occupied.  Above the field every level is empty, on the antiperiodic
-    momenta of the even sector that ``build_ground_state`` uses there.  The
-    construction stays defined on the gapless line (the boundary shell is
-    filled by convention), so no criticality check is made here.
+    and the periodic momenta 2 pi k / N inside the Fermi edge arccos(lam)
+    are occupied.  Above the field every level is empty, on the
+    antiperiodic momenta of the even sector that ``build_ground_state``
+    uses there.  The construction stays defined on the gapless line (the
+    boundary shell is filled by convention), so no criticality check is
+    made here.
     """
     model._check_size(n_sites)
     params = ModelParams(0.0, 0.0, lam)
-    k_t = model.fermi_cutoff(0.0, lam, n_sites)
+    # the 1e-9 snap counts a momentum landing exactly on the edge as inside
+    k_t = math.floor(n_sites * math.acos(min(lam, 1.0)) / (2.0 * math.pi) + 1e-9)
     zero_occ = lam <= 1.0
     alphas = _pair_grid(n_sites, zero_occ)
     filled = np.arange(1, alphas.size + 1) <= k_t

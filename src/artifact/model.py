@@ -1,4 +1,4 @@
-"""Parameters, dispersion, and momentum bookkeeping for the rotated XY chain.
+"""Parameters, dispersion, pairing angle and gap of the rotated XY chain.
 
 The chain couples N spins on a ring through anisotropic XY bonds rotated
 about z by a uniform angle, plus a transverse field.  After the fermion
@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSize, CriticalPoint, DegenerateRatio, GaplessMode
+from .errors import BadSize, CriticalPoint, GaplessMode
 
 __all__ = [
     "ModelParams",
     "dispersion",
     "bogoliubov_angle",
-    "fermi_cutoff",
     "gap",
-    "momentum_grid",
 ]
 
 
@@ -168,40 +166,6 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     return pairing.theta
 
 
-def fermi_cutoff(gamma: float, lam: float, n_sites: int) -> int:
-    """Largest grid index inside the Fermi edge, floor(N * alpha_F / (2 pi)).
-
-    alpha_F = arccos(lam / (1 - gamma^2)) when that ratio lies in [-1, 1],
-    else 0.  At gamma = 0 it is the Fermi edge of the filled sea, for
-    0 < gamma < 1 it is where the dispersion has its minimum, and for
-    gamma > 1 the ratio is <= 0, so alpha_F lies in [pi/2, pi] or is 0.
-    A tiny positive snap (1e-9) is added before the floor so that ratios
-    landing exactly on a grid momentum count that momentum as inside the
-    edge.
-
-    Raises
-    ------
-    ValueError
-        If gamma or lam is not finite or is negative.
-    DegenerateRatio
-        At gamma == 1, where the defining ratio is 0/0 or infinite.
-        Callers needing that point use the documented limit: cutoff 0 for
-        lam > 0 and n_sites // 4 for lam == 0.
-    BadSize
-        If ``n_sites`` is odd or < 4.
-    """
-    _check_coupling("gamma", gamma)
-    _check_coupling("lam", lam)
-    _check_size(n_sites)
-    if gamma == 1.0:
-        raise DegenerateRatio(
-            "fermi_cutoff is 0/0 at gamma = 1; use the limit (0 for lam > 0, N//4 at lam = 0)"
-        )
-    r = lam / (1.0 - gamma * gamma)
-    alpha_f = math.acos(r) if -1.0 <= r <= 1.0 else 0.0
-    return int(math.floor(n_sites * alpha_f / (2.0 * math.pi) + 1e-9))
-
-
 def gap(gamma: float, lam: float) -> float:
     """Minimal quasiparticle energy over all momenta, in closed form.
 
@@ -228,16 +192,3 @@ def _check_gapped(gamma: float, lam: float) -> None:
     """CriticalPoint where the gap is below 1e-12: pairing angles are unreliable there."""
     if gap(gamma, lam) < 1e-12:
         raise CriticalPoint(f"gapless couplings gamma={gamma}, lam={lam}")
-
-
-def momentum_grid(n_sites: int) -> np.ndarray:
-    """Momenta alpha_k = 2 pi k / N for k = -N/2 + 1, ..., N/2.
-
-    Raises
-    ------
-    BadSize
-        If ``n_sites`` is odd or < 4.
-    """
-    _check_size(n_sites)
-    k = np.arange(-(n_sites // 2) + 1, n_sites // 2 + 1)
-    return 2.0 * np.pi * k / n_sites

@@ -109,6 +109,29 @@ def test_isotropic_occupation():
     assert grid_k[edge.occupation_mask].tolist() == [0]
 
 
+def test_isotropic_snap_fills_the_exact_shell():
+    # N acos(lam) / 2 pi = 0.9999999999999997 here: the 1e-9 snap counts
+    # the shell k = +-1, which lies exactly on the Fermi edge, as occupied
+    grid_k = np.arange(-5, 7)
+    s = isotropic_ground_state(math.cos(2 * math.pi / 12), 12)
+    assert grid_k[s.occupation_mask].tolist() == [-1, 0, 1]
+
+
+def test_isotropic_shell_shrinks_with_field():
+    counts = [
+        int(isotropic_ground_state(float(lam), 64).occupation_mask.sum())
+        for lam in np.linspace(0.0, 2.5, 40)
+    ]
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert (counts[0], counts[-1]) == (33, 0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+def test_isotropic_rejects_a_bad_field(lam):
+    with pytest.raises(ValueError, match="must be finite|must be >= 0"):
+        isotropic_ground_state(lam, 64)
+
+
 def test_ground_energy_flat_band():
     p = P(0.0, 1.0, 0.0)
     energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
@@ -241,6 +264,27 @@ def test_json_roundtrip():
     assert t.params == s.params
     assert t.n_sites == s.n_sites
     assert json.loads(s.to_json())["params"]["n_sites"] == 12
+
+
+def test_json_roundtrip_keeps_the_isotropic_mask():
+    s = isotropic_ground_state(0.3, 12)
+    t = GroundState.from_json(s.to_json())
+    assert t.occupation_mask.dtype == bool
+    assert np.array_equal(t.occupation_mask, s.occupation_mask)
+
+
+def test_json_rejects_a_mask_of_the_wrong_length():
+    doc = json.loads(isotropic_ground_state(0.3, 12).to_json())
+    doc["occupation_mask"] = doc["occupation_mask"][:3]
+    with pytest.raises(GridMismatch):
+        GroundState.from_json(json.dumps(doc))
+
+
+def test_json_rejects_a_non_boolean_mask():
+    doc = json.loads(isotropic_ground_state(0.3, 12).to_json())
+    doc["occupation_mask"][:5] = [1, 2, "x", None, 0]
+    with pytest.raises(ValueError, match="booleans"):
+        GroundState.from_json(json.dumps(doc))
 
 
 def test_json_rejects_modes_off_the_ring():

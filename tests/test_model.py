@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from artifact import (
     BadSize,
-    DegenerateRatio,
     GaplessMode,
     GeometricTensor,
     ModelParams,
@@ -17,9 +16,7 @@ from artifact import (
     bogoliubov_angle,
     build_ground_state,
     dispersion,
-    fermi_cutoff,
     gap,
-    momentum_grid,
 )
 from artifact.model import _Pairing
 
@@ -69,23 +66,6 @@ def test_angle_consistency():
             g * math.sin(alpha), rel=1e-12, abs=1e-12
         )
         checked += 1
-
-
-def test_fermi_cutoff_values():
-    assert fermi_cutoff(0.0, 0.0, 100) == 25
-    assert fermi_cutoff(0.5, 2.0, 100) == 0
-    assert fermi_cutoff(0.0, 1.0, 100) == 0
-
-
-def test_fermi_cutoff_degenerate_ratio():
-    with pytest.raises(DegenerateRatio):
-        fermi_cutoff(1.0, 0.5, 64)
-
-
-def test_fermi_cutoff_monotone_in_field():
-    for g in (0.0, 0.3, 0.6, 0.9):
-        cuts = [fermi_cutoff(g, lam, 64) for lam in np.linspace(0.0, 2.5, 40)]
-        assert all(a >= b for a, b in zip(cuts, cuts[1:]))
 
 
 def test_gap_values():
@@ -144,26 +124,6 @@ def test_gap_zero_set():
         assert gap(g, lam) > 0.0
 
 
-def test_momentum_grid_small():
-    grid = np.sort(momentum_grid(4))
-    assert grid == pytest.approx([-np.pi / 2, 0.0, np.pi / 2, np.pi], abs=1e-15)
-
-
-def test_momentum_grid_structure():
-    grid = momentum_grid(8)
-    assert len(grid) == 8
-    pos = np.sort(grid[(grid > 0) & (grid < np.pi)])
-    neg = np.sort(-grid[grid < 0])
-    assert pos == pytest.approx(neg, abs=1e-15)
-    assert np.any(grid == 0.0)
-    assert np.any(np.isclose(grid, np.pi))
-
-
-def test_momentum_grid_bad_size():
-    with pytest.raises(BadSize):
-        momentum_grid(3)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(-0.1, 0.5, 0.5)
@@ -188,11 +148,7 @@ def test_params_are_the_tensor_coords():
     "gamma, lam",
     [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5), (0.5, -0.5)],
 )
-@pytest.mark.parametrize(
-    "call",
-    [berry_curvature_density, lambda gamma, lam: fermi_cutoff(gamma, lam, 64)],
-    ids=["density", "cutoff"],
-)
+@pytest.mark.parametrize("call", [berry_curvature_density], ids=["density"])
 def test_couplings_must_be_finite_and_non_negative(call, gamma, lam):
     with pytest.raises(ValueError, match="must be finite|must be >= 0"):
         call(gamma, lam)

@@ -8,6 +8,7 @@ from artifact import (
     DegenerateGroundState,
     ModelParams,
     SizeLimit,
+    ZeroOverlap,
     build_ground_state,
     build_spin_hamiltonian,
     chern_discrete,
@@ -197,6 +198,13 @@ def test_spectral_terms_fully_solve_only_the_ground_block(monkeypatch, gamma, la
 def test_wilson_constant_loop():
     pts = [P(0.3, 1.0, 1.5)] * 5
     assert wilson_loop_berry_phase(pts, 16) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_wilson_loop_across_the_field_has_a_zero_link():
+    # lam = 0.9 and 1.1 are in different parity sectors, so their link is 0j
+    loop = [P(0.1, 1.0, 0.9), P(0.1, 1.0, 1.1), P(0.2, 1.0, 1.1)]
+    with pytest.raises(ZeroOverlap, match="link modulus 0.000e"):
+        wilson_loop_berry_phase(loop, 64)
 
 
 def test_wilson_phi_circle():
