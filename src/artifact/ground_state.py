@@ -107,54 +107,32 @@ class GroundState:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundState":
-        """The state ``to_json`` wrote; its momenta round-trip bit for bit.
+    @staticmethod
+    def from_json(text: str) -> "GroundState":
+        """The state ``to_json`` wrote, rebuilt from its stored point.
+
+        A document with an ``occupation_mask`` is rebuilt by
+        ``isotropic_ground_state(lam, n_sites)``, any other by
+        ``build_ground_state``.  It is accepted only if it is exactly what
+        the rebuilt state writes, so every mode, the sector flag and the
+        mask come back bit for bit.
 
         Raises
         ------
-        BadSize
-            Unless ``n_sites`` is an even integer >= 4.
+        BadSize, ValueError, CriticalPoint
+            As the constructor raises them at the stored point.
         ValueError
-            On any non-finite number, or (phi, gamma, lam) that
-            ``ModelParams`` rejects.
-        GridMismatch
-            Unless the modes' momenta are exactly the pair momenta of the
-            stored sector on the stored ring, and a stored
-            ``occupation_mask`` has one entry per site.
-        ValueError
-            Also if a stored ``occupation_mask`` holds anything but booleans.
+            If the document is not what the rebuilt state writes.
         """
         d = json.loads(text)
-        p, modes = d["params"], d["modes"]
-        n, odd = p["n_sites"], d["zero_mode_occupied"]
-        model._check_size(n)
-        alphas, thetas, energies = (
-            np.array([m[key] for m in modes]) for key in ("alpha", "theta", "energy")
-        )
-        u, v = (np.array([complex(*m[key]) for m in modes]) for key in ("u", "v"))
-        if not all(np.isfinite(a).all() for a in (alphas, thetas, energies, u, v)):
-            raise ValueError("ground-state modes must be finite")
-        if not np.array_equal(alphas, _pair_grid(n, odd)):
-            raise GridMismatch(f"modes are not the pair momenta of the {n}-site ring")
-        mask = d["occupation_mask"]
-        if mask is not None:
-            if not isinstance(mask, list) or not all(isinstance(b, bool) for b in mask):
-                raise ValueError("occupation_mask must be a list of booleans")
-            if len(mask) != n:
-                raise GridMismatch(f"occupation_mask has {len(mask)} entries, not {n}")
-            mask = np.array(mask, dtype=bool)
-        return cls(
-            params=ModelParams(p["phi"], p["gamma"], p["lam"]),
-            n_sites=n,
-            alphas=alphas,
-            thetas=thetas,
-            energies=energies,
-            u=u,
-            v=v,
-            zero_mode_occupied=odd,
-            occupation_mask=mask,
-        )
+        p = d["params"]
+        if d["occupation_mask"] is None:
+            state = build_ground_state(ModelParams(p["phi"], p["gamma"], p["lam"]), p["n_sites"])
+        else:
+            state = isotropic_ground_state(p["lam"], p["n_sites"])
+        if state.to_json() != json.dumps(d):
+            raise ValueError("the document is not the state its stored point builds")
+        return state
 
 
 def _pair_grid(n_sites: int, odd: bool) -> np.ndarray:
@@ -268,9 +246,8 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     u = np.where(filled, 0.0, 1.0).astype(complex)
     v = np.where(filled, 1j, 0.0)
     grid_k = np.arange(-(n_sites // 2) + 1, n_sites // 2 + 1)
-    mask = np.abs(grid_k) <= k_t
-    mask[grid_k == 0] = zero_occ
-    mask[grid_k == n_sites // 2] = False
+    # k_t <= N/4, so the unpaired pi level k = N/2 stays empty
+    mask = zero_occ & (np.abs(grid_k) <= k_t)
     return GroundState(
         params=params,
         n_sites=int(n_sites),

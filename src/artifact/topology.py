@@ -215,7 +215,10 @@ def chern_discrete(
     nodes, but every phi-column of cells carries the same phases, so only
     the strip between phi = 0 and pi / n_phi is evaluated (2 * n_beta
     nodes) and its flux is multiplied by n_phi.  The summed plaquette and
-    fan phases over 2 pi give a machine-precision integer.
+    fan phases over 2 pi give a machine-precision integer.  At lam = 1 the
+    alpha = 0 pole level is gapless and theta = atan2(+0, +0) = 0 takes it
+    empty, so the critical field reads 0; ``detect_transition`` relies on
+    this for its upper bracket end at exactly 1.0.
 
     Raises
     ------
@@ -284,17 +287,12 @@ def classify_phase(lam: float) -> PhasePoint:
     return PhasePoint(lam, result, gap_one, label)
 
 
-def detect_transition(
-    lambda_lo: float,
-    lambda_hi: float,
-    tol: float,
-    grid: tuple[int, int] = (32, 32),
-    n_sites: int = 512,
-) -> tuple[float, float]:
+def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[float, float]:
     """Bracket the invariant jump between two gapped field values.
 
-    Bisection on the integer label of ``chern_discrete``; the returned
-    closed interval has width <= tol and contains the jump.
+    Bisection on the integer label of ``chern_discrete`` on a fixed 32 x 32
+    grid of a 512-site ring; the returned closed interval has width <= tol
+    and contains the jump.
 
     Raises
     ------
@@ -320,7 +318,7 @@ def detect_transition(
     lo_integer = lo_point.chern.nearest_integer
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if chern_discrete(mid, grid, n_sites).nearest_integer == lo_integer:
+        if chern_discrete(mid, (32, 32), 512).nearest_integer == lo_integer:
             lo = mid
         else:
             hi = mid

@@ -40,6 +40,23 @@ def test_every_error_class_is_raised():
     assert set(errors.__all__) - {"ArtifactError"} <= raised
 
 
+def test_ground_states_come_only_from_their_constructors():
+    # one way in: every GroundState is built from its point by a constructor,
+    # so no other code may instantiate the class, by name or as cls
+    callers = []
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, ast.FunctionDef) else scope.get(node, "<module>")
+            for child in ast.iter_child_nodes(node):
+                scope[child] = name
+            if isinstance(node, ast.Call):
+                if ast.unparse(node.func).rsplit(".", 1)[-1] in ("GroundState", "cls"):
+                    callers.append(scope[node])
+    assert sorted(callers) == ["build_ground_state", "isotropic_ground_state"]
+
+
 def test_every_public_name_resolves():
     for module in MODULES:
         for name in module.__all__:
@@ -59,8 +76,8 @@ def test_lazy_names_are_listed_and_importable():
 
 
 def test_ring_size_has_no_default():
-    # the ring size is a required argument; only the plaquette-grid routes
-    # of the topology module keep their grid defaults
+    # the ring size is a required argument; only the plaquette-grid route
+    # keeps its grid defaults
     defaulted = set()
     for name in set(artifact.__all__) - _error_classes():
         obj = getattr(artifact, name)
@@ -69,7 +86,7 @@ def test_ring_size_has_no_default():
         n_sites = inspect.signature(obj).parameters.get("n_sites")
         if n_sites is not None and n_sites.default is not inspect.Parameter.empty:
             defaulted.add(name)
-    assert defaulted == {"chern_discrete", "detect_transition"}
+    assert defaulted == {"chern_discrete"}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -236,6 +236,7 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
          "--grid", "32x32", "--n-sites", 512),
         ("gap-map", "--gamma-min", -1),
         ("gap-map", "--lambda-min", -1),
+        ("oracle-verify", "--seed", -1),
     ],
 )
 def test_library_input_checks_exit_2(cli, args):

@@ -257,9 +257,8 @@ def test_isotropic_state_shares_the_even_grid(n, lam, phi):
 def test_json_roundtrip():
     s = build_ground_state(P(0.7, 0.9, 1.6), 12)
     t = GroundState.from_json(s.to_json())
-    assert np.allclose(t.u, s.u, atol=1e-15)
-    assert np.allclose(t.v, s.v, atol=1e-15)
-    assert np.array_equal(t.alphas, s.alphas)
+    for key in ("alphas", "thetas", "energies", "u", "v"):
+        assert np.array_equal(getattr(t, key), getattr(s, key)), key
     assert t.zero_mode_occupied == s.zero_mode_occupied
     assert t.params == s.params
     assert t.n_sites == s.n_sites
@@ -273,30 +272,54 @@ def test_json_roundtrip_keeps_the_isotropic_mask():
     assert np.array_equal(t.occupation_mask, s.occupation_mask)
 
 
-def test_json_rejects_a_mask_of_the_wrong_length():
-    doc = json.loads(isotropic_ground_state(0.3, 12).to_json())
-    doc["occupation_mask"] = doc["occupation_mask"][:3]
-    with pytest.raises(GridMismatch):
-        GroundState.from_json(json.dumps(doc))
+_DOCS = {
+    "even": lambda: build_ground_state(P(0.7, 0.9, 1.6), 12),
+    "odd": lambda: build_ground_state(P(0.7, 0.9, 0.4), 12),
+    "isotropic": lambda: isotropic_ground_state(0.3, 12),
+}
 
 
-def test_json_rejects_a_non_boolean_mask():
-    doc = json.loads(isotropic_ground_state(0.3, 12).to_json())
-    doc["occupation_mask"][:5] = [1, 2, "x", None, 0]
-    with pytest.raises(ValueError, match="booleans"):
-        GroundState.from_json(json.dumps(doc))
-
-
-def test_json_rejects_modes_off_the_ring():
-    # one mode of a 12-site state would broadcast against the full state
-    doc = json.loads(build_ground_state(P(0.7, 0.9, 1.6), 12).to_json())
-    doc["modes"] = doc["modes"][:1]
-    with pytest.raises(GridMismatch):
-        GroundState.from_json(json.dumps(doc))
-
-
-def test_json_rejects_a_non_finite_amplitude():
-    doc = json.loads(build_ground_state(P(0.7, 0.9, 1.6), 12).to_json())
-    doc["modes"][2]["u"][0] = math.nan
-    with pytest.raises(ValueError, match="finite"):
-        GroundState.from_json(json.dumps(doc))
+@pytest.mark.parametrize(
+    "doc, path, edit, error",
+    [
+        ("isotropic", ("occupation_mask",), lambda m: m[:3], ValueError),
+        ("isotropic", ("occupation_mask",), lambda m: [1, 2, "x", None, 0] + m[5:], ValueError),
+        ("even", ("modes",), lambda m: m[:1], ValueError),
+        ("even", ("modes", 2, "u", 0), lambda x: math.nan, ValueError),
+        ("odd", ("zero_mode_occupied",), lambda flag: "no", ValueError),
+        ("even", ("modes", 2, "theta"), lambda x: math.nextafter(x, math.inf), ValueError),
+        ("even", ("modes", 2, "u", 1), lambda x: math.nextafter(x, math.inf), ValueError),
+        ("even", ("modes", 2, "energy"), lambda x: math.nextafter(x, math.inf), ValueError),
+        ("even", ("params", "gamma"), lambda g: 0.8, ValueError),
+        ("even", ("params", "lam"), lambda lam: 1.0, CriticalPoint),
+        ("isotropic", ("occupation_mask", 0), lambda b: not b, ValueError),
+        ("isotropic", ("params", "phi"), lambda phi: 0.5, ValueError),
+        ("isotropic", ("occupation_mask",), lambda m: [int(b) for b in m], ValueError),
+    ],
+    ids=[
+        "short-mask",
+        "non-boolean-mask",
+        "modes-off-the-ring",
+        "non-finite-amplitude",
+        "non-boolean-flag",
+        "edited-theta",
+        "edited-u",
+        "edited-energy",
+        "edited-gamma",
+        "critical-field",
+        "flipped-mask-entry",
+        "isotropic-phi",
+        "integer-mask",
+    ],
+)
+def test_json_rejects_a_document_no_constructor_writes(doc, path, edit, error):
+    # from_json rebuilds the state from the stored point and accepts only
+    # the exact document that state writes
+    d = json.loads(_DOCS[doc]().to_json())
+    *parents, last = path
+    target = d
+    for key in parents:
+        target = target[key]
+    target[last] = edit(target[last])
+    with pytest.raises(error):
+        GroundState.from_json(json.dumps(d))

@@ -200,6 +200,11 @@ def test_wilson_constant_loop():
     assert wilson_loop_berry_phase(pts, 16) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_wilson_empty_loop():
+    with pytest.raises(ValueError, match="empty loop"):
+        wilson_loop_berry_phase([], 16)
+
+
 def test_wilson_loop_across_the_field_has_a_zero_link():
     # lam = 0.9 and 1.1 are in different parity sectors, so their link is 0j
     loop = [P(0.1, 1.0, 0.9), P(0.1, 1.0, 1.1), P(0.2, 1.0, 1.1)]
