@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import model
+from . import model, oracle
 from .errors import (
     CriticalPoint,
     FiniteDifferenceUnstable,
@@ -216,8 +216,6 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     FiniteDifferenceUnstable
         If the step-halving check fails.
     """
-    from . import oracle
-
     n = oracle._resolve_ed_size(n_sites, oracle._QGT_MAX)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
@@ -274,8 +272,6 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     DegenerateGroundState
         When the finite-size gap closes below 1e-10.
     """
-    from . import oracle
-
     total = np.zeros((3, 3), dtype=complex)
     for term in oracle.qgt_matrix_elements(params, n_sites):
         total += term.matrix

@@ -122,14 +122,20 @@ class GroundState:
         BadSize, ValueError, CriticalPoint
             As the constructor raises them at the stored point.
         ValueError
-            If the document is not what the rebuilt state writes.
+            If the document is not what the rebuilt state writes, or lacks
+            or mistypes a field the rebuild reads.
         """
         d = json.loads(text)
-        p = d["params"]
-        if d["occupation_mask"] is None:
-            state = build_ground_state(ModelParams(p["phi"], p["gamma"], p["lam"]), p["n_sites"])
-        else:
-            state = isotropic_ground_state(p["lam"], p["n_sites"])
+        try:
+            p = d["params"]
+            if d["occupation_mask"] is None:
+                state = build_ground_state(
+                    ModelParams(p["phi"], p["gamma"], p["lam"]), p["n_sites"]
+                )
+            else:
+                state = isotropic_ground_state(p["lam"], p["n_sites"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"not a ground-state document: {exc!r}") from exc
         if state.to_json() != json.dumps(d):
             raise ValueError("the document is not the state its stored point builds")
         return state

@@ -9,7 +9,6 @@ momentum alpha and the three couplings, which is what this module provides.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,9 @@ class ModelParams:
     phi : float
         Rotation angle of the XY bond about z, in [0, pi).  The bond
         Hamiltonian is pi-periodic in phi, so the representative interval
-        is half a turn.  A subnormal angle is stored as 0.0: its phases
-        would put subnormal entries into dense Hamiltonians, which slow
-        LAPACK eigensolvers some 60-fold.
+        is half a turn.  phi is the U(1) gauge of the ground states: it
+        rephases them and changes no energy, so it is stored as given,
+        subnormal angles included.
     gamma : float
         XY anisotropy, finite and >= 0.
     lam : float
@@ -53,8 +52,6 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        if 0.0 < self.phi < sys.float_info.min:
-            object.__setattr__(self, "phi", 0.0)
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
         _check_coupling("gamma", self.gamma)

@@ -10,16 +10,17 @@ periodic momenta in the odd fermion parity sector, antiperiodic ones in
 the even sector.  An embedded product state is therefore an exact
 eigenvector of the spin chain.
 
-This is the only module that imports scipy at module level; the package
-imports it on first use of one of its names, so the closed-form paths
-(``scan-chern``, ``gap-map``, ``metric-scan``) never load scipy.
+scipy is imported only inside the functions that build the sparse parity
+blocks and solve them (``_spin_operators``, ``_ground_block``,
+``qgt_matrix_elements``), so the closed-form sector energies, the Fock-space
+embedding and Wilson loops run on numpy alone, as do the closed-form paths
+(``scan-chern``, ``gap-map``, ``metric-scan``).
 
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
 arithmetic.  Every bond flips two sites and so keeps a block's parity: the
-sparse bond sums are built in each block's own basis, and the full 2^N
-matrix of ``build_spin_hamiltonian`` is only the two blocks placed side by
-side.  The rotation phi enters the chain only as the diagonal gauge
+sparse bond sums are built in each block's own basis, and no 2^N matrix
+is ever built.  The rotation phi enters the chain only as the diagonal gauge
 H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)), so the real
 phi = 0 blocks are solved, the energies carry no phi dependence, and U is
 applied to the eigenvectors afterwards.
@@ -37,8 +38,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from . import model
 from .errors import DegenerateGroundState, SizeLimit, ZeroOverlap
@@ -48,7 +47,6 @@ from .model import ModelParams
 __all__ = [
     "SpinSpectrum",
     "SpectralTerm",
-    "build_spin_hamiltonian",
     "ed_ground",
     "free_fermion_parity_spectrum",
     "embed_ground_state",
@@ -79,8 +77,8 @@ class _Sector(NamedTuple):
 
     index: np.ndarray
     pop: np.ndarray
-    hop: sp.csr_matrix
-    pair: sp.csr_matrix
+    hop: object  # scipy.sparse CSR matrices
+    pair: object
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +88,11 @@ def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
     Each bond flips two sites, so it maps a block onto itself; the bond sums
     (hopping, and pair creation plus annihilation) are built in the block's
     own basis, the row of a flipped state found in the block's sorted index.
+    Bonds run j -> j+1 with site N identified with site 0; at N = 2 the two
+    ordered bonds join the same pair of sites, so that bond counts twice.
     """
+    import scipy.sparse as sp
+
     n = n_sites
     b = np.arange(1 << n, dtype=np.int64)
     pop = _popcounts(b, n)
@@ -112,14 +114,6 @@ def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
         )
         sectors.append(_Sector(index, pop[index], hop.tocsr(), pair.tocsr()))
     return tuple(sectors)
-
-
-def _gauge(h: np.ndarray, phi: float, pop: np.ndarray) -> np.ndarray:
-    """U h U^dag with U = diag(exp(-i phi popcount)); ``h`` itself at phi = 0."""
-    if phi == 0.0:
-        return h
-    u = np.exp(-1j * phi * pop)
-    return u[:, None] * h * u.conj()
 
 
 def _sector_blocks(gamma: float, lam: float, n_sites: int):
@@ -179,28 +173,6 @@ class SpinSpectrum:
         return min(self.even_sector_energy, self.odd_sector_energy)
 
 
-def build_spin_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
-    """Dense 2^N Hamiltonian of the rotated chain on a periodic ring.
-
-    Bonds run j -> j+1 with site N identified with site 0; at N = 2 the
-    two ordered bonds join the same pair of sites, so that bond is counted
-    twice.  Real symmetric output when phi = 0, complex Hermitian
-    otherwise.
-
-    Raises
-    ------
-    BadSize
-        If ``n_sites`` is not an integer.
-    SizeLimit
-        Unless 2 <= N <= 12.
-    """
-    n = _resolve_ed_size(n_sites, _ED_MAX)
-    h = np.zeros((1 << n,) * 2, dtype=float if params.phi == 0.0 else complex)
-    for sector, block in _sector_blocks(params.gamma, params.lam, n):
-        h[np.ix_(sector.index, sector.index)] = _gauge(block, params.phi, sector.pop)
-    return h
-
-
 def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     """Exact parity-sector ground energies and ground vector.
 
@@ -228,6 +200,8 @@ def _ground_block(gamma: float, lam: float, n_sites: int):
 
     The one ground-block rule: even unless the odd level is strictly lower.
     """
+    import scipy.linalg
+
     blocks = _sector_blocks(gamma, lam, n_sites)
     pairs = [scipy.linalg.eigh(h, subset_by_index=[0, 0]) for _, h in blocks]
     lowest = [(float(w[0]), v[:, 0]) for w, v in pairs]
@@ -402,6 +376,8 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
         lower of the ground block's second level and the other block's
         lowest.
     """
+    import scipy.linalg
+
     n = _resolve_ed_size(n_sites, _QGT_MAX)
     blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
     sector, h = blocks[k]

@@ -1,0 +1,58 @@
+"""The spin chain assembled from Pauli operators, independently of the oracle.
+
+H(phi) = hop + gamma pair(phi) + lam field on the periodic ring, bonds
+j -> j+1 with site N identified with site 0 (at N = 2 the two ordered bonds
+join the same sites, so that bond counts twice).  Basis (up, down) per
+site; a down spin is a set bit and site 0 is the most significant bit, so
+Kronecker products run over sites in order.  The phi-free bond sums are
+built once per ring size.
+"""
+
+from functools import lru_cache, reduce
+
+import numpy as np
+
+RAISE = np.array([[0.0, 1.0], [0.0, 0.0]])
+LOWER = RAISE.T
+SZ = np.diag([1.0, -1.0])
+
+
+def _sites(ops, n):
+    """Kronecker product over the ring; ``ops`` maps a site to its operator."""
+    return reduce(np.kron, [ops.get(k, np.eye(2)) for k in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _bond_sums(n):
+    """Read-only real hopping, pair-creation and field sums of the n-site ring."""
+    dim = 1 << n
+    hop, create, field = (np.zeros((dim, dim)) for _ in range(3))
+    for j in range(n):
+        j2 = (j + 1) % n
+        bond_hop = _sites({j: RAISE, j2: LOWER}, n)
+        hop += -0.5 * (bond_hop + bond_hop.T)
+        create += -0.5 * _sites({j: RAISE, j2: RAISE}, n)
+        field += -0.5 * _sites({j: SZ}, n)
+    for part in (hop, create, field):
+        part.setflags(write=False)
+    return hop, create, field
+
+
+def pauli_parts(phi, n):
+    """Hopping, pair, field and d(pair)/dphi sums; H = hop + gamma pair + lam field."""
+    hop, create, field = _bond_sums(n)
+    turn = np.exp(2j * phi)
+    pair = turn * create + turn.conjugate() * create.T
+    d_pair = 2j * (turn * create - turn.conjugate() * create.T)
+    return hop, pair, field, d_pair
+
+
+def pauli_hamiltonian(phi, gamma, lam, n):
+    hop, pair, field, _ = pauli_parts(phi, n)
+    return hop + gamma * pair + lam * field
+
+
+def gauge(phi, n):
+    """Diagonal of U = diag(exp(-i phi popcount)), with H(phi) = U H(0) U^dag."""
+    pop = np.array([bin(b).count("1") for b in range(1 << n)])
+    return np.exp(-1j * phi * pop)

@@ -237,6 +237,7 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
         ("gap-map", "--gamma-min", -1),
         ("gap-map", "--lambda-min", -1),
         ("oracle-verify", "--seed", -1),
+        ("gap-map", "--gamma-min", -1, "--lambda-min", -0.5),
     ],
 )
 def test_library_input_checks_exit_2(cli, args):
@@ -244,6 +245,10 @@ def test_library_input_checks_exit_2(cli, args):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "error:" in res.stderr
+    if args[0] == "gap-map":
+        # model.gap's own sign check on the first row, gamma before lam
+        name = "gamma" if "--gamma-min" in args else "lam"
+        assert res.stderr.splitlines() == [f"error: {name} must be >= 0, got -1.0"]
 
 
 @pytest.mark.parametrize(
@@ -261,9 +266,10 @@ def test_non_finite_arguments_exit_2(cli, args):
 
 
 def test_closed_form_paths_load_no_scipy(tmp_path):
-    # scipy belongs to the ED oracle alone: neither the import, the three
-    # closed-form subcommands nor the curvature density may load it, and the
-    # oracle still loads on use
+    # scipy belongs to the ED oracle's solvers alone: neither the import, the
+    # three closed-form subcommands, the curvature density, Wilson loops, the
+    # closed-form sector energies nor the Fock-space embedding may load it,
+    # and an exact-diagonalization solve still loads it
     runs = [
         ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
          "--grid", "16x16", "--n-sites", "256"],
@@ -287,6 +293,13 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
             print(scipy_loaded())
         artifact.berry_curvature_density(0.5, 0.5)
         print(scipy_loaded())
+        p = artifact.ModelParams(0.3, 1.0, 1.5)
+        artifact.wilson_loop_berry_phase([p, artifact.ModelParams(0.6, 1.0, 1.5)], 16)
+        artifact.free_fermion_parity_spectrum(p, 8)
+        artifact.embed_ground_state(artifact.build_ground_state(p, 8))
+        print(scipy_loaded())
+        artifact.ed_ground(p, 4)
+        print(scipy_loaded())
         print(artifact.ed_ground is artifact.oracle.ed_ground)
         print(artifact.cli.main({verify!r} + ["--out", r"{tmp_path}/verify.txt"]))
     """)
@@ -294,7 +307,7 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"] * 6 + ["True", "0"]
+    assert res.stdout.split() == ["False"] * 7 + ["True", "True", "0"]
 
 
 @pytest.mark.parametrize(

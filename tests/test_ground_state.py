@@ -13,7 +13,6 @@ from artifact import (
     ModelParams,
     bogoliubov_angle,
     build_ground_state,
-    build_spin_hamiltonian,
     dispersion,
     ed_ground,
     embed_ground_state,
@@ -23,6 +22,7 @@ from artifact import (
     overlap,
 )
 from artifact.ground_state import _pair_block
+from pauli import pauli_hamiltonian
 
 P = ModelParams
 
@@ -35,7 +35,7 @@ def _sector_energy(p, n):
 
 def _assert_chain_eigenstate(p, n, v):
     """<v|H|v> is the sector energy E and ||Hv - Ev|| <= 1e-9 on the spin chain."""
-    h = build_spin_hamiltonian(p, n)
+    h = pauli_hamiltonian(p.phi, p.gamma, p.lam, n)
     energy = _sector_energy(p, n)
     assert np.vdot(v, h @ v).real == pytest.approx(energy, abs=1e-10)
     assert np.linalg.norm(h @ v - energy * v) <= 1e-9
@@ -295,6 +295,13 @@ _DOCS = {
         ("isotropic", ("occupation_mask", 0), lambda b: not b, ValueError),
         ("isotropic", ("params", "phi"), lambda phi: 0.5, ValueError),
         ("isotropic", ("occupation_mask",), lambda m: [int(b) for b in m], ValueError),
+        ("even", (), lambda d: {}, (ValueError, KeyError)),
+        ("even", (), lambda d: [], (ValueError, TypeError)),
+        ("even", (), lambda d: None, (ValueError, TypeError)),
+        ("odd", (), lambda d: {k: v for k, v in d.items() if k != "occupation_mask"},
+         (ValueError, KeyError)),
+        ("even", ("params", "phi"), lambda phi: str(phi), (ValueError, TypeError)),
+        ("even", ("params", "phi"), lambda phi: 10**400, (ValueError, OverflowError)),
     ],
     ids=[
         "short-mask",
@@ -310,16 +317,29 @@ _DOCS = {
         "flipped-mask-entry",
         "isotropic-phi",
         "integer-mask",
+        "empty-object",
+        "array",
+        "null",
+        "no-mask-field",
+        "string-phi",
+        "huge-integer-phi",
     ],
 )
 def test_json_rejects_a_document_no_constructor_writes(doc, path, edit, error):
     # from_json rebuilds the state from the stored point and accepts only
-    # the exact document that state writes
+    # the exact document that state writes.  An empty path edits the whole
+    # document; an (error, cause) pair is a malformed document, whose
+    # ValueError is chained to the lookup or type error behind it
+    error, cause = error if isinstance(error, tuple) else (error, type(None))
     d = json.loads(_DOCS[doc]().to_json())
-    *parents, last = path
-    target = d
-    for key in parents:
-        target = target[key]
-    target[last] = edit(target[last])
-    with pytest.raises(error):
+    if path:
+        *parents, last = path
+        target = d
+        for key in parents:
+            target = target[key]
+        target[last] = edit(target[last])
+    else:
+        d = edit(d)
+    with pytest.raises(error) as raised:
         GroundState.from_json(json.dumps(d))
+    assert isinstance(raised.value.__cause__, cause)

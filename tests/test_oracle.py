@@ -10,7 +10,6 @@ from artifact import (
     SizeLimit,
     ZeroOverlap,
     build_ground_state,
-    build_spin_hamiltonian,
     chern_discrete,
     dispersion,
     ed_ground,
@@ -24,27 +23,23 @@ from artifact import (
 )
 from artifact import model
 from artifact.ground_state import _pair_grid
+from pauli import pauli_hamiltonian
 
 P = ModelParams
 
 
 def test_two_site_hand_spectrum():
-    h = build_spin_hamiltonian(P(0.0, 0.0, 0.0), 2)
+    # at N = 2 both ordered bonds join the same two sites, so the bond counts twice
+    h = pauli_hamiltonian(0.0, 0.0, 0.0, 2)
     assert np.allclose(np.linalg.eigvalsh(h), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_hamiltonian_hermitian():
-    rng = np.random.default_rng(21)
-    h = build_spin_hamiltonian(P(0.7, 0.8, 0.5), 6)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-14
-    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    v /= np.linalg.norm(v)
-    assert abs(np.vdot(v, h @ v).imag) < 1e-12
+    sp = ed_ground(P(0.0, 0.0, 0.0), 2)
+    assert sp.even_sector_energy == pytest.approx(0.0, abs=1e-12)
+    assert sp.odd_sector_energy == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_phi_independent_spectrum():
-    e0 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.0, 0.8, 0.6), 8))
-    e7 = np.linalg.eigvalsh(build_spin_hamiltonian(P(0.7, 0.8, 0.6), 8))
+    e0 = np.linalg.eigvalsh(pauli_hamiltonian(0.0, 0.8, 0.6, 8))
+    e7 = np.linalg.eigvalsh(pauli_hamiltonian(0.7, 0.8, 0.6, 8))
     assert np.max(np.abs(e0 - e7)) < 1e-10
 
 
@@ -131,8 +126,6 @@ def test_ed_size_limit():
         (lambda: qgt_finite_diff(P(0.3, 1.0, 1.5), 6.5), BadSize),
         (lambda: qgt_matrix_elements(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
         (lambda: qgt_matrix_elements(P(0.3, 1.0, 1.5), 6.5), BadSize),
-        (lambda: build_spin_hamiltonian(P(0.3, 1.0, 1.5), n_sites=None), BadSize),
-        (lambda: build_spin_hamiltonian(P(0.3, 1.0, 1.5), 6.5), BadSize),
     ],
     ids=[
         "ed-float",
@@ -151,8 +144,6 @@ def test_ed_size_limit():
         "qgt-finite-diff",
         "matrix-elements-no-size",
         "matrix-elements",
-        "hamiltonian-no-size",
-        "hamiltonian",
     ],
 )
 def test_non_integer_sizes_rejected(call, error):
