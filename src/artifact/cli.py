@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import geometry, model, oracle, topology
-from .errors import ArtifactError, BadSize, CriticalPoint, SizeLimit, StencilCrossesCritical
+from .errors import ArtifactError, BadSize, CriticalPoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -302,7 +302,7 @@ def _run_oracle_verify(args) -> int:
         params = model.ModelParams(phi, gamma, lam)
         try:
             fd = geometry.qgt_finite_diff(params, 6).matrix
-        except StencilCrossesCritical:
+        except CriticalPoint:
             continue  # the two parity levels cross inside the stencil: draw again
         dev = float(np.max(np.abs(geometry.qgt_spectral(params, 6).matrix - fd)))
         worst_qgt = max(worst_qgt, dev)
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, BadSize, SizeLimit) as exc:
+    except (ValueError, BadSize) as exc:
         # a bad axis, a library input check or an unwritable --out; rows are
         # gathered before output is opened, so none is written
         print(f"error: {exc}", file=sys.stderr)

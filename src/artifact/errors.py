@@ -1,23 +1,16 @@
 """Exception types raised across the package.
 
-Every error carries a human-readable message; callers that need to branch
-on failure mode should catch the specific class, not the common base.
+Each class is one remedy open to the caller; the message names the check
+that fired and its margin, so one class serves several checks.
 """
 
 __all__ = [
     "ArtifactError",
     "BadSize",
-    "GaplessMode",
     "CriticalPoint",
-    "GridMismatch",
-    "StencilCrossesCritical",
     "FiniteDifferenceUnstable",
-    "DegenerateGroundState",
-    "TooCloseToCritical",
-    "GaplessOnGrid",
     "VortexOnPlaquette",
     "NoJumpFound",
-    "SizeLimit",
     "ZeroOverlap",
 ]
 
@@ -27,26 +20,21 @@ class ArtifactError(Exception):
 
 
 class BadSize(ArtifactError):
-    """Chain length is unusable (odd, too small, or too large)."""
+    """Use another ring size.
 
-
-class GaplessMode(ArtifactError):
-    """Both rotation arguments of the pairing angle vanish at this momentum."""
+    This one is no integer, odd, too small or too large for the route, or
+    differs from the other state's.
+    """
 
 
 class CriticalPoint(ArtifactError):
-    """Requested parameters sit on (or numerically at) the phase boundary."""
+    """Move the couplings: the computation is too close to where the spectrum closes.
 
-
-class GridMismatch(ArtifactError):
-    """Two states live on different momentum grids."""
-
-
-class StencilCrossesCritical(ArtifactError):
-    """A finite-difference stencil touches the gapless set or a level crossing.
-
-    Either a stencil point lands on the gapless set, or the two parity
-    sectors of an exact-diagonalization ring swap order inside the stencil.
+    The message states the margin: an exactly gapless momentum, a gap
+    below 1e-12, a sampled mode below 1e-9, the 1e-3 strip around the
+    critical field, a stencil that touches the gapless set or straddles a
+    crossing of the parity sectors, a finite-ring gap below 1e-10, or a gap
+    too small for a sum to converge.
     """
 
 
@@ -54,29 +42,13 @@ class FiniteDifferenceUnstable(ArtifactError):
     """Half-step Richardson check of a finite-difference tensor failed."""
 
 
-class DegenerateGroundState(ArtifactError):
-    """Spectral sums are ill-defined: lowest two levels coincide."""
-
-
-class TooCloseToCritical(ArtifactError):
-    """A topological index was requested inside the excluded strip."""
-
-
-class GaplessOnGrid(ArtifactError):
-    """A discretization node sits too close to a band touching."""
-
-
 class VortexOnPlaquette(ArtifactError):
-    """A lattice plaquette carries a phase of magnitude pi or larger."""
+    """Refine the grid: a plaquette phase reaches pi or a link modulus collapses."""
 
 
 class NoJumpFound(ArtifactError):
-    """Bisection endpoints carry the same integer label."""
-
-
-class SizeLimit(ArtifactError):
-    """Exact diagonalization was requested beyond the supported size."""
+    """Choose other endpoints: both carry the same integer label."""
 
 
 class ZeroOverlap(ArtifactError):
-    """Two consecutive loop states are numerically orthogonal."""
+    """Refine the loop: two consecutive loop states are numerically orthogonal."""

@@ -21,12 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model, oracle
-from .errors import (
-    CriticalPoint,
-    FiniteDifferenceUnstable,
-    GaplessMode,
-    StencilCrossesCritical,
-)
+from .errors import CriticalPoint, FiniteDifferenceUnstable
 from .ground_state import _pair_grid, _sector_pairs
 # Not called here; bench/tracer.py probes these names on this module.
 from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
@@ -91,12 +86,12 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
 
     Raises
     ------
-    GaplessMode
-        If the mode energy vanishes.
+    CriticalPoint
+        If the mode energy is below 1e-12.
     """
     pairing = model._Pairing(alpha, params.gamma, params.lam)
     if pairing.r2 < 1e-24:
-        raise GaplessMode(f"mode at alpha={alpha} is gapless")
+        raise CriticalPoint(f"mode at alpha={alpha} is gapless")
     return 1j * float(pairing.sin_theta * pairing.d_gamma)
 
 
@@ -205,14 +200,10 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     Raises
     ------
     BadSize
-        If ``n_sites`` is not an integer.
-    SizeLimit
-        Unless 2 <= N <= 10.
+        Unless ``n_sites`` is an integer with 2 <= N <= 10.
     CriticalPoint
-        If the center point is gapless.
-    StencilCrossesCritical
-        If any stencil point has gap below 1e-10, or the two parity
-        sectors swap order inside the stencil.
+        If the center point is gapless, any stencil point has gap below
+        1e-10, or the two parity sectors swap order inside the stencil.
     FiniteDifferenceUnstable
         If the step-halving check fails.
     """
@@ -221,7 +212,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     phi, gamma, lam = params.phi, params.gamma, params.lam
     model._check_gapped(gamma, lam)
     if _stencil_gap_floor(gamma, lam, h) < 1e-10:
-        raise StencilCrossesCritical(
+        raise CriticalPoint(
             f"stencil around gamma={gamma}, lam={lam} touches the critical set"
         )
 
@@ -246,7 +237,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
 
     g_h, g_half = tensor(h), tensor(0.5 * h)
     if len(even_lower) > 1:
-        raise StencilCrossesCritical(
+        raise CriticalPoint(
             f"the parity sectors of the {n}-site ring cross inside the stencil "
             f"around gamma={gamma}, lam={lam}"
         )
@@ -266,10 +257,8 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     Raises
     ------
     BadSize
-        If ``n_sites`` is not an integer.
-    SizeLimit
-        Unless 2 <= N <= 10.
-    DegenerateGroundState
+        Unless ``n_sites`` is an integer with 2 <= N <= 10.
+    CriticalPoint
         When the finite-size gap closes below 1e-10.
     """
     total = np.zeros((3, 3), dtype=complex)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .errors import GridMismatch
+from .errors import BadSize
 from .model import ModelParams
 
 __all__ = [
@@ -151,6 +151,19 @@ def _pair_grid(n_sites: int, odd: bool) -> np.ndarray:
     if odd:
         return 2.0 * np.pi * np.arange(1, n_sites // 2) / n_sites
     return (2.0 * np.arange(n_sites // 2) + 1.0) * np.pi / n_sites
+
+
+def _sector_energy(n_sites: int, gamma: float, lam: float, odd: bool) -> float:
+    """Closed-form lowest level of one parity sector of the N-site ring.
+
+    -N lam / 2 + sum of (a - energy) over the sector's pair momenta; the odd
+    sector also occupies the unpaired alpha = 0 level at cost lam - 1.  No
+    other single excitation is cheaper: every pair energy is at least
+    |lam - cos(alpha)| >= lam - 1, and alpha = pi costs lam + 1.
+    """
+    pairing = model._Pairing(_pair_grid(n_sites, odd), gamma, lam)
+    energy = -0.5 * n_sites * lam + float(np.sum(pairing.a - pairing.energy))
+    return energy + (lam - 1.0) if odd else energy
 
 
 def _sector_pairs(n_sites: int, gamma: float, lam: float):
@@ -283,11 +296,11 @@ def overlap(a: GroundState, b: GroundState) -> complex:
 
     Raises
     ------
-    GridMismatch
+    BadSize
         If the states live on rings of different length.
     """
     if a.n_sites != b.n_sites:
-        raise GridMismatch(f"n_sites {a.n_sites} != {b.n_sites}")
+        raise BadSize(f"n_sites {a.n_sites} != {b.n_sites}")
     if a.zero_mode_occupied != b.zero_mode_occupied:
         return 0j
     return _overlap_arrays(a.u, a.v, b.u, b.v)

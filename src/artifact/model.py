@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSize, CriticalPoint, GaplessMode
+from .errors import BadSize, CriticalPoint
 
 __all__ = [
     "ModelParams",
@@ -50,18 +50,30 @@ class ModelParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        _check_finite("phi", self.phi)
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
         _check_coupling("gamma", self.gamma)
         _check_coupling("lam", self.lam)
 
 
+def _check_finite(name: str, value: float) -> None:
+    """ValueError unless ``name`` is a finite real number.
+
+    A value that is no number, or an integer too large for a float, raises
+    ValueError chained to the TypeError or OverflowError behind it.
+    """
+    try:
+        if math.isfinite(value):
+            return
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}") from exc
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_coupling(name: str, value: float) -> None:
     """ValueError unless the coupling ``name`` (gamma or lam) is finite and >= 0."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite(name, value)
     _check_sign(name, value)
 
 
@@ -151,13 +163,13 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
 
     Raises
     ------
-    GaplessMode
+    CriticalPoint
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
     pairing = _Pairing(alpha, gamma, lam)
     if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
-        raise GaplessMode(
+        raise CriticalPoint(
             f"pairing angle undefined at a gapless momentum (gamma={gamma}, lam={lam})"
         )
     return pairing.theta

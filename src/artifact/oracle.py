@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import DegenerateGroundState, SizeLimit, ZeroOverlap
-from .ground_state import GroundState, _pair_grid, build_ground_state, overlap
+from .errors import BadSize, CriticalPoint, ZeroOverlap
+from .ground_state import GroundState, _sector_energy, build_ground_state, overlap
 from .model import ModelParams
 
 __all__ = [
@@ -61,7 +61,7 @@ _QGT_MAX = 10
 def _resolve_ed_size(n_sites: int, limit: int) -> int:
     model._check_integer(n_sites)
     if not 2 <= n_sites <= limit:
-        raise SizeLimit(f"n_sites must be in [2, {limit}], got {n_sites}")
+        raise BadSize(f"n_sites must be in [2, {limit}], got {n_sites}")
     return n_sites
 
 
@@ -187,9 +187,7 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     Raises
     ------
     BadSize
-        If ``n_sites`` is not an integer.
-    SizeLimit
-        Unless 2 <= N <= 12.
+        Unless ``n_sites`` is an integer with 2 <= N <= 12.
     """
     n = _resolve_ed_size(n_sites, _ED_MAX)
     return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
@@ -220,17 +218,12 @@ def _ed_vector(
 def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpectrum:
     """Closed-form parity-sector ground energies of the exact ring.
 
-    Keeps the boundary bond exactly.  The even sector fills pairs on the
-    antiperiodic momenta alpha = (2m+1) pi / N.  The odd sector uses the
-    periodic momenta 2 pi m / N and must place one unpaired excitation,
-    the cheaper of occupying alpha = 0 (lam - 1) and breaking the cheapest
-    pair; occupying alpha = pi (lam + 1), or both unpaired levels and
-    breaking a pair (2 lam plus that pair), never costs less for lam >= 0.
-    Below the field (lam < 1) occupying alpha = 0 is the cheapest, so
-    ``odd_sector_energy`` is then the energy of the odd-sector product
-    state of ``build_ground_state``; at lam >= 1 that state is in the even
-    sector and has ``even_sector_energy``.  The energies depend only on
-    (gamma, lam), hold at any ring size, and come with no ground vector.
+    Keeps the boundary bond exactly (``ground_state._sector_energy``).
+    Below the field (lam < 1) ``odd_sector_energy`` is the energy of the
+    odd-sector product state of ``build_ground_state``; at lam >= 1 that
+    state is in the even sector and has ``even_sector_energy``.  The
+    energies depend only on (gamma, lam), hold at any ring size, and come
+    with no ground vector.
 
     Raises
     ------
@@ -238,17 +231,8 @@ def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpect
         Unless N is an even integer >= 4.
     """
     model._check_size(n_sites)
-    g, lam = params.gamma, params.lam
-
-    even = model._Pairing(_pair_grid(n_sites, False), g, lam)
-    e_even = -0.5 * n_sites * lam + float(np.sum(even.a - even.energy))
-
-    pairs = model._Pairing(_pair_grid(n_sites, True), g, lam)
-    disp_pairs = pairs.energy
-    base = -0.5 * n_sites * lam + float(np.sum(pairs.a - disp_pairs))
-    cheapest_pair = float(np.min(disp_pairs))
-    corr = min(lam - 1.0, cheapest_pair)
-    return SpinSpectrum(n_sites, e_even, base + corr, None)
+    energies = [_sector_energy(n_sites, params.gamma, params.lam, odd) for odd in (False, True)]
+    return SpinSpectrum(n_sites, *energies, None)
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +271,7 @@ def embed_ground_state(state: GroundState) -> np.ndarray:
 
     Raises
     ------
-    SizeLimit
+    BadSize
         If the ring is larger than 12 sites.
     """
     n = _resolve_ed_size(state.n_sites, _ED_MAX)
@@ -368,10 +352,8 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     Raises
     ------
     BadSize
-        If ``n_sites`` is not an integer.
-    SizeLimit
-        Unless 2 <= N <= 10.
-    DegenerateGroundState
+        Unless ``n_sites`` is an integer with 2 <= N <= 10.
+    CriticalPoint
         When the finite-size gap E_1 - E_0 is below 1e-10, E_1 being the
         lower of the ground block's second level and the other block's
         lowest.
@@ -384,7 +366,7 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     w, vectors = scipy.linalg.eigh(h)
     e1 = min(w[1], lowest[1 - k][0])
     if e1 - w[0] < 1e-10:
-        raise DegenerateGroundState(f"E1 - E0 = {e1 - w[0]:.3e}")
+        raise CriticalPoint(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]
     gaps = w[1:] - w[0]
     pop = vectors[:, 1:].T @ (sector.pop * v0)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import (
-    BadSize,
-    GaplessOnGrid,
-    NoJumpFound,
-    TooCloseToCritical,
-    VortexOnPlaquette,
-)
+from .errors import BadSize, CriticalPoint, NoJumpFound, VortexOnPlaquette
 from .ground_state import _pair_block
 
 __all__ = [
@@ -43,8 +37,6 @@ __all__ = [
     "classify_phase",
     "detect_transition",
 ]
-
-_CRITICAL_STRIP = 1e-3
 
 
 class PhaseLabel(str, enum.Enum):
@@ -149,12 +141,12 @@ def chern_number(lam: float) -> ChernResult:
     ------
     ValueError
         If lam is negative or not finite.
-    TooCloseToCritical
+    CriticalPoint
         If |lam - 1| <= 1e-3.
     """
     model._check_coupling("lam", lam)
-    if abs(lam - 1.0) <= _CRITICAL_STRIP:
-        raise TooCloseToCritical(f"lam={lam} is within 1e-3 of the critical field")
+    if abs(lam - 1.0) <= 1e-3:
+        raise CriticalPoint(f"lam={lam} is within 1e-3 of the critical field")
     theta = _pole_thetas(lam)
     value = float(theta[1] - theta[0]) / math.pi
     return ChernResult(value=value, method=ChernMethod.WINDING, node_count=2)
@@ -226,7 +218,7 @@ def chern_discrete(
         If lam is negative or not finite, or a grid side is below 16.
     BadSize
         Unless N is even with N >= 256.
-    GaplessOnGrid
+    CriticalPoint
         If a sampled mode is closer than 1e-9 to gapless.
     VortexOnPlaquette
         If a cell phase reaches pi or a link modulus collapses, making
@@ -242,7 +234,7 @@ def chern_discrete(
     alphas = 2.0 * np.pi * ks / n
     pairing = model._Pairing(alphas, 1.0, lam)
     if np.any(pairing.energy < 1e-9):
-        raise GaplessOnGrid(f"sampled mode energy below 1e-9 at lam={lam}")
+        raise CriticalPoint(f"sampled mode energy below 1e-9 at lam={lam}")
     u, v = _pair_block(pairing.theta, np.array([[0.0], [math.pi / n_phi]]))
     theta_0, theta_pi = _pole_thetas(lam)
     strip, worst, min_link = _total_flux(
@@ -273,18 +265,17 @@ def classify_phase(lam: float) -> PhasePoint:
     ValueError
         For negative or non-finite lam, or if the snapped integer is not -1 or 0.
     """
-    model._check_coupling("lam", lam)
-    gap_one = model.gap(1.0, lam)
-    if abs(lam - 1.0) <= _CRITICAL_STRIP:
-        return PhasePoint(lam, None, gap_one, PhaseLabel.BOUNDARY)
-    result = chern_number(lam)
+    try:
+        result = chern_number(lam)
+    except CriticalPoint:
+        return PhasePoint(lam, None, model.gap(1.0, lam), PhaseLabel.BOUNDARY)
     if result.nearest_integer == -1:
         label = PhaseLabel.CHERN_MINUS_ONE
     elif result.nearest_integer == 0:
         label = PhaseLabel.CHERN_ZERO
     else:
         raise ValueError(f"unexpected invariant {result.nearest_integer} at lam={lam}")
-    return PhasePoint(lam, result, gap_one, label)
+    return PhasePoint(lam, result, model.gap(1.0, lam), label)
 
 
 def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[float, float]:
@@ -296,7 +287,7 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
 
     Raises
     ------
-    TooCloseToCritical
+    CriticalPoint
         If either endpoint lies in the excluded strip around the critical
         field (endpoints must classify as definite phases).
     NoJumpFound
@@ -309,7 +300,7 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     lo_point = classify_phase(lambda_lo)
     hi_point = classify_phase(lambda_hi)
     if PhaseLabel.BOUNDARY in (lo_point.label, hi_point.label):
-        raise TooCloseToCritical("endpoints must lie outside the critical strip")
+        raise CriticalPoint("endpoints must lie outside the critical strip")
     if lo_point.label == hi_point.label:
         raise NoJumpFound(
             f"both endpoints classify as {lo_point.label.value}; nothing to bracket"

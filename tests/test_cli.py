@@ -382,8 +382,9 @@ def test_oracle_verify_redraws_across_a_parity_crossing(cli, args):
 
 
 def test_oracle_verify_size_limit(cli):
-    # the library's size checks decide: SizeLimit above 12 sites, BadSize
-    # for the odd and the too-small ring of the closed-form energies
+    # the library's size checks decide: BadSize above 12 sites for exact
+    # diagonalization, and for the odd and the too-small ring of the
+    # closed-form energies
     for n in (14, 7, 2):
         res = cli("oracle-verify", "--n-sites", n, "--samples", 1)
         assert res.returncode == 2, n

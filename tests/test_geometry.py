@@ -10,10 +10,7 @@ from scipy.integrate import quad
 from artifact import (
     BadSize,
     CriticalPoint,
-    GaplessMode,
     ModelParams,
-    SizeLimit,
-    StencilCrossesCritical,
     berry_curvature_density,
     berry_curvature_mode,
     bogoliubov_angle,
@@ -61,7 +58,7 @@ def test_mode_matches_finite_difference():
 
 
 def test_mode_gapless():
-    with pytest.raises(GaplessMode):
+    with pytest.raises(CriticalPoint, match="is gapless"):
         berry_curvature_mode(0.0, P(0.0, 0.7, 1.0))
 
 
@@ -205,11 +202,11 @@ def test_qgt_exact_values():
 
 
 def test_qgt_critical_guards():
-    with pytest.raises(CriticalPoint):
+    with pytest.raises(CriticalPoint, match="gapless couplings"):
         qgt_finite_diff(P(0.0, 0.7, 1.0), 6)
-    with pytest.raises(StencilCrossesCritical):
+    with pytest.raises(CriticalPoint, match="stencil around"):
         qgt_finite_diff(P(0.0, 5e-11, 0.5), 6)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(BadSize, match=r"must be in \[2, 10\]"):
         qgt_finite_diff(P(0.0, 0.5, 0.5), 12)
 
 
@@ -218,7 +215,7 @@ def test_qgt_finite_diff_stencil_across_a_parity_crossing():
     # sector levels swap order inside the 2e-4 stencil, so the ED ground
     # vector jumps between orthogonal sectors
     p = P(1.0313884634358206, 0.5389645705735325, 0.6325752805066802)
-    with pytest.raises(StencilCrossesCritical, match="parity sectors"):
+    with pytest.raises(CriticalPoint, match="parity sectors"):
         qgt_finite_diff(p, 6)
 
 

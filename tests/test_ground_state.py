@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artifact import (
+    BadSize,
     CriticalPoint,
-    GridMismatch,
     GroundState,
     ModelParams,
     bogoliubov_angle,
@@ -177,7 +177,7 @@ def test_overlap_cross_sector():
 def test_overlap_grid_mismatch():
     a = build_ground_state(P(0.0, 0.8, 1.5), 8)
     b = build_ground_state(P(0.0, 0.8, 1.5), 16)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(BadSize, match="n_sites 8 != 16"):
         overlap(a, b)
 
 

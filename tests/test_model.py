@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from artifact import (
     BadSize,
-    GaplessMode,
+    CriticalPoint,
     GeometricTensor,
     ModelParams,
     berry_curvature_density,
@@ -44,7 +44,7 @@ def test_bogoliubov_angle_values():
 
 
 def test_bogoliubov_angle_gapless():
-    with pytest.raises(GaplessMode):
+    with pytest.raises(CriticalPoint, match="gapless momentum"):
         bogoliubov_angle(0.0, 0.7, 1.0)
 
 
@@ -146,21 +146,31 @@ def test_params_are_the_tensor_coords():
 
 @pytest.mark.parametrize(
     "gamma, lam",
-    [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5), (0.5, -0.5)],
+    [
+        (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5),
+        (0.5, -0.5), pytest.param(10**400, 0.5, id="huge-int-0.5"), (0.5, None),
+    ],
 )
 @pytest.mark.parametrize("call", [berry_curvature_density], ids=["density"])
 def test_couplings_must_be_finite_and_non_negative(call, gamma, lam):
-    with pytest.raises(ValueError, match="must be finite|must be >= 0"):
+    with pytest.raises(ValueError, match="must be (a )?finite|must be >= 0"):
         call(gamma, lam)
 
 
 @pytest.mark.parametrize(
     "couplings",
-    [(0.0, math.nan, 0.5), (0.0, 0.5, math.nan), (0.0, math.inf, 0.5), (0.0, 0.5, math.inf)],
+    [
+        (0.0, math.nan, 0.5), (0.0, 0.5, math.nan), (0.0, math.inf, 0.5), (0.0, 0.5, math.inf),
+        (10**400, 1.0, 0.5), (0.1, 10**400, 0.5), ("0.1", 1.0, 0.5), (0.1, 1.0, None),
+    ],
 )
 def test_params_reject_non_finite(couplings):
-    with pytest.raises(ValueError, match="finite"):
+    # a value that is no float (too large, a string, None) is a ValueError
+    # chained to the OverflowError or TypeError behind it
+    with pytest.raises(ValueError, match="finite") as raised:
         ModelParams(*couplings)
+    chained = isinstance(raised.value.__cause__, (OverflowError, TypeError))
+    assert chained == any(not isinstance(c, float) for c in couplings)
 
 
 @settings(max_examples=200)

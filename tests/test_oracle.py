@@ -5,9 +5,8 @@ from scipy.integrate import quad
 
 from artifact import (
     BadSize,
-    DegenerateGroundState,
+    CriticalPoint,
     ModelParams,
-    SizeLimit,
     ZeroOverlap,
     build_ground_state,
     chern_discrete,
@@ -99,9 +98,9 @@ def test_free_fermion_bad_size():
 
 
 def test_ed_size_limit():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(BadSize, match=r"must be in \[2, 12\]"):
         ed_ground(P(0.0, 0.5, 0.5), 14)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(BadSize, match=r"must be in \[2, 12\]"):
         embed_ground_state(build_ground_state(P(0.0, 0.5, 0.5), 14))
     with pytest.raises(BadSize):
         ed_ground(P(0.0, 0.5, 0.5), n_sites=None)
@@ -311,6 +310,6 @@ def test_spectral_terms_are_pair_tensors_of_ground_sector(phi, gamma, lam, n):
 
 
 def test_spectral_terms_degenerate_ground():
-    with pytest.raises(DegenerateGroundState):
+    with pytest.raises(CriticalPoint, match="E1 - E0"):
         qgt_matrix_elements(P(0.0, 1.0, 0.0), 6)
 

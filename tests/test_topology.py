@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from artifact import (
     BadSize,
     ChernMethod,
+    CriticalPoint,
     NoJumpFound,
     PhaseLabel,
-    TooCloseToCritical,
     chern_discrete,
     chern_number,
     classify_phase,
@@ -54,7 +54,7 @@ def test_quadrature_trivial_side():
 
 
 def test_quadrature_critical_strip():
-    with pytest.raises(TooCloseToCritical):
+    with pytest.raises(CriticalPoint, match="within 1e-3"):
         chern_number(1.0005)
 
 
@@ -226,10 +226,12 @@ def test_classify_phase():
 
 
 @pytest.mark.parametrize("fn", [chern_number, chern_discrete, classify_phase])
-@pytest.mark.parametrize("lam", [math.nan, math.inf])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, pytest.param(10**400, id="huge-int"), "0.5"])
 def test_non_finite_field_rejected(fn, lam):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite") as raised:
         fn(lam)
+    chained = isinstance(raised.value.__cause__, (OverflowError, TypeError))
+    assert chained == (not isinstance(lam, float))
 
 
 def test_detect_transition_brackets_critical_field():
@@ -247,7 +249,7 @@ def test_detect_transition_no_jump():
 
 
 def test_detect_transition_endpoint_guard():
-    with pytest.raises(TooCloseToCritical):
+    with pytest.raises(CriticalPoint, match="endpoints"):
         detect_transition(0.9995, 1.5, 1e-3)
 
 
