@@ -1,4 +1,4 @@
-"""Dense small-ring engines used as ground truth.
+"""Small-ring exact engines used as ground truth.
 
 Exact diagonalization of the rotated chain, parity-resolved free-fermion
 spectra, Fock-space embedding of the product ground states, discrete Wilson
@@ -10,17 +10,20 @@ periodic momenta in the odd fermion parity sector, antiperiodic ones in
 the even sector.  An embedded product state is therefore an exact
 eigenvector of the spin chain.
 
-scipy is imported only inside the functions that build the sparse parity
-blocks and solve them (``_spin_operators``, ``_ground_block``,
+scipy is imported only inside the functions that make the sparse parity
+blocks and solve them (``_csr``, ``_ground_block``,
 ``qgt_matrix_elements``), so the closed-form sector energies, the Fock-space
 embedding and Wilson loops run on numpy alone, as do the closed-form paths
 (``scan-chern``, ``gap-map``, ``metric-scan``).
 
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
-arithmetic.  Every bond flips two sites and so keeps a block's parity: the
-sparse bond sums are built in each block's own basis, and no 2^N matrix
-is ever built.  The rotation phi enters the chain only as the diagonal gauge
+arithmetic.  Every bond flips two sites and so keeps a block's parity: each
+block's sparsity pattern is built once per ring size in the block's own
+basis, with one coefficient array per coupling, and no 2^N matrix is ever
+built.  A block's lowest level is found by dense ``eigh`` below
+``_LANCZOS_MIN`` states and by seeded Lanczos (ARPACK ``eigsh``) from
+there on.  The rotation phi enters the chain only as the diagonal gauge
 H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)), so the real
 phi = 0 blocks are solved, the energies carry no phi dependence, and U is
 applied to the eigenvectors afterwards.
@@ -56,13 +59,17 @@ __all__ = [
 
 _ED_MAX = 12
 _QGT_MAX = 10
+# blocks at least this wide have their lowest level found by Lanczos from a
+# seeded start vector; narrower ones are solved dense, where ARPACK's
+# overhead outweighs the solve (and a 2-wide block is too small for it)
+_LANCZOS_MIN = 256
 
 
 def _resolve_ed_size(n_sites: int, limit: int) -> int:
     model._check_integer(n_sites)
     if not 2 <= n_sites <= limit:
         raise BadSize(f"n_sites must be in [2, {limit}], got {n_sites}")
-    return n_sites
+    return int(n_sites)
 
 
 def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
@@ -73,26 +80,33 @@ def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 class _Sector(NamedTuple):
-    """One parity block at phi = 0: its basis states and sparse bond sums."""
+    """One parity block at phi = 0: its basis states and its CSR pattern.
+
+    ``hop``, ``pair`` and ``field`` are aligned with the pattern's entries;
+    the block at (gamma, lam) has entries hop + gamma pair + lam field.
+    """
 
     index: np.ndarray
     pop: np.ndarray
-    hop: object  # scipy.sparse CSR matrices
-    pair: object
+    indptr: np.ndarray
+    indices: np.ndarray
+    hop: np.ndarray
+    pair: np.ndarray
+    field: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
-    """The even and odd parity blocks with their sparse bond sums.
+    """The even and odd parity blocks as one sparsity pattern each.
 
-    Each bond flips two sites, so it maps a block onto itself; the bond sums
-    (hopping, and pair creation plus annihilation) are built in the block's
+    The one statement of the chain: -(hop + gamma pair)/2 - lam (N - 2P)/2.
+    Each bond flips two sites, so it maps a block onto itself; its entries
+    (hopping, or pair creation plus annihilation) are placed in the block's
     own basis, the row of a flipped state found in the block's sorted index.
     Bonds run j -> j+1 with site N identified with site 0; at N = 2 the two
-    ordered bonds join the same pair of sites, so that bond counts twice.
+    ordered bonds join the same pair of sites, so that bond counts twice:
+    entries that share a place are summed per coupling, never merged.
     """
-    import scipy.sparse as sp
-
     n = n_sites
     b = np.arange(1 << n, dtype=np.int64)
     pop = _popcounts(b, n)
@@ -100,33 +114,44 @@ def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
     for parity in (0, 1):
         index = b[pop % 2 == parity]
         dim = index.size
-        rows, alike = [], []
+        cols = np.arange(dim)
+        # the diagonal first, then every bond's flip of every basis state
+        rows, alike = [cols], []
         for j in range(n):
             mj, mj2 = 1 << (n - 1 - j), 1 << (n - 1 - (j + 1) % n)
             rows.append(np.searchsorted(index, index ^ (mj | mj2)))
             alike.append(((index & mj) != 0) == ((index & mj2) != 0))
-        rows, alike = np.concatenate(rows), np.concatenate(alike)
-        cols = np.tile(np.arange(dim), n)
-        # a bond on two alike sites creates or annihilates a pair, else it hops
-        hop, pair = (
-            sp.coo_matrix((np.ones(sel.sum()), (rows[sel], cols[sel])), shape=(dim, dim))
-            for sel in (~alike, alike)
+        keys, slot = np.unique(
+            np.concatenate(rows) * dim + np.tile(cols, n + 1), return_inverse=True
         )
-        sectors.append(_Sector(index, pop[index], hop.tocsr(), pair.tocsr()))
+        # each entry's hop, pair and field coefficient; a bond on two alike
+        # sites creates or annihilates a pair, else it hops
+        alike = np.concatenate(alike)
+        coef = np.zeros((3, slot.size))
+        coef[0, dim:], coef[1, dim:] = -0.5 * ~alike, -0.5 * alike
+        coef[2, :dim] = -0.5 * (n - 2.0 * pop[index])
+        hop, pair, field = (np.bincount(slot, c, keys.size) for c in coef)
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // dim, minlength=dim), out=indptr[1:])
+        indices = (keys % dim).astype(np.int32)
+        sectors.append(_Sector(index, pop[index], indptr, indices, hop, pair, field))
     return tuple(sectors)
 
 
-def _sector_blocks(gamma: float, lam: float, n_sites: int):
-    """Dense real phi = 0 blocks, paired with their sectors (even first).
+def _csr(sector: _Sector, data: np.ndarray):
+    """A scipy CSR matrix on ``sector``'s pattern with entries ``data``."""
+    import scipy.sparse
 
-    The one statement of the chain: -(hop + gamma pair)/2 - lam (N - 2P)/2.
-    """
-    blocks = []
-    for sector in _spin_operators(n_sites):
-        h = (-0.5 * (sector.hop + gamma * sector.pair)).toarray()
-        np.fill_diagonal(h, -0.5 * lam * (n_sites - 2.0 * sector.pop))
-        blocks.append((sector, h))
-    return blocks
+    dim = sector.index.size
+    return scipy.sparse.csr_matrix((data, sector.indices, sector.indptr), shape=(dim, dim))
+
+
+def _sector_blocks(gamma: float, lam: float, n_sites: int):
+    """Sparse real phi = 0 blocks, paired with their sectors (even first)."""
+    return [
+        (sector, _csr(sector, sector.hop + gamma * sector.pair + lam * sector.field))
+        for sector in _spin_operators(n_sites)
+    ]
 
 
 def _rotated_vector(
@@ -179,7 +204,10 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     The chain conserves the number parity of down spins, so the 2^N matrix
     splits into two real blocks of 2^(N-1); the lowest eigenpair of each is
     found (two solves in all) and the lower one gives the ground vector.
-    The rotation enters only as the diagonal gauge H(phi) = U H(0) U^dag,
+    Blocks below 256 states (N <= 8) are solved dense; wider ones by
+    Lanczos (``scipy.sparse.linalg.eigsh`` to machine precision) from a
+    fixed seeded start vector, so reruns return identical bits.  The
+    rotation enters only as the diagonal gauge H(phi) = U H(0) U^dag,
     U = diag(exp(-i phi popcount)): the real phi = 0 blocks are
     diagonalized, so the energies do not depend on phi, and U is applied
     to the ground vector.
@@ -197,12 +225,23 @@ def _ground_block(gamma: float, lam: float, n_sites: int):
     """Each parity block, its lowest (energy, vector), and the ground block's index.
 
     The one ground-block rule: even unless the odd level is strictly lower.
+    A random start vector, unlike a symmetric one such as all ones, has a
+    component on every eigenvector, so Lanczos is confined to no symmetry
+    subspace; it is seeded, so the solve is the same on every call.
     """
     import scipy.linalg
+    import scipy.sparse.linalg
 
     blocks = _sector_blocks(gamma, lam, n_sites)
-    pairs = [scipy.linalg.eigh(h, subset_by_index=[0, 0]) for _, h in blocks]
-    lowest = [(float(w[0]), v[:, 0]) for w, v in pairs]
+    lowest = []
+    for sector, h in blocks:
+        dim = sector.index.size
+        if dim < _LANCZOS_MIN:
+            w, v = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0])
+        else:
+            start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+            w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", tol=0, v0=start)
+        lowest.append((float(w[0]), v[:, 0]))
     return blocks, lowest, 0 if lowest[0][0] <= lowest[1][0] else 1
 
 
@@ -363,14 +402,14 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     n = _resolve_ed_size(n_sites, _QGT_MAX)
     blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
     sector, h = blocks[k]
-    w, vectors = scipy.linalg.eigh(h)
+    w, vectors = scipy.linalg.eigh(h.toarray())
     e1 = min(w[1], lowest[1 - k][0])
     if e1 - w[0] < 1e-10:
         raise CriticalPoint(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]
     gaps = w[1:] - w[0]
     pop = vectors[:, 1:].T @ (sector.pop * v0)
-    pair = vectors[:, 1:].T @ (-0.5 * (sector.pair @ v0))
+    pair = vectors[:, 1:].T @ (_csr(sector, sector.pair) @ v0)
     amps = np.stack([1j * gaps * pop, pair, pop])
     return [
         SpectralTerm(float(gap), np.outer(np.conj(c), c) / gap**2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.integrate import quad
 
 from artifact import (
@@ -164,6 +165,61 @@ def test_ed_ground_solves_each_parity_block_once(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh))
     ed_ground(P(0.4, 0.7, 0.9), 8)
     assert dims == [128, 128]
+
+
+def test_ed_ground_solves_wide_blocks_by_lanczos(monkeypatch):
+    dense, sparse = [], []
+
+    def counting(solver, dims):
+        def solve(a, *args, **kwargs):
+            dims.append(a.shape[0])
+            return solver(a, *args, **kwargs)
+
+        return solve
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh, dense))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh, dense))
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", counting(scipy.sparse.linalg.eigsh, sparse)
+    )
+    ed_ground(P(0.4, 0.7, 0.9), 12)
+    assert sparse == [2048, 2048]
+    assert dense == []
+
+
+def _pauli_parity_blocks(gamma, lam, n):
+    h = pauli_hamiltonian(0.0, gamma, lam, n)
+    odd = np.array([bin(b).count("1") % 2 for b in range(1 << n)], dtype=bool)
+    return [h[np.ix_(sel, sel)] for sel in (~odd, odd)]
+
+
+_rng = np.random.default_rng(11)
+_WIDE_DRAWS = [
+    (_rng.uniform(0.0, np.pi), _rng.uniform(0.2, 1.5), _rng.uniform(*side))
+    for side in [(0.1, 0.9)] * 3 + [(1.1, 2.5)] * 3
+]
+
+
+@pytest.mark.parametrize(
+    "phi, gamma, lam", _WIDE_DRAWS, ids=[f"lam={lam:.3f}" for *_, lam in _WIDE_DRAWS]
+)
+def test_lanczos_sectors_match_dense_blocks(phi, gamma, lam):
+    # N = 10 blocks are 512 wide, so both sectors are solved by Lanczos
+    p = P(phi, gamma, lam)
+    sp = ed_ground(p, 10)
+    even, odd = (float(scipy.linalg.eigvalsh(h)[0]) for h in _pauli_parity_blocks(gamma, lam, 10))
+    assert abs(sp.even_sector_energy - even) <= 1e-12
+    assert abs(sp.odd_sector_energy - odd) <= 1e-12
+    v = sp.ground_vector
+    h = pauli_hamiltonian(phi, gamma, lam, 10)
+    assert np.linalg.norm(h @ v - sp.ground_energy * v) <= 1e-9
+    # the start vector is seeded, so a second solve returns the same bits
+    assert np.array_equal(ed_ground(p, 10).ground_vector, v)
+
+
+@pytest.mark.parametrize("n", [np.uint8(4), np.int64(10)], ids=["uint8", "int64"])
+def test_ed_size_is_a_python_int(n):
+    assert type(ed_ground(P(0.4, 0.7, 0.9), n).n_sites) is int
 
 
 @pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4)])

@@ -10,6 +10,7 @@ diagonalization at phi.
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -40,11 +41,22 @@ def test_hamiltonian_is_gauge_rotation(n, phi, gamma, lam):
     blocks = np.zeros(h_zero.shape)
     for sector, block in oracle._sector_blocks(gamma, lam, n):
         assert np.isrealobj(block)
-        blocks[np.ix_(sector.index, sector.index)] = block
+        blocks[np.ix_(sector.index, sector.index)] = block.toarray()
     assert np.max(np.abs(blocks - h_zero)) <= 1e-12
     u = gauge(phi, n)
     h_phi = pauli_hamiltonian(phi, gamma, lam, n)
     assert np.max(np.abs(h_phi - u[:, None] * h_zero * u.conj())) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_cached_blocks_are_the_pauli_blocks(n):
+    # at N = 2 both ordered bonds join the same two sites, so each of their
+    # entries counts twice; N = 10 has blocks wide enough for Lanczos
+    gamma, lam = 0.7, 1.3
+    h_zero = pauli_hamiltonian(0.0, gamma, lam, n)
+    for sector, block in oracle._sector_blocks(gamma, lam, n):
+        rows = np.ix_(sector.index, sector.index)
+        assert np.max(np.abs(block.toarray() - h_zero[rows])) <= 1e-12
 
 
 @PROPERTY
