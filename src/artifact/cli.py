@@ -84,27 +84,58 @@ def _resolve_format(args) -> str:
     return "csv"
 
 
+def _renderer(args):
+    """The run's one cell renderer: JSON values for JSON, CSV strings for CSV."""
+    return _jnum if _resolve_format(args) == "json" else _fmt
+
+
+def _rendered(args, fieldnames, rows):
+    """Dict rows as tuples of rendered cells in field order; a missing key renders as None."""
+    render = _renderer(args)
+    return [tuple(render(row.get(name)) for name in fieldnames) for row in rows]
+
+
+def _open_out(args, mode: str):
+    try:
+        return open(args.out, mode, newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+
+
+def _check_out(args) -> None:
+    """Fail before the first row when ``--out`` cannot be opened for writing.
+
+    Opens for append, so a missing file is created empty and an existing
+    one keeps its bytes until ``_emit`` rewrites it.
+    """
+    if args.out:
+        _open_out(args, "a").close()
+
+
 @contextlib.contextmanager
 def _output(args):
     """The one destination of rendered output: ``--out`` when given, else stdout.
 
-    Yields a stream rather than taking a finished string, so a large CSV
-    is written row by row and never held in memory whole.  A file that
-    cannot be opened is a usage error (ValueError).
+    Yields a stream rather than taking a finished string, so CSV rows that
+    arrive rendered go straight to the writer and the text is never held
+    in memory whole.  A file that cannot be opened is a usage error
+    (ValueError); the runs call ``_check_out`` before their first row, so
+    that error comes before the work.
     """
     if args.out:
-        try:
-            handle = open(args.out, "w", newline="")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-        with handle:
+        with _open_out(args, "w") as handle:
             yield handle
     else:
         yield sys.stdout
 
 
 def _emit(args, fieldnames, rows, summary) -> None:
-    """Write the rows as CSV, or as JSON with the parsed command line as ``config``."""
+    """Write the rows as CSV, or as JSON with the parsed command line as ``config``.
+
+    ``rows`` is an iterable of tuples in ``fieldnames`` order whose cells the
+    run's ``_renderer`` has already rendered, so each cell is rendered once.
+    The destination is complete and closed when this returns.
+    """
     with _output(args) as stream:
         if _resolve_format(args) == "json":
             config = {
@@ -114,17 +145,14 @@ def _emit(args, fieldnames, rows, summary) -> None:
             }
             doc = {
                 "config": config,
-                "rows": [
-                    {key: _jnum(row.get(key)) for key in fieldnames} for row in rows
-                ],
+                "rows": [dict(zip(fieldnames, row)) for row in rows],
                 "summary": summary,
             }
             stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         else:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+            writer.writerows(rows)
 
 
 def _chern_row(task):
@@ -154,6 +182,7 @@ def _chern_row(task):
 def _run_scan_chern(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     topology._check_grid(args.grid, args.n_sites)
+    _check_out(args)
     results = _map_rows(_chern_row, [(float(l), args.grid, args.n_sites) for l in lams])
     rows = [row for row in results if row is not None]
     skipped = [float(l) for l, row in zip(lams, results) if row is None]
@@ -165,7 +194,7 @@ def _run_scan_chern(args) -> int:
         "skipped_critical": [_jnum(l) for l in skipped],
         "failed": [_jnum(row["lambda"]) for row in failed],
     }
-    _emit(args, fieldnames, rows, summary)
+    _emit(args, fieldnames, _rendered(args, fieldnames, rows), summary)
     print(
         f"scan-chern: {len(lams)} points requested, {len(rows)} rows written, "
         f"{len(skipped)} skipped in critical strip"
@@ -180,20 +209,26 @@ def _run_scan_chern(args) -> int:
 
 def _gap_row(task):
     gamma, lam = task
-    return {"gamma": gamma, "lambda": lam, "gap": model.gap(gamma, lam)}
+    return model.gap(gamma, lam)
 
 
 def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
-    gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes")
-    lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes")
-    tasks = [(float(g), float(l)) for g in gammas for l in lams]
-    rows = _map_rows(_gap_row, tasks)
-    zero_rows = sum(1 for row in rows if row["gap"] == 0.0)
-    summary = {"rows_written": len(rows), "exact_zero_rows": zero_rows}
+    gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes").tolist()
+    lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes").tolist()
+    _check_out(args)
+    gaps = _map_rows(_gap_row, [(g, l) for g in gammas for l in lams])
+    zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
+    summary = {"rows_written": len(gaps), "exact_zero_rows": zero_rows}
+    # render each value itself, with no cache keyed on values: -0.0 and 0.0
+    # are equal keys but render as "-0" and "0"
+    render = _renderer(args)
+    g_cells = [render(g) for g in gammas]
+    l_cells = [render(l) for l in lams]
+    rows = zip([g for g in g_cells for _ in l_cells], l_cells * len(g_cells), map(render, gaps))
     _emit(args, ["gamma", "lambda", "gap"], rows, summary)
     print(
-        f"gap-map: {len(rows)} rows written, {zero_rows} exactly gapless",
+        f"gap-map: {len(gaps)} rows written, {zero_rows} exactly gapless",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -221,6 +256,7 @@ def _metric_row(task):
 def _run_metric_scan(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     model._check_size(args.n_sites)
+    _check_out(args)
     rows = _map_rows(_metric_row, [(float(l), args.gamma, args.n_sites) for l in lams])
     ok = [row for row in rows if row["status"] == "ok"]
     skipped = [row for row in rows if row["status"] == "skipped"]
@@ -244,7 +280,7 @@ def _run_metric_scan(args) -> int:
         "failed": [_jnum(row["lambda"]) for row in failed],
         "g_lambda_lambda_monotone": monotone,
     }
-    _emit(args, fieldnames, rows, summary)
+    _emit(args, fieldnames, _rendered(args, fieldnames, rows), summary)
     print(
         f"metric-scan: {len(rows)} rows, {len(ok)} ok, {len(skipped)} skipped at "
         f"critical field, {len(failed)} failed; "
@@ -266,6 +302,7 @@ def _run_oracle_verify(args) -> int:
     n = args.n_sites
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    _check_out(args)
     rng = np.random.default_rng(args.seed)
     lines = [
         "oracle-verify report",
@@ -408,8 +445,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (ValueError, BadSize) as exc:
-        # a bad axis, a library input check or an unwritable --out; rows are
-        # gathered before output is opened, so none is written
+        # a bad axis, a library input check or an unwritable --out; each is
+        # raised before any row is written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

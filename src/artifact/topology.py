@@ -287,12 +287,15 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
 
     Raises
     ------
+    ValueError
+        If tol is not a finite positive number, or lambda_lo >= lambda_hi.
     CriticalPoint
         If either endpoint lies in the excluded strip around the critical
         field (endpoints must classify as definite phases).
     NoJumpFound
         If both endpoints carry the same label.
     """
+    model._check_finite("tol", tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if lambda_lo >= lambda_hi:

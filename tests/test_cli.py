@@ -6,11 +6,12 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import VortexOnPlaquette, cli as artifact_cli, topology
+from artifact import VortexOnPlaquette, cli as artifact_cli, model, oracle, topology
 
 
 def _load(path):
@@ -176,6 +177,74 @@ def test_gap_map_grid(cli, tmp_path):
     assert by_point[(0.5, 0.5)] > 0.0
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["linspace", "signed-zero"])
+def test_gap_map_bytes_match_an_independent_rendering(monkeypatch, signed):
+    # np.linspace turns a -0.0 start into 0.0, so the CLI's own axes never
+    # hold -0.0; the signed-zero case keeps the start's sign, and then -0.0
+    # and 0.0, equal as keys, must still render as -0 and 0
+    argv = ["gap-map", "--gamma-min", "-0.0", "--lambda-min", "-0.0", "--grid", "7x9"]
+    gammas, lams = np.linspace(-0.0, 2.0, 7), np.linspace(-0.0, 2.0, 9)
+    if signed:
+        real_axis = artifact_cli._axis
+
+        def signed_axis(lo, hi, steps, *names):
+            values = real_axis(lo, hi, steps, *names)
+            values[0] = lo
+            return values
+
+        monkeypatch.setattr(artifact_cli, "_axis", signed_axis)
+        gammas[0] = lams[0] = -0.0
+    cells = [(g, l, model.gap(g, l)) for g in gammas.tolist() for l in lams.tolist()]
+    expected = "".join(
+        ["gamma,lambda,gap\n"] + [f"{g:.12g},{l:.12g},{v:.12g}\n" for g, l, v in cells]
+    )
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out.decode() == expected
+    zero = "-0" if signed else "0"
+    assert f"{zero},{zero},{zero}" in expected.splitlines()
+    assert f"{zero},1,0" in expected.splitlines()
+
+    code, out = _stdout_of(argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"] == {"rows_written": 63, "exact_zero_rows": 11}
+    got = [tuple(row[key] for key in ("gamma", "lambda", "gap")) for row in doc["rows"]]
+    want = [tuple(float(f"{v:.12g}") for v in cell) for cell in cells]
+    assert got == want
+    assert [math.copysign(1.0, v) for row in got for v in row] == [
+        math.copysign(1.0, v) for row in want for v in row
+    ]
+
+
+def test_rendered_rows_keep_empty_cells():
+    # a skipped metric-scan row has no components: empty CSV cells, JSON nulls
+    argv = ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
+            "--steps", "3", "--n-sites", "64"]
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out.decode().splitlines()[2] == "1,,,,,skipped"
+    code, out = _stdout_of(argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][1] == {
+        "lambda": 1.0, "g_lambda_lambda": None, "g_gamma_gamma": None, "g_phi_phi": None,
+        "minus_two_im_g_phi_gamma": None, "status": "skipped",
+    }
+    # scan-chern leaves the critical-strip row out and lists it instead
+    argv = ["scan-chern", "--lambda-min", "0.5", "--lambda-max", "1.5", "--steps", "3",
+            "--grid", "16x16", "--n-sites", "256"]
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.decode().splitlines()] == [
+        "lambda", "0.5", "1.5"
+    ]
+    code, out = _stdout_of(argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [row["lambda"] for row in doc["rows"]] == [0.5, 1.5]
+    assert doc["summary"]["skipped_critical"] == [1.0]
+
+
 def test_metric_scan_monotone_and_skip(cli, tmp_path):
     out = tmp_path / "metric.json"
     res = cli(
@@ -328,6 +397,42 @@ def test_unwritable_out_exits_2(cli, tmp_path, args, target):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def _no_rows(*args):
+    raise AssertionError("a row was computed before --out was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-verify", "--n-sites", "12", "--samples", "5"],
+        ["gap-map", "--grid", "301x301"],
+        ["scan-chern", "--lambda-min", "0.2", "--lambda-max", "0.6", "--steps", "3"],
+        ["metric-scan", "--gamma", "1", "--lambda-min", "0.2", "--lambda-max", "0.6",
+         "--steps", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_fails_before_any_row(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.setattr(oracle, "ed_ground", _no_rows)
+    monkeypatch.setattr(artifact_cli, "_map_rows", _no_rows)
+    out = tmp_path / "no" / "such.out"
+    assert artifact_cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {str(out)!r}") and err.count("\n") == 1
+
+
+def test_out_on_a_failed_run(tmp_path):
+    # a bad axis stops before --out is touched; a run that fails after the
+    # check leaves an existing file as it was
+    missing = tmp_path / "missing.csv"
+    assert artifact_cli.main(["gap-map", "--grid", "1x3", "--out", str(missing)]) == 2
+    assert not missing.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier\n")
+    assert artifact_cli.main(["gap-map", "--gamma-min", "-1", "--out", str(kept)]) == 2
+    assert kept.read_bytes() == b"earlier\n"
 
 
 def test_oracle_verify_report(cli, tmp_path):

@@ -256,5 +256,9 @@ def test_detect_transition_endpoint_guard():
 def test_detect_transition_validation():
     with pytest.raises(ValueError):
         detect_transition(0.5, 1.5, 0.0)
+    # an infinite tol would return the input bracket unsearched
+    for tol in (math.inf, math.nan, 10**400, "1e-3"):
+        with pytest.raises(ValueError, match="tol must be"):
+            detect_transition(0.5, 1.5, tol)
     with pytest.raises(ValueError):
         detect_transition(1.5, 0.5, 1e-3)
