@@ -2,9 +2,10 @@
 
 A thin shell over the library: scan-chern's labels are ``classify_phase``'s,
 and every input the library can judge is judged by its own checks, once,
-before any row.  Exit codes: 0 success, 1 oracle check breach, 2 bad usage
-or configuration (``main`` alone prints the ``error:`` line), 3 runtime
-failure on one or more scan rows (partial output is kept).
+before ``--out`` is touched and before any row.  Exit codes: 0 success,
+1 oracle check breach, 2 bad usage or configuration (``main`` alone prints
+the ``error:`` line), 3 runtime failure on one or more scan-chern rows
+(partial output is kept).
 """
 
 from __future__ import annotations
@@ -182,6 +183,7 @@ def _chern_row(task):
 def _run_scan_chern(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     topology._check_grid(args.grid, args.n_sites)
+    model._check_coupling("lam", args.lambda_min)
     _check_out(args)
     results = _map_rows(_chern_row, [(float(l), args.grid, args.n_sites) for l in lams])
     rows = [row for row in results if row is not None]
@@ -216,6 +218,8 @@ def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
     gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes").tolist()
     lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes").tolist()
+    model._check_sign("gamma", args.gamma_min)
+    model._check_sign("lam", args.lambda_min)
     _check_out(args)
     gaps = _map_rows(_gap_row, [(g, l) for g in gammas for l in lams])
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
@@ -240,8 +244,6 @@ def _metric_row(task):
         tensor = geometry.qgt_product(model.ModelParams(0.0, gamma, lam), n_sites)
     except CriticalPoint as exc:
         return {"lambda": lam, "status": "skipped", "error": str(exc)}
-    except ArtifactError as exc:
-        return {"lambda": lam, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
     metric = tensor.real_metric
     return {
         "lambda": lam,
@@ -256,11 +258,12 @@ def _metric_row(task):
 def _run_metric_scan(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     model._check_size(args.n_sites)
+    model._check_coupling("gamma", args.gamma)
+    model._check_coupling("lam", args.lambda_min)
     _check_out(args)
     rows = _map_rows(_metric_row, [(float(l), args.gamma, args.n_sites) for l in lams])
     ok = [row for row in rows if row["status"] == "ok"]
     skipped = [row for row in rows if row["status"] == "skipped"]
-    failed = [row for row in rows if row["status"] == "failed"]
     monotone = None
     if len(ok) >= 2:
         vals = [row["g_lambda_lambda"] for row in ok]
@@ -277,18 +280,16 @@ def _run_metric_scan(args) -> int:
         "rows_written": len(rows),
         "ok": len(ok),
         "skipped_critical": [_jnum(row["lambda"]) for row in skipped],
-        "failed": [_jnum(row["lambda"]) for row in failed],
         "g_lambda_lambda_monotone": monotone,
     }
     _emit(args, fieldnames, _rendered(args, fieldnames, rows), summary)
     print(
         f"metric-scan: {len(rows)} rows, {len(ok)} ok, {len(skipped)} skipped at "
-        f"critical field, {len(failed)} failed; "
-        f"g_lambda_lambda strictly increasing: "
+        f"critical field; g_lambda_lambda strictly increasing: "
         + ("n/a" if monotone is None else ("yes" if monotone else "no")),
         file=sys.stderr,
     )
-    return EXIT_RUNTIME if failed else EXIT_OK
+    return EXIT_OK
 
 
 def _verdict(lines, label: str, worst: float, tol: float) -> bool:
@@ -299,11 +300,13 @@ def _verdict(lines, label: str, worst: float, tol: float) -> bool:
 
 
 def _run_oracle_verify(args) -> int:
-    n = args.n_sites
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    _check_out(args)
     rng = np.random.default_rng(args.seed)
+    # the [energy] family's size checks, in the order its first sample meets them
+    n = oracle._resolve_ed_size(args.n_sites, oracle._ED_MAX)
+    model._check_size(n)
+    _check_out(args)
     lines = [
         "oracle-verify report",
         f"seed: {args.seed}",

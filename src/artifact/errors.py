@@ -8,7 +8,6 @@ __all__ = [
     "ArtifactError",
     "BadSize",
     "CriticalPoint",
-    "FiniteDifferenceUnstable",
     "VortexOnPlaquette",
     "NoJumpFound",
     "ZeroOverlap",
@@ -33,13 +32,10 @@ class CriticalPoint(ArtifactError):
     The message states the margin: an exactly gapless momentum, a gap
     below 1e-12, a sampled mode below 1e-9, the 1e-3 strip around the
     critical field, a stencil that touches the gapless set or straddles a
-    crossing of the parity sectors, a finite-ring gap below 1e-10, or a gap
-    too small for a sum to converge.
+    crossing of the parity sectors, a finite-ring gap below 1e-10, a gap
+    too small for a sum to converge, or finite differences at a step and
+    at half of it that disagree.
     """
-
-
-class FiniteDifferenceUnstable(ArtifactError):
-    """Half-step Richardson check of a finite-difference tensor failed."""
 
 
 class VortexOnPlaquette(ArtifactError):

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model, oracle
-from .errors import CriticalPoint, FiniteDifferenceUnstable
+from .errors import CriticalPoint
 from .ground_state import _pair_grid, _sector_pairs
 # Not called here; bench/tracer.py probes these names on this module.
 from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
@@ -203,9 +203,9 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
         Unless ``n_sites`` is an integer with 2 <= N <= 10.
     CriticalPoint
         If the center point is gapless, any stencil point has gap below
-        1e-10, or the two parity sectors swap order inside the stencil.
-    FiniteDifferenceUnstable
-        If the step-halving check fails.
+        1e-10, the two parity sectors swap order inside the stencil, or the
+        estimates at the step and at half of it disagree by more than 1e-6
+        of their scale.
     """
     n = oracle._resolve_ed_size(n_sites, oracle._QGT_MAX)
     h = _ED_STEP
@@ -244,7 +244,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     scale = max(1.0, float(np.max(np.abs(g_half))))
     drift = float(np.max(np.abs(g_h - g_half)))
     if drift > 1e-6 * scale:
-        raise FiniteDifferenceUnstable(
+        raise CriticalPoint(
             f"step {h:.1e} and {0.5 * h:.1e} disagree by {drift:.3e} "
             f"(scale {scale:.3e})"
         )

@@ -258,23 +258,19 @@ def classify_phase(lam: float) -> PhasePoint:
 
     Inside the excluded strip |lam - 1| <= 1e-3 no invariant is computed
     and the label is Boundary with ``chern`` set to None; elsewhere the
-    pairing-angle winding snaps to -1 or 0.
+    pairing-angle winding snaps to -1 or 0, and to nothing else: theta(0)
+    is 0 or pi and theta(pi) lies in (0, 1.3e-16].
 
     Raises
     ------
     ValueError
-        For negative or non-finite lam, or if the snapped integer is not -1 or 0.
+        For negative or non-finite lam.
     """
     try:
         result = chern_number(lam)
     except CriticalPoint:
         return PhasePoint(lam, None, model.gap(1.0, lam), PhaseLabel.BOUNDARY)
-    if result.nearest_integer == -1:
-        label = PhaseLabel.CHERN_MINUS_ONE
-    elif result.nearest_integer == 0:
-        label = PhaseLabel.CHERN_ZERO
-    else:
-        raise ValueError(f"unexpected invariant {result.nearest_integer} at lam={lam}")
+    label = {-1: PhaseLabel.CHERN_MINUS_ONE, 0: PhaseLabel.CHERN_ZERO}[result.nearest_integer]
     return PhasePoint(lam, result, model.gap(1.0, lam), label)
 
 

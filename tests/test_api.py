@@ -1,6 +1,7 @@
 """The package's public names are exactly its modules' public names."""
 
 import ast
+import builtins
 import inspect
 import subprocess
 import sys
@@ -27,9 +28,9 @@ def test_package_exports_the_module_exports():
     assert len(artifact.__all__) == len(set(artifact.__all__))
     assert set(artifact.__all__) == union
     # growth of the public API is a deliberate edit of this count
-    assert len(artifact.__all__) == 37
+    assert len(artifact.__all__) == 36
     # growth of the error classes is a deliberate edit of this count
-    assert len(errors.__all__) == 7
+    assert len(errors.__all__) == 6
 
 
 def test_every_error_class_is_raised():
@@ -40,6 +41,47 @@ def test_every_error_class_is_raised():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 raised.add(ast.unparse(node.exc.func).rsplit(".", 1)[-1])
     assert set(errors.__all__) - {"ArtifactError"} <= raised
+
+
+def _raised_in_docstrings():
+    # the class names listed under "Raises" in the docstrings of the public
+    # names and of the public attributes of the public classes
+    docs = []
+    for name in artifact.__all__:
+        obj = getattr(artifact, name)
+        docs.append(obj.__doc__)
+        if isinstance(obj, type):
+            docs += [
+                getattr(obj, attr).__doc__ for attr in vars(obj) if not attr.startswith("_")
+            ]
+    named = set()
+    for doc in filter(None, docs):
+        lines = inspect.cleandoc(doc).splitlines() + [""]
+        for i, line in enumerate(lines[:-1]):
+            if line != "Raises" or set(lines[i + 1]) != {"-"}:
+                continue
+            for entry, under in zip(lines[i + 2:], lines[i + 3:]):
+                if set(under) == {"-"}:
+                    break
+                if entry and not entry[0].isspace():
+                    named.update(part.strip() for part in entry.split(","))
+    return named
+
+
+def test_docstrings_raise_only_the_error_classes():
+    # a folded or renamed class cannot survive in a docstring, and every
+    # class has a documented raise site
+    named = _raised_in_docstrings()
+    unknown = {
+        name
+        for name in named - set(errors.__all__)
+        if not (
+            isinstance(getattr(builtins, name, None), type)
+            and issubclass(getattr(builtins, name), BaseException)
+        )
+    }
+    assert not unknown
+    assert set(errors.__all__) - {"ArtifactError"} <= named
 
 
 def test_scipy_is_imported_only_inside_oracle_functions():

@@ -257,9 +257,9 @@ def test_metric_scan_monotone_and_skip(cli, tmp_path):
         "command": "metric-scan", "gamma": 1.0, "lambda_min": 0.5, "lambda_max": 1.0,
         "steps": 3, "n_sites": 512,
     }
-    assert doc["summary"]["skipped_critical"] == [1.0]
-    assert doc["summary"]["ok"] == 2
-    assert doc["summary"]["g_lambda_lambda_monotone"] is True
+    assert doc["summary"] == {
+        "rows_written": 3, "ok": 2, "skipped_critical": [1.0], "g_lambda_lambda_monotone": True,
+    }
     rows = doc["rows"]
     assert rows[2]["status"] == "skipped"
     assert 0.0 < rows[0]["g_lambda_lambda"] < rows[1]["g_lambda_lambda"]
@@ -307,15 +307,21 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
         ("gap-map", "--lambda-min", -1),
         ("oracle-verify", "--seed", -1),
         ("gap-map", "--gamma-min", -1, "--lambda-min", -0.5),
+        ("metric-scan", "--gamma", 1, "--lambda-min", -0.2, "--lambda-max", 1.0, "--steps", 3),
+        ("scan-chern", "--lambda-min", -0.2, "--lambda-max", 0.6, "--steps", 3,
+         "--grid", "16x16", "--n-sites", 256),
     ],
 )
-def test_library_input_checks_exit_2(cli, args):
-    res = cli(*args)
+def test_library_input_checks_exit_2(cli, tmp_path, args):
+    # every input check runs before --out is touched, so no file is created
+    out = tmp_path / "missing.out"
+    res = cli(*args, "--out", out)
     assert res.returncode == 2
     assert res.stdout == ""
     assert "error:" in res.stderr
+    assert not out.exists()
     if args[0] == "gap-map":
-        # model.gap's own sign check on the first row, gamma before lam
+        # model.gap's own sign check, gamma before lam
         name = "gamma" if "--gamma-min" in args else "lam"
         assert res.stderr.splitlines() == [f"error: {name} must be >= 0, got -1.0"]
 
@@ -424,8 +430,8 @@ def test_unwritable_out_fails_before_any_row(monkeypatch, capsys, tmp_path, argv
 
 
 def test_out_on_a_failed_run(tmp_path):
-    # a bad axis stops before --out is touched; a run that fails after the
-    # check leaves an existing file as it was
+    # a bad axis or a bad coupling stops before --out is touched, so a
+    # missing file is not created and an existing one keeps its bytes
     missing = tmp_path / "missing.csv"
     assert artifact_cli.main(["gap-map", "--grid", "1x3", "--out", str(missing)]) == 2
     assert not missing.exists()
@@ -486,12 +492,14 @@ def test_oracle_verify_redraws_across_a_parity_crossing(cli, args):
     assert lines[-1] == "overall: PASS"
 
 
-def test_oracle_verify_size_limit(cli):
-    # the library's size checks decide: BadSize above 12 sites for exact
-    # diagonalization, and for the odd and the too-small ring of the
-    # closed-form energies
+def test_oracle_verify_size_limit(cli, tmp_path):
+    # the library's size checks decide, before --out is touched: BadSize
+    # above 12 sites for exact diagonalization, and for the odd and the
+    # too-small ring of the closed-form energies
+    out = tmp_path / "missing.txt"
     for n in (14, 7, 2):
-        res = cli("oracle-verify", "--n-sites", n, "--samples", 1)
+        res = cli("oracle-verify", "--n-sites", n, "--samples", 1, "--out", out)
         assert res.returncode == 2, n
         assert res.stdout == ""
         assert "error:" in res.stderr
+        assert not out.exists(), n

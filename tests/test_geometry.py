@@ -22,7 +22,7 @@ from artifact import (
     qgt_product,
     qgt_spectral,
 )
-from artifact import oracle
+from artifact import geometry, oracle
 from artifact.ground_state import _pair_arrays, _pair_block
 
 P = ModelParams
@@ -217,6 +217,14 @@ def test_qgt_finite_diff_stencil_across_a_parity_crossing():
     p = P(1.0313884634358206, 0.5389645705735325, 0.6325752805066802)
     with pytest.raises(CriticalPoint, match="parity sectors"):
         qgt_finite_diff(p, 6)
+
+
+def test_qgt_finite_diff_step_check_raises_critical_point(monkeypatch):
+    # no point trips the step-halving check at the real 2e-4 step; at 0.05
+    # the two estimates differ by about 7e-5, above the 1e-6 bound
+    monkeypatch.setattr(geometry, "_ED_STEP", 0.05)
+    with pytest.raises(CriticalPoint, match="disagree"):
+        qgt_finite_diff(P(0.3, 1.0, 2.0), 6)
 
 
 def test_qgt_product_input_checks():
