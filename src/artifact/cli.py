@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import itertools
 import json
 import math
 import sys
@@ -118,7 +118,7 @@ def _output(args):
     """The one destination of rendered output: ``--out`` when given, else stdout.
 
     Yields a stream rather than taking a finished string, so CSV rows that
-    arrive rendered go straight to the writer and the text is never held
+    arrive rendered are written as they come and the text is never held
     in memory whole.  A file that cannot be opened is a usage error
     (ValueError); the runs call ``_check_out`` before their first row, so
     that error comes before the work.
@@ -135,6 +135,9 @@ def _emit(args, fieldnames, rows, summary) -> None:
 
     ``rows`` is an iterable of tuples in ``fieldnames`` order whose cells the
     run's ``_renderer`` has already rendered, so each cell is rendered once.
+    A CSV cell is a number, an empty string or a fixed word, never one holding
+    a comma, a quote or a line break, so no cell needs quoting and each row is
+    written as its cells joined by commas, one LF-terminated line at a time.
     The destination is complete and closed when this returns.
     """
     with _output(args) as stream:
@@ -151,9 +154,8 @@ def _emit(args, fieldnames, rows, summary) -> None:
             }
             stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         else:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(fieldnames)
-            writer.writerows(rows)
+            stream.write(",".join(fieldnames) + "\n")
+            stream.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _chern_row(task):
@@ -221,7 +223,7 @@ def _run_gap_map(args) -> int:
     model._check_sign("gamma", args.gamma_min)
     model._check_sign("lam", args.lambda_min)
     _check_out(args)
-    gaps = _map_rows(_gap_row, [(g, l) for g in gammas for l in lams])
+    gaps = _map_rows(_gap_row, itertools.product(gammas, lams))
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
     summary = {"rows_written": len(gaps), "exact_zero_rows": zero_rows}
     # render each value itself, with no cache keyed on values: -0.0 and 0.0

@@ -139,7 +139,14 @@ def dispersion(alpha, gamma: float, lam: float):
     """Quasiparticle energy sqrt((lam - cos a)^2 + (gamma sin a)^2).
 
     Accepts scalars or arrays in ``alpha`` and broadcasts.
+
+    Raises
+    ------
+    ValueError
+        If gamma or lam is not a finite real number >= 0.
     """
+    _check_coupling("gamma", gamma)
+    _check_coupling("lam", lam)
     return _Pairing(alpha, gamma, lam).energy
 
 
@@ -155,7 +162,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     alpha : float or ndarray
         Momentum (broadcasts).
     gamma, lam : float
-        Anisotropy and field.
+        Anisotropy and field, each finite and >= 0.
 
     Returns
     -------
@@ -163,10 +170,14 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
 
     Raises
     ------
+    ValueError
+        If gamma or lam is not a finite real number >= 0.
     CriticalPoint
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
+    _check_coupling("gamma", gamma)
+    _check_coupling("lam", lam)
     pairing = _Pairing(alpha, gamma, lam)
     if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
         raise CriticalPoint(

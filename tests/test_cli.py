@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -177,35 +178,41 @@ def test_gap_map_grid(cli, tmp_path):
     assert by_point[(0.5, 0.5)] > 0.0
 
 
+_SIGNED_GAP_MAP = ["gap-map", "--gamma-min", "-0.0", "--lambda-min", "-0.0", "--grid", "7x9"]
+
+
+def _keep_signed_axis_starts(monkeypatch):
+    real_axis = artifact_cli._axis
+
+    def signed_axis(lo, hi, steps, *names):
+        values = real_axis(lo, hi, steps, *names)
+        values[0] = lo
+        return values
+
+    monkeypatch.setattr(artifact_cli, "_axis", signed_axis)
+
+
 @pytest.mark.parametrize("signed", [False, True], ids=["linspace", "signed-zero"])
 def test_gap_map_bytes_match_an_independent_rendering(monkeypatch, signed):
     # np.linspace turns a -0.0 start into 0.0, so the CLI's own axes never
     # hold -0.0; the signed-zero case keeps the start's sign, and then -0.0
     # and 0.0, equal as keys, must still render as -0 and 0
-    argv = ["gap-map", "--gamma-min", "-0.0", "--lambda-min", "-0.0", "--grid", "7x9"]
     gammas, lams = np.linspace(-0.0, 2.0, 7), np.linspace(-0.0, 2.0, 9)
     if signed:
-        real_axis = artifact_cli._axis
-
-        def signed_axis(lo, hi, steps, *names):
-            values = real_axis(lo, hi, steps, *names)
-            values[0] = lo
-            return values
-
-        monkeypatch.setattr(artifact_cli, "_axis", signed_axis)
+        _keep_signed_axis_starts(monkeypatch)
         gammas[0] = lams[0] = -0.0
     cells = [(g, l, model.gap(g, l)) for g in gammas.tolist() for l in lams.tolist()]
     expected = "".join(
         ["gamma,lambda,gap\n"] + [f"{g:.12g},{l:.12g},{v:.12g}\n" for g, l, v in cells]
     )
-    code, out = _stdout_of(argv)
+    code, out = _stdout_of(_SIGNED_GAP_MAP)
     assert code == 0
     assert out.decode() == expected
     zero = "-0" if signed else "0"
     assert f"{zero},{zero},{zero}" in expected.splitlines()
     assert f"{zero},1,0" in expected.splitlines()
 
-    code, out = _stdout_of(argv + ["--format", "json"])
+    code, out = _stdout_of(_SIGNED_GAP_MAP + ["--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"] == {"rows_written": 63, "exact_zero_rows": 11}
@@ -243,6 +250,40 @@ def test_rendered_rows_keep_empty_cells():
     doc = json.loads(out)
     assert [row["lambda"] for row in doc["rows"]] == [0.5, 1.5]
     assert doc["summary"]["skipped_critical"] == [1.0]
+
+
+def test_csv_cells_never_need_quoting(monkeypatch):
+    # CSV rows are written as comma-joined lines; that is right only while
+    # no cell holds a comma, a quote or a line break, for every row kind:
+    # labelled, failed and skipped rows, empty cells and signed zeros
+    def vortex(*args):
+        raise VortexOnPlaquette("forced")
+
+    scan = ["scan-chern", "--lambda-min", "0.5", "--lambda-max", "1.5", "--steps", "3",
+            "--grid", "16x16", "--n-sites", "256", "--format", "csv"]
+    metric = ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
+              "--steps", "3", "--n-sites", "64", "--format", "csv"]
+    texts = [(0, *_stdout_of(scan)), (0, *_stdout_of(metric))]
+    with monkeypatch.context() as patch:
+        patch.setattr(topology, "chern_discrete", vortex)
+        texts.append((3, *_stdout_of(scan)))
+    with monkeypatch.context() as patch:
+        _keep_signed_axis_starts(patch)
+        texts.append((0, *_stdout_of(_SIGNED_GAP_MAP + ["--format", "csv"])))
+
+    cells = set()
+    for want, code, out in texts:
+        assert code == want
+        text = out.decode()
+        assert text.endswith("\n")
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [line.split(",") for line in text.split("\n")[:-1]]
+        assert {len(row) for row in rows} == {len(rows[0])}
+        quoted = io.StringIO()
+        csv.writer(quoted, lineterminator="\n").writerows(rows)
+        assert quoted.getvalue() == text
+        cells.update(cell for row in rows for cell in row)
+    assert {"ChernMinusOne", "ChernZero", "failed", "ok", "skipped", "-0", ""} <= cells
 
 
 def test_metric_scan_monotone_and_skip(cli, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -149,9 +150,15 @@ def test_params_are_the_tensor_coords():
     [
         (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5),
         (0.5, -0.5), pytest.param(10**400, 0.5, id="huge-int-0.5"), (0.5, None),
+        ("0.5", 0.5), (-math.inf, 0.5),
     ],
 )
-@pytest.mark.parametrize("call", [berry_curvature_density], ids=["density"])
+@pytest.mark.parametrize(
+    "call",
+    [berry_curvature_density, functools.partial(dispersion, 0.3),
+     functools.partial(bogoliubov_angle, 0.3)],
+    ids=["density", "dispersion", "angle"],
+)
 def test_couplings_must_be_finite_and_non_negative(call, gamma, lam):
     with pytest.raises(ValueError, match="must be (a )?finite|must be >= 0"):
         call(gamma, lam)
@@ -179,12 +186,14 @@ def test_pairing_kernel_closed_forms(alpha, gamma, lam):
     assume(gap(gamma, lam) > 0.05)
     pairing = _Pairing(alpha, gamma, lam)
     h = 1e-6
-    d_gamma = (
-        bogoliubov_angle(alpha, gamma + h, lam) - bogoliubov_angle(alpha, gamma - h, lam)
-    ) / (2.0 * h)
-    d_lam = (
-        bogoliubov_angle(alpha, gamma, lam + h) - bogoliubov_angle(alpha, gamma, lam - h)
-    ) / (2.0 * h)
+
+    def theta(g, l):
+        # the closed form itself: the stencil may step below a zero coupling,
+        # which bogoliubov_angle refuses
+        return _Pairing(alpha, g, l).theta
+
+    d_gamma = (theta(gamma + h, lam) - theta(gamma - h, lam)) / (2.0 * h)
+    d_lam = (theta(gamma, lam + h) - theta(gamma, lam - h)) / (2.0 * h)
     # abs: the rounding floor of the difference quotient, ulp(pi) / h ~ 4e-10
     assert pairing.d_gamma == pytest.approx(d_gamma, rel=1e-6, abs=1e-9)
     assert pairing.d_lam == pytest.approx(d_lam, rel=1e-6, abs=1e-9)
