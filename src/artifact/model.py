@@ -71,6 +71,20 @@ def _check_finite(name: str, value: float) -> None:
     raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_momentum(alpha) -> None:
+    """ValueError unless every momentum in ``alpha``, scalar or array, is finite.
+
+    Momenta that are no numbers raise ValueError chained to the TypeError
+    behind it.
+    """
+    try:
+        finite = bool(np.all(np.isfinite(alpha)))
+    except TypeError as exc:
+        raise ValueError(f"alpha must be finite real numbers, got {alpha!r}") from exc
+    if not finite:
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def _check_coupling(name: str, value: float) -> None:
     """ValueError unless the coupling ``name`` (gamma or lam) is finite and >= 0."""
     _check_finite(name, value)
@@ -143,10 +157,12 @@ def dispersion(alpha, gamma: float, lam: float):
     Raises
     ------
     ValueError
-        If gamma or lam is not a finite real number >= 0.
+        If gamma or lam is not a finite real number >= 0, or if any momentum
+        is not finite.
     """
     _check_coupling("gamma", gamma)
     _check_coupling("lam", lam)
+    _check_momentum(alpha)
     return _Pairing(alpha, gamma, lam).energy
 
 
@@ -160,7 +176,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     Parameters
     ----------
     alpha : float or ndarray
-        Momentum (broadcasts).
+        Momentum, finite (broadcasts).
     gamma, lam : float
         Anisotropy and field, each finite and >= 0.
 
@@ -171,13 +187,15 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     Raises
     ------
     ValueError
-        If gamma or lam is not a finite real number >= 0.
+        If gamma or lam is not a finite real number >= 0, or if any momentum
+        is not finite.
     CriticalPoint
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
     _check_coupling("gamma", gamma)
     _check_coupling("lam", lam)
+    _check_momentum(alpha)
     pairing = _Pairing(alpha, gamma, lam)
     if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
         raise CriticalPoint(

@@ -10,23 +10,18 @@ periodic momenta in the odd fermion parity sector, antiperiodic ones in
 the even sector.  An embedded product state is therefore an exact
 eigenvector of the spin chain.
 
-scipy is imported only inside the functions that make the sparse parity
-blocks and solve them (``_csr``, ``_ground_block``,
-``qgt_matrix_elements``), so the closed-form sector energies, the Fock-space
-embedding and Wilson loops run on numpy alone, as do the closed-form paths
-(``scan-chern``, ``gap-map``, ``metric-scan``).
-
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
-arithmetic.  Every bond flips two sites and so keeps a block's parity: each
-block's sparsity pattern is built once per ring size in the block's own
-basis, with one coefficient array per coupling, and no 2^N matrix is ever
-built.  A block's lowest level is found by dense ``eigh`` below
-``_LANCZOS_MIN`` states and by seeded Lanczos (ARPACK ``eigsh``) from
-there on.  The rotation phi enters the chain only as the diagonal gauge
-H(phi) = U H(0) U^dag with U = diag(exp(-i phi popcount)), so the real
-phi = 0 blocks are solved, the energies carry no phi dependence, and U is
-applied to the eigenvectors afterwards.
+arithmetic and with numpy alone.  Every bond flips two sites and so keeps a
+block's parity: each block's pattern, one entry per row for the diagonal
+and one per bond, is built once per ring size in the block's own basis,
+with one coefficient array per coupling, and no 2^N matrix is ever built.
+A block's lowest level is found by dense ``eigh`` below ``_LANCZOS_MIN``
+states, both blocks in one call, and by a seeded Lanczos solve (Lanczos
+1950; Paige 1972) from there on.  The rotation phi enters the chain only
+as the diagonal gauge H(phi) = U H(0) U^dag with U = diag(exp(-i phi
+popcount)), so the real phi = 0 blocks are solved, the energies carry no
+phi dependence, and U is applied to the eigenvectors afterwards.
 
 Basis convention: basis index b has site j stored in bit N-1-j, a set bit
 is a down spin, which is identified with an occupied fermion level.  The
@@ -60,9 +55,12 @@ __all__ = [
 _ED_MAX = 12
 _QGT_MAX = 10
 # blocks at least this wide have their lowest level found by Lanczos from a
-# seeded start vector; narrower ones are solved dense, where ARPACK's
-# overhead outweighs the solve (and a 2-wide block is too small for it)
+# seeded start vector; narrower ones are solved dense, both sectors at once
 _LANCZOS_MIN = 256
+# Lanczos stops once its residual is below this share of the block's norm bound
+_LANCZOS_TOL = 1e-14
+# the most Krylov vectors one Lanczos run keeps before it restarts
+_KRYLOV_MAX = 128
 
 
 def _resolve_ed_size(n_sites: int, limit: int) -> int:
@@ -80,32 +78,39 @@ def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 class _Sector(NamedTuple):
-    """One parity block at phi = 0: its basis states and its CSR pattern.
+    """One parity block at phi = 0: its basis states and fixed-width pattern.
 
-    ``hop``, ``pair`` and ``field`` are aligned with the pattern's entries;
-    the block at (gamma, lam) has entries hop + gamma pair + lam field.
+    Every row of the block has N + 1 entries, one per slot: slot 0 is the
+    diagonal and slot 1 + j is bond j, whose entry in row r sits in column
+    ``cols[1 + j, r]``.  ``hop``, ``pair`` and ``field`` have the shape of
+    ``cols``; the block at (gamma, lam) has entries
+    ``hop + gamma pair + lam field`` (``data``).
     """
 
     index: np.ndarray
     pop: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    cols: np.ndarray
     hop: np.ndarray
     pair: np.ndarray
     field: np.ndarray
 
+    def data(self, gamma: float, lam: float) -> np.ndarray:
+        return self.hop + gamma * self.pair + lam * self.field
+
 
 @lru_cache(maxsize=None)
 def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
-    """The even and odd parity blocks as one sparsity pattern each.
+    """The even and odd parity blocks as one fixed-width pattern each.
 
     The one statement of the chain: -(hop + gamma pair)/2 - lam (N - 2P)/2.
     Each bond flips two sites, so it maps a block onto itself; its entries
     (hopping, or pair creation plus annihilation) are placed in the block's
-    own basis, the row of a flipped state found in the block's sorted index.
-    Bonds run j -> j+1 with site N identified with site 0; at N = 2 the two
-    ordered bonds join the same pair of sites, so that bond counts twice:
-    entries that share a place are summed per coupling, never merged.
+    own basis, the column of a flipped state found in the block's sorted
+    index.  A flip undoes itself and keeps whether the two sites are alike,
+    so each bond's entries form a symmetric permutation matrix.  Bonds run
+    j -> j+1 with site N identified with site 0; at N = 2 the two ordered
+    bonds join the same pair of sites, so that bond counts twice: its two
+    slots share their places and are summed wherever the block is used.
     """
     n = n_sites
     b = np.arange(1 << n, dtype=np.int64)
@@ -113,45 +118,76 @@ def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
     sectors = []
     for parity in (0, 1):
         index = b[pop % 2 == parity]
-        dim = index.size
-        cols = np.arange(dim)
-        # the diagonal first, then every bond's flip of every basis state
-        rows, alike = [cols], []
+        cols = np.empty((n + 1, index.size), dtype=np.intp)
+        cols[0] = np.arange(index.size)
+        # a bond on two alike sites creates or annihilates a pair, else it hops
+        alike = np.empty((n, index.size), dtype=bool)
         for j in range(n):
             mj, mj2 = 1 << (n - 1 - j), 1 << (n - 1 - (j + 1) % n)
-            rows.append(np.searchsorted(index, index ^ (mj | mj2)))
-            alike.append(((index & mj) != 0) == ((index & mj2) != 0))
-        keys, slot = np.unique(
-            np.concatenate(rows) * dim + np.tile(cols, n + 1), return_inverse=True
-        )
-        # each entry's hop, pair and field coefficient; a bond on two alike
-        # sites creates or annihilates a pair, else it hops
-        alike = np.concatenate(alike)
-        coef = np.zeros((3, slot.size))
-        coef[0, dim:], coef[1, dim:] = -0.5 * ~alike, -0.5 * alike
-        coef[2, :dim] = -0.5 * (n - 2.0 * pop[index])
-        hop, pair, field = (np.bincount(slot, c, keys.size) for c in coef)
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // dim, minlength=dim), out=indptr[1:])
-        indices = (keys % dim).astype(np.int32)
-        sectors.append(_Sector(index, pop[index], indptr, indices, hop, pair, field))
+            cols[1 + j] = np.searchsorted(index, index ^ (mj | mj2))
+            alike[j] = ((index & mj) != 0) == ((index & mj2) != 0)
+        hop, pair, field = np.zeros((3, *cols.shape))
+        hop[1:], pair[1:] = -0.5 * ~alike, -0.5 * alike
+        field[0] = -0.5 * (n - 2.0 * pop[index])
+        sectors.append(_Sector(index, pop[index], cols, hop, pair, field))
     return tuple(sectors)
 
 
-def _csr(sector: _Sector, data: np.ndarray):
-    """A scipy CSR matrix on ``sector``'s pattern with entries ``data``."""
-    import scipy.sparse
+def _matvec(sector: _Sector, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The block with entries ``data`` on ``sector``'s pattern times ``v``."""
+    return np.einsum("ij,ij->j", data, v[sector.cols])
 
+
+def _dense_block(sector: _Sector, data: np.ndarray) -> np.ndarray:
+    """The block with entries ``data`` on ``sector``'s pattern, as a dense array."""
     dim = sector.index.size
-    return scipy.sparse.csr_matrix((data, sector.indices, sector.indptr), shape=(dim, dim))
+    block = np.zeros((dim, dim))
+    rows = np.arange(dim)
+    # one slot has one entry per row, so no place repeats within a slot
+    for cols, entries in zip(sector.cols, data):
+        block[rows, cols] += entries
+    return block
 
 
-def _sector_blocks(gamma: float, lam: float, n_sites: int):
-    """Sparse real phi = 0 blocks, paired with their sectors (even first)."""
-    return [
-        (sector, _csr(sector, sector.hop + gamma * sector.pair + lam * sector.field))
-        for sector in _spin_operators(n_sites)
-    ]
+def _lanczos(
+    sector: _Sector, data: np.ndarray, start: np.ndarray, cap: int = _KRYLOV_MAX
+) -> tuple[float, np.ndarray]:
+    """Lowest (energy, unit vector) of the block with entries ``data``.
+
+    Lanczos from ``start`` with one full reorthogonalization per step.  The
+    Ritz pair's residual norm is |beta s_last|, with beta the next Lanczos
+    coefficient and s the Ritz vector of the tridiagonal matrix; it is
+    checked at step 32 and every 12 steps after, against ``_LANCZOS_TOL``
+    times the block's largest absolute row sum (a bound on its norm).  A
+    beta below that tolerance means the Krylov space is invariant, so the
+    solve stops there at once instead of dividing by it.  At most ``cap``
+    vectors are kept: a solve that needs more restarts from its Ritz vector.
+    """
+    tol = _LANCZOS_TOL * np.abs(data).sum(axis=0).max()
+    ritz = start
+    while True:
+        basis = np.empty((min(cap, start.size), start.size))
+        basis[0] = ritz / np.linalg.norm(ritz)
+        alpha, beta = [], []
+        for m in range(1, len(basis) + 1):
+            v, kept = basis[m - 1], basis[:m]
+            w = _matvec(sector, data, v)
+            alpha.append(v @ w)
+            w -= alpha[-1] * v
+            if beta:
+                w -= beta[-1] * basis[m - 2]
+            w -= kept.T @ (kept @ w)
+            b = math.sqrt(w @ w)
+            if b <= tol or m == len(basis) or (m >= 32 and (m - 32) % 12 == 0):
+                tridiagonal = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+                theta, s = np.linalg.eigh(tridiagonal)
+                ritz = s[:, 0] @ kept
+                if b * abs(s[-1, 0]) <= tol:
+                    return float(theta[0]), ritz
+                if m == len(basis):
+                    break
+            beta.append(b)
+            basis[m] = w / b
 
 
 def _rotated_vector(
@@ -204,9 +240,9 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     The chain conserves the number parity of down spins, so the 2^N matrix
     splits into two real blocks of 2^(N-1); the lowest eigenpair of each is
     found (two solves in all) and the lower one gives the ground vector.
-    Blocks below 256 states (N <= 8) are solved dense; wider ones by
-    Lanczos (``scipy.sparse.linalg.eigsh`` to machine precision) from a
-    fixed seeded start vector, so reruns return identical bits.  The
+    Blocks below 256 states (N <= 8) are solved dense; wider ones by a
+    numpy Lanczos solve (residual below 1e-14 of the block's norm bound)
+    from a fixed seeded start vector, so reruns return identical bits.  The
     rotation enters only as the diagonal gauge H(phi) = U H(0) U^dag,
     U = diag(exp(-i phi popcount)): the real phi = 0 blocks are
     diagonalized, so the energies do not depend on phi, and U is applied
@@ -222,26 +258,23 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
 
 
 def _ground_block(gamma: float, lam: float, n_sites: int):
-    """Each parity block, its lowest (energy, vector), and the ground block's index.
+    """Each (sector, block entries), its lowest (energy, vector), and the ground's index.
 
     The one ground-block rule: even unless the odd level is strictly lower.
-    A random start vector, unlike a symmetric one such as all ones, has a
+    Both blocks are 2^(N-1) wide.  Narrow ones are solved together by one
+    batched dense ``eigh``.  Wide ones are solved by Lanczos from a random
+    start vector, which, unlike a symmetric one such as all ones, has a
     component on every eigenvector, so Lanczos is confined to no symmetry
     subspace; it is seeded, so the solve is the same on every call.
     """
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    blocks = _sector_blocks(gamma, lam, n_sites)
-    lowest = []
-    for sector, h in blocks:
-        dim = sector.index.size
-        if dim < _LANCZOS_MIN:
-            w, v = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0])
-        else:
-            start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-            w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", tol=0, v0=start)
-        lowest.append((float(w[0]), v[:, 0]))
+    blocks = [(sector, sector.data(gamma, lam)) for sector in _spin_operators(n_sites)]
+    dim = blocks[0][0].index.size
+    if dim < _LANCZOS_MIN:
+        w, v = np.linalg.eigh(np.stack([_dense_block(*block) for block in blocks]))
+        lowest = [(float(w[i, 0]), v[i, :, 0]) for i in (0, 1)]
+    else:
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        lowest = [_lanczos(*block, start) for block in blocks]
     return blocks, lowest, 0 if lowest[0][0] <= lowest[1][0] else 1
 
 
@@ -397,19 +430,17 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
         lower of the ground block's second level and the other block's
         lowest.
     """
-    import scipy.linalg
-
     n = _resolve_ed_size(n_sites, _QGT_MAX)
     blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
-    sector, h = blocks[k]
-    w, vectors = scipy.linalg.eigh(h.toarray())
+    sector, data = blocks[k]
+    w, vectors = np.linalg.eigh(_dense_block(sector, data))
     e1 = min(w[1], lowest[1 - k][0])
     if e1 - w[0] < 1e-10:
         raise CriticalPoint(f"E1 - E0 = {e1 - w[0]:.3e}")
     v0 = vectors[:, 0]
     gaps = w[1:] - w[0]
     pop = vectors[:, 1:].T @ (sector.pop * v0)
-    pair = vectors[:, 1:].T @ (_csr(sector, sector.pair) @ v0)
+    pair = vectors[:, 1:].T @ _matvec(sector, sector.pair, v0)
     amps = np.stack([1j * gaps * pop, pair, pop])
     return [
         SpectralTerm(float(gap), np.outer(np.conj(c), c) / gap**2)

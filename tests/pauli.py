@@ -8,18 +8,19 @@ Kronecker products run over sites in order.  The phi-free bond sums are
 built once per ring size.
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
+import scipy.sparse
 
 RAISE = np.array([[0.0, 1.0], [0.0, 0.0]])
 LOWER = RAISE.T
 SZ = np.diag([1.0, -1.0])
 
 
-def _sites(ops, n):
+def _sites(ops, n, kron=np.kron):
     """Kronecker product over the ring; ``ops`` maps a site to its operator."""
-    return reduce(np.kron, [ops.get(k, np.eye(2)) for k in range(n)])
+    return reduce(kron, [ops.get(k, np.eye(2)) for k in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -56,3 +57,16 @@ def gauge(phi, n):
     """Diagonal of U = diag(exp(-i phi popcount)), with H(phi) = U H(0) U^dag."""
     pop = np.array([bin(b).count("1") for b in range(1 << n)])
     return np.exp(-1j * phi * pop)
+
+
+def sparse_hamiltonian(gamma, lam, n):
+    """The phi = 0 chain as a scipy CSR matrix, for rings too wide to build dense."""
+    kron = partial(scipy.sparse.kron, format="coo")
+    terms = []
+    for j in range(n):
+        j2 = (j + 1) % n
+        hop = _sites({j: RAISE, j2: LOWER}, n, kron)
+        create = _sites({j: RAISE, j2: RAISE}, n, kron)
+        field = _sites({j: SZ}, n, kron)
+        terms += [-0.5 * (hop + hop.T), -0.5 * gamma * (create + create.T), -0.5 * lam * field]
+    return sum(terms[1:], terms[0]).tocsr()

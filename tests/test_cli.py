@@ -382,10 +382,11 @@ def test_non_finite_arguments_exit_2(cli, args):
 
 
 def test_closed_form_paths_load_no_scipy(tmp_path):
-    # scipy belongs to the ED oracle's solvers alone: neither the import, the
-    # three closed-form subcommands, the curvature density, Wilson loops, the
-    # closed-form sector energies nor the Fock-space embedding may load it,
-    # and an exact-diagonalization solve still loads it
+    # the library runs on numpy alone: neither the import, the three
+    # closed-form subcommands, the curvature density, Wilson loops, the
+    # closed-form sector energies, the Fock-space embedding, a dense or a
+    # Lanczos exact-diagonalization solve nor oracle-verify on its widest
+    # ring may load scipy
     runs = [
         ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
          "--grid", "16x16", "--n-sites", "256"],
@@ -393,7 +394,7 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
          "--steps", "3", "--n-sites", "256"],
     ]
-    verify = ["oracle-verify", "--n-sites", "4", "--samples", "1"]
+    verify = ["oracle-verify", "--n-sites", "12", "--samples", "1"]
     code = textwrap.dedent(f"""
         import sys
 
@@ -415,15 +416,17 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         artifact.embed_ground_state(artifact.build_ground_state(p, 8))
         print(scipy_loaded())
         artifact.ed_ground(p, 4)
+        artifact.ed_ground(p, 10)
         print(scipy_loaded())
         print(artifact.ed_ground is artifact.oracle.ed_ground)
         print(artifact.cli.main({verify!r} + ["--out", r"{tmp_path}/verify.txt"]))
+        print(scipy_loaded())
     """)
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"] * 7 + ["True", "True", "0"]
+    assert res.stdout.split() == ["False"] * 8 + ["True", "0", "False"]
 
 
 @pytest.mark.parametrize(

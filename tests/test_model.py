@@ -165,6 +165,25 @@ def test_couplings_must_be_finite_and_non_negative(call, gamma, lam):
 
 
 @pytest.mark.parametrize(
+    "alpha",
+    [
+        math.nan, math.inf, -math.inf, np.array([0.3, math.nan]), np.array([[0.3], [-math.inf]]),
+        [0.3, math.inf], pytest.param(10**400, id="huge-int"), "0.5", None,
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("call", [dispersion, bogoliubov_angle], ids=["dispersion", "angle"])
+def test_momenta_must_be_finite(call, alpha):
+    # one check per call covers a scalar momentum and every entry of an array
+    with pytest.raises(ValueError, match="alpha must be finite") as raised:
+        call(alpha, 0.5, 0.5)
+    chained = isinstance(raised.value.__cause__, TypeError)
+    assert chained == (alpha is None or isinstance(alpha, (str, int)))
+    finite = np.array([0.3, 1.2])
+    assert np.array_equal(call(finite, 0.5, 0.5), [call(a, 0.5, 0.5) for a in finite])
+
+
+@pytest.mark.parametrize(
     "couplings",
     [
         (0.0, math.nan, 0.5), (0.0, 0.5, math.nan), (0.0, math.inf, 0.5), (0.0, 0.5, math.inf),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.integrate import quad
 
 from artifact import (
@@ -21,9 +20,9 @@ from artifact import (
     qgt_spectral,
     wilson_loop_berry_phase,
 )
-from artifact import model
+from artifact import model, oracle
 from artifact.ground_state import _pair_grid
-from pauli import pauli_hamiltonian
+from pauli import pauli_hamiltonian, sparse_hamiltonian
 
 P = ModelParams
 
@@ -64,7 +63,7 @@ def test_parity_splitting_law():
     # geometrically with N (so E1 - E0 at fixed N shrinks away from lam = 1);
     # above it the splitting tends to lam - 1
     splits = []
-    for n in (4, 6, 8, 10):
+    for n in (4, 6, 8, 10, 12):
         p = P(0.0, 1.0, 0.5)
         ed, ff = ed_ground(p, n), free_fermion_parity_spectrum(p, n)
         assert abs(ed.even_sector_energy - ff.even_sector_energy) < 1e-10
@@ -151,37 +150,35 @@ def test_non_integer_sizes_rejected(call, error):
         call()
 
 
+def _counting(solver, dims):
+    """``solver``, noting the width of each matrix it solves (a stack counts each)."""
+
+    def solve(a, *args, **kwargs):
+        dims.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return solver(a, *args, **kwargs)
+
+    return solve
+
+
 def test_ed_ground_solves_each_parity_block_once(monkeypatch):
     dims = []
-
-    def counting(solver):
-        def solve(a, *args, **kwargs):
-            dims.append(len(a))
-            return solver(a, *args, **kwargs)
-
-        return solve
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", _counting(np.linalg.eigh, dims))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, dims))
     ed_ground(P(0.4, 0.7, 0.9), 8)
     assert dims == [128, 128]
 
 
 def test_ed_ground_solves_wide_blocks_by_lanczos(monkeypatch):
+    # a dense solve needs the dense block first, so none is built
     dense, sparse = [], []
 
-    def counting(solver, dims):
-        def solve(a, *args, **kwargs):
-            dims.append(a.shape[0])
-            return solver(a, *args, **kwargs)
+    def lanczos(sector, data, start, *args):
+        sparse.append(start.size)
+        return solve(sector, data, start, *args)
 
-        return solve
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh, dense))
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting(scipy.linalg.eigvalsh, dense))
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "eigsh", counting(scipy.sparse.linalg.eigsh, sparse)
-    )
+    solve = oracle._lanczos
+    monkeypatch.setattr(oracle, "_lanczos", lanczos)
+    monkeypatch.setattr(oracle, "_dense_block", _counting(oracle._dense_block, dense))
     ed_ground(P(0.4, 0.7, 0.9), 12)
     assert sparse == [2048, 2048]
     assert dense == []
@@ -217,6 +214,60 @@ def test_lanczos_sectors_match_dense_blocks(phi, gamma, lam):
     assert np.array_equal(ed_ground(p, 10).ground_vector, v)
 
 
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("gamma, lam", [(1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (0.0, 0.5), (0.0, 5.0)])
+def test_lanczos_at_degenerate_points(gamma, lam, n):
+    # at lam = 0 the bonds alone set the levels, and gamma = 0 keeps the
+    # down-spin number; at (1, 0) the blocks have so few distinct levels that
+    # the Krylov space of the start vector is invariant within a few steps,
+    # and Lanczos stops there on its breakdown check
+    p = P(0.0, gamma, lam)
+    sp, ff = ed_ground(p, n), free_fermion_parity_spectrum(p, n)
+    assert abs(sp.even_sector_energy - ff.even_sector_energy) <= 1e-12
+    assert abs(sp.odd_sector_energy - ff.odd_sector_energy) <= 1e-12
+    v = sp.ground_vector
+    assert np.linalg.norm(sparse_hamiltonian(gamma, lam, n) @ v - sp.ground_energy * v) <= 1e-9
+
+
+def test_lanczos_stops_on_an_invariant_start():
+    # without pairing, the all-up state is an eigenvector, and above the
+    # field it is the ground: its Krylov space is itself, so the first beta
+    # is exactly 0 and the solve returns the start unchanged
+    sector = oracle._spin_operators(10)[0]
+    start = np.zeros(512)
+    start[0] = 1.0
+    energy, v = oracle._lanczos(sector, sector.data(0.0, 5.0), start)
+    assert energy == -25.0
+    assert np.array_equal(v, start)
+    ff = free_fermion_parity_spectrum(P(0.0, 0.0, 5.0), 10)
+    assert abs(ff.even_sector_energy - energy) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4), (0.0, 5.0)])
+def test_lanczos_restarts_from_its_ritz_vector(monkeypatch, gamma, lam):
+    # with room for 20 vectors, each solve outruns its basis and restarts
+    cap, steps = 20, []
+
+    def matvec(*args):
+        steps.append(1)
+        return product(*args)
+
+    product = oracle._matvec
+    monkeypatch.setattr(oracle, "_matvec", matvec)
+    ff = free_fermion_parity_spectrum(P(0.0, gamma, lam), 10)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, 512)
+    blocks = _pauli_parity_blocks(gamma, lam, 10)
+    for sector, block, expected in zip(
+        oracle._spin_operators(10), blocks, (ff.even_sector_energy, ff.odd_sector_energy)
+    ):
+        steps.clear()
+        energy, v = oracle._lanczos(sector, sector.data(gamma, lam), start, cap)
+        assert len(steps) > cap
+        assert abs(energy - expected) <= 1e-12
+        v = v / np.linalg.norm(v)
+        assert np.linalg.norm(block @ v - energy * v) <= 1e-9
+
+
 @pytest.mark.parametrize("n", [np.uint8(4), np.int64(10)], ids=["uint8", "int64"])
 def test_ed_size_is_a_python_int(n):
     assert type(ed_ground(P(0.4, 0.7, 0.9), n).n_sites) is int
@@ -225,17 +276,18 @@ def test_ed_size_is_a_python_int(n):
 @pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4)])
 def test_spectral_terms_fully_solve_only_the_ground_block(monkeypatch, gamma, lam):
     # the odd block holds the ground at (0.4, 0.9) and the even one at (0.7, 1.4)
+    # both blocks' lowest levels come from one stacked solve; a single
+    # block is solved by itself only in full
     dims, full = [], []
-    eigh = scipy.linalg.eigh
+    eigh = _counting(np.linalg.eigh, dims)
 
     def counting(a, *args, **kwargs):
         out = eigh(a, *args, **kwargs)
-        dims.append(len(a))
-        if "subset_by_index" not in kwargs:
+        if a.ndim == 2:
             full.append(out[0][0])
         return out
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     qgt_matrix_elements(P(0.0, gamma, lam), 8)
     assert dims == [128, 128, 128]
     assert full == [pytest.approx(ed_ground(P(0.0, gamma, lam), 8).ground_energy, abs=1e-12)]

@@ -39,9 +39,10 @@ def test_hamiltonian_is_gauge_rotation(n, phi, gamma, lam):
     # whole chain at phi = 0, and phi enters only as the gauge U
     h_zero = pauli_hamiltonian(0.0, gamma, lam, n)
     blocks = np.zeros(h_zero.shape)
-    for sector, block in oracle._sector_blocks(gamma, lam, n):
+    for sector in oracle._spin_operators(n):
+        block = oracle._dense_block(sector, sector.data(gamma, lam))
         assert np.isrealobj(block)
-        blocks[np.ix_(sector.index, sector.index)] = block.toarray()
+        blocks[np.ix_(sector.index, sector.index)] = block
     assert np.max(np.abs(blocks - h_zero)) <= 1e-12
     u = gauge(phi, n)
     h_phi = pauli_hamiltonian(phi, gamma, lam, n)
@@ -51,12 +52,17 @@ def test_hamiltonian_is_gauge_rotation(n, phi, gamma, lam):
 @pytest.mark.parametrize("n", [2, 10])
 def test_cached_blocks_are_the_pauli_blocks(n):
     # at N = 2 both ordered bonds join the same two sites, so each of their
-    # entries counts twice; N = 10 has blocks wide enough for Lanczos
+    # entries counts twice; N = 10 has blocks wide enough for Lanczos, whose
+    # product with a vector is checked on the same blocks
     gamma, lam = 0.7, 1.3
     h_zero = pauli_hamiltonian(0.0, gamma, lam, n)
-    for sector, block in oracle._sector_blocks(gamma, lam, n):
-        rows = np.ix_(sector.index, sector.index)
-        assert np.max(np.abs(block.toarray() - h_zero[rows])) <= 1e-12
+    rng = np.random.default_rng(5)
+    for sector in oracle._spin_operators(n):
+        data = sector.data(gamma, lam)
+        block = h_zero[np.ix_(sector.index, sector.index)]
+        assert np.max(np.abs(oracle._dense_block(sector, data) - block)) <= 1e-12
+        v = rng.standard_normal(sector.index.size)
+        assert np.max(np.abs(oracle._matvec(sector, data, v) - block @ v)) <= 1e-12
 
 
 @PROPERTY
