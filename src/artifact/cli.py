@@ -186,6 +186,7 @@ def _run_scan_chern(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     topology._check_grid(args.grid, args.n_sites)
     model._check_coupling("lam", args.lambda_min)
+    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     results = _map_rows(_chern_row, [(float(l), args.grid, args.n_sites) for l in lams])
     rows = [row for row in results if row is not None]
@@ -262,6 +263,7 @@ def _run_metric_scan(args) -> int:
     model._check_size(args.n_sites)
     model._check_coupling("gamma", args.gamma)
     model._check_coupling("lam", args.lambda_min)
+    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     rows = _map_rows(_metric_row, [(float(l), args.gamma, args.n_sites) for l in lams])
     ok = [row for row in rows if row["status"] == "ok"]

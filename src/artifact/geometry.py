@@ -107,7 +107,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     Raises
     ------
     ValueError
-        If gamma or lam is not finite or is negative.
+        If gamma or lam is not a real number in [0, 1e150].
     CriticalPoint
         On the gapless lines, and where the gap is too small for the sums
         to agree within 2^20 pairs.

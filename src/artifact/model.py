@@ -40,9 +40,9 @@ class ModelParams:
         rephases them and changes no energy, so it is stored as given,
         subnormal angles included.
     gamma : float
-        XY anisotropy, finite and >= 0.
+        XY anisotropy, in [0, 1e150].
     lam : float
-        Transverse field strength, finite and >= 0.
+        Transverse field strength, in [0, 1e150].
     """
 
     phi: float
@@ -86,9 +86,14 @@ def _check_momentum(alpha) -> None:
 
 
 def _check_coupling(name: str, value: float) -> None:
-    """ValueError unless the coupling ``name`` (gamma or lam) is finite and >= 0."""
+    """ValueError unless the coupling ``name`` (gamma or lam) lies in [0, 1e150].
+
+    The upper bound keeps r^2 of ``_Pairing`` below 2e300, clear of overflow.
+    """
     _check_finite(name, value)
     _check_sign(name, value)
+    if value > 1e150:
+        raise ValueError(f"{name} must be <= 1e150, got {value}")
 
 
 def _check_sign(name: str, value: float) -> None:
@@ -157,7 +162,7 @@ def dispersion(alpha, gamma: float, lam: float):
     Raises
     ------
     ValueError
-        If gamma or lam is not a finite real number >= 0, or if any momentum
+        If gamma or lam is not a real number in [0, 1e150], or if any momentum
         is not finite.
     """
     _check_coupling("gamma", gamma)
@@ -178,7 +183,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     alpha : float or ndarray
         Momentum, finite (broadcasts).
     gamma, lam : float
-        Anisotropy and field, each finite and >= 0.
+        Anisotropy and field, each in [0, 1e150].
 
     Returns
     -------
@@ -187,7 +192,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
     Raises
     ------
     ValueError
-        If gamma or lam is not a finite real number >= 0, or if any momentum
+        If gamma or lam is not a real number in [0, 1e150], or if any momentum
         is not finite.
     CriticalPoint
         If any requested momentum has lam - cos(alpha) == 0 and

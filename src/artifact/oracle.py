@@ -1,14 +1,14 @@
 """Small-ring exact engines used as ground truth.
 
 Exact diagonalization of the rotated chain, parity-resolved free-fermion
-spectra, Fock-space embedding of the product ground states, discrete Wilson
-loops, and the per-excited-state decomposition of the geometric tensor.
+spectra, discrete Wilson loops, and the per-excited-state decomposition of
+the geometric tensor.
 Both sector-energy routes, exact diagonalization and the closed form,
 return one type, ``SpinSpectrum``.  The closed-form sector energies and the
 product states use one momentum rule (``ground_state._pair_grid``):
 periodic momenta in the odd fermion parity sector, antiperiodic ones in
-the even sector.  An embedded product state is therefore an exact
-eigenvector of the spin chain.
+the even sector.  A product state expanded into the 2^N spin basis is
+therefore an exact eigenvector of the spin chain.
 
 The chain conserves the fermion (down-spin) parity, so exact
 diagonalization only ever solves the two 2^(N-1) parity blocks, in real
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import model
 from .errors import BadSize, CriticalPoint, ZeroOverlap
-from .ground_state import GroundState, _sector_energy, build_ground_state, overlap
+from .ground_state import _sector_energy, build_ground_state, overlap
 from .model import ModelParams
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "SpectralTerm",
     "ed_ground",
     "free_fermion_parity_spectrum",
-    "embed_ground_state",
     "wilson_loop_berry_phase",
     "qgt_matrix_elements",
 ]
@@ -305,58 +304,6 @@ def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpect
     model._check_size(n_sites)
     energies = [_sector_energy(n_sites, params.gamma, params.lam, odd) for odd in (False, True)]
     return SpinSpectrum(n_sites, *energies, None)
-
-
-@lru_cache(maxsize=None)
-def _string_signs(n_sites: int) -> np.ndarray:
-    """signs[j, b] = (-1)^(occupied sites before j in basis state b)."""
-    dim = 1 << n_sites
-    b = np.arange(dim, dtype=np.int64)
-    signs = np.empty((n_sites, dim), dtype=np.float64)
-    acc = np.zeros(dim, dtype=np.int64)
-    for j in range(n_sites):
-        signs[j] = 1.0 - 2.0 * (acc & 1)
-        acc = acc + ((b >> (n_sites - 1 - j)) & 1)
-    return signs
-
-
-def _apply_momentum_creator(psi: np.ndarray, alpha: float, n_sites: int) -> np.ndarray:
-    """Apply the plane-wave creator N^(-1/2) sum_j e^(i alpha j) a_j^dag."""
-    out = np.zeros(psi.size, dtype=complex)
-    signs = _string_signs(n_sites)
-    b = np.arange(psi.size, dtype=np.int64)
-    norm = 1.0 / math.sqrt(n_sites)
-    for j in range(n_sites):
-        mj = 1 << (n_sites - 1 - j)
-        empty = (b & mj) == 0
-        src = b[empty]
-        out[src | mj] += (norm * np.exp(1j * alpha * j)) * signs[j, src] * psi[src]
-    return out
-
-
-def embed_ground_state(state: GroundState) -> np.ndarray:
-    """Expand a product ground state into the full 2^N basis.
-
-    Pairs contribute u + v a^dag_(+alpha) a^dag_(-alpha) acting on the
-    vacuum (the doubly occupied pair state is created minus-first), and an
-    occupied alpha = 0 level contributes its plane-wave creator.
-
-    Raises
-    ------
-    BadSize
-        If the ring is larger than 12 sites.
-    """
-    n = _resolve_ed_size(state.n_sites, _ED_MAX)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    if state.zero_mode_occupied:
-        psi = _apply_momentum_creator(psi, 0.0, n)
-    for alpha, u, v in zip(state.alphas, state.u, state.v):
-        pair = _apply_momentum_creator(
-            _apply_momentum_creator(psi, -float(alpha), n), float(alpha), n
-        )
-        psi = u * psi + v * pair
-    return psi
 
 
 def wilson_loop_berry_phase(loop, n_sites: int) -> float:

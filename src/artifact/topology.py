@@ -105,7 +105,8 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     ValueError
         If a grid side is not an integer or is below 16.
     BadSize
-        Unless N is an even integer with N >= 256.
+        Unless N is an even integer with 256 <= N <= 2**53, where N / 2 and
+        every snapped momentum index are still exact in float64.
     """
     n_phi, n_beta = grid
     if not all(isinstance(side, (int, np.integer)) for side in grid):
@@ -113,8 +114,8 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     if n_phi < 16 or n_beta < 16:
         raise ValueError(f"grid sizes must be >= 16, got {grid}")
     model._check_size(n_sites)
-    if n_sites < 256:
-        raise BadSize(f"n_sites must be even with N >= 256, got {n_sites}")
+    if not 256 <= n_sites <= 2**53:
+        raise BadSize(f"n_sites must be even with 256 <= N <= 2**53, got {n_sites}")
     return n_phi, n_beta, n_sites
 
 
@@ -140,7 +141,7 @@ def chern_number(lam: float) -> ChernResult:
     Raises
     ------
     ValueError
-        If lam is negative or not finite.
+        If lam is not a real number in [0, 1e150].
     CriticalPoint
         If |lam - 1| <= 1e-3.
     """
@@ -215,9 +216,9 @@ def chern_discrete(
     Raises
     ------
     ValueError
-        If lam is negative or not finite, or a grid side is below 16.
+        If lam is not a real number in [0, 1e150], or a grid side is below 16.
     BadSize
-        Unless N is even with N >= 256.
+        Unless N is even with 256 <= N <= 2**53.
     CriticalPoint
         If a sampled mode is closer than 1e-9 to gapless.
     VortexOnPlaquette
@@ -264,7 +265,7 @@ def classify_phase(lam: float) -> PhasePoint:
     Raises
     ------
     ValueError
-        For negative or non-finite lam.
+        Unless lam is a real number in [0, 1e150].
     """
     try:
         result = chern_number(lam)

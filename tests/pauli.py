@@ -4,8 +4,8 @@ H(phi) = hop + gamma pair(phi) + lam field on the periodic ring, bonds
 j -> j+1 with site N identified with site 0 (at N = 2 the two ordered bonds
 join the same sites, so that bond counts twice).  Basis (up, down) per
 site; a down spin is a set bit and site 0 is the most significant bit, so
-Kronecker products run over sites in order.  The phi-free bond sums are
-built once per ring size.
+Kronecker products run over sites in order.  The phi-free bond sums and
+the Jordan-Wigner creators are built once per ring size.
 """
 
 from functools import lru_cache, partial, reduce
@@ -70,3 +70,33 @@ def sparse_hamiltonian(gamma, lam, n):
         field = _sites({j: SZ}, n, kron)
         terms += [-0.5 * (hop + hop.T), -0.5 * gamma * (create + create.T), -0.5 * lam * field]
     return sum(terms[1:], terms[0]).tocsr()
+
+
+@lru_cache(maxsize=None)
+def _creators(n):
+    """Jordan-Wigner creators a_j^dag = (prod_{k<j} SZ_k) LOWER_j as CSR matrices."""
+    kron = partial(scipy.sparse.kron, format="csr")
+    return [_sites({k: SZ for k in range(j)} | {j: LOWER}, n, kron) for j in range(n)]
+
+
+def _momentum_creator(alpha, n):
+    """The plane-wave creator N^(-1/2) sum_j e^(i alpha j) a_j^dag."""
+    terms = [np.exp(1j * alpha * j) * a for j, a in enumerate(_creators(n))]
+    return sum(terms[1:], terms[0]) / np.sqrt(n)
+
+
+def fock_vector(state):
+    """A product ground state expanded in the 2^N spin basis.
+
+    Operators act on the all-up vacuum in the library's order: the zero mode
+    first when occupied, then u + v a^dag_(+alpha) a^dag_(-alpha) per pair.
+    """
+    n = state.n_sites
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    if state.zero_mode_occupied:
+        psi = _momentum_creator(0.0, n) @ psi
+    for alpha, u, v in zip(state.alphas, state.u, state.v):
+        pair = _momentum_creator(alpha, n) @ (_momentum_creator(-alpha, n) @ psi)
+        psi = u * psi + v * pair
+    return psi

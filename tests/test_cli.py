@@ -351,6 +351,9 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
         ("metric-scan", "--gamma", 1, "--lambda-min", -0.2, "--lambda-max", 1.0, "--steps", 3),
         ("scan-chern", "--lambda-min", -0.2, "--lambda-max", 0.6, "--steps", 3,
          "--grid", "16x16", "--n-sites", 256),
+        (*_SCAN, "--n-sites", 10**30),
+        ("scan-chern", "--lambda-min", 0.2, "--lambda-max", 1e300, "--steps", 3),
+        ("metric-scan", "--gamma", 1, "--lambda-min", 0.2, "--lambda-max", 1e300, "--steps", 3),
     ],
 )
 def test_library_input_checks_exit_2(cli, tmp_path, args):
@@ -384,9 +387,8 @@ def test_non_finite_arguments_exit_2(cli, args):
 def test_closed_form_paths_load_no_scipy(tmp_path):
     # the library runs on numpy alone: neither the import, the three
     # closed-form subcommands, the curvature density, Wilson loops, the
-    # closed-form sector energies, the Fock-space embedding, a dense or a
-    # Lanczos exact-diagonalization solve nor oracle-verify on its widest
-    # ring may load scipy
+    # closed-form sector energies, a dense or a Lanczos exact-diagonalization
+    # solve nor oracle-verify on its widest ring may load scipy
     runs = [
         ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
          "--grid", "16x16", "--n-sites", "256"],
@@ -413,7 +415,6 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
         p = artifact.ModelParams(0.3, 1.0, 1.5)
         artifact.wilson_loop_berry_phase([p, artifact.ModelParams(0.6, 1.0, 1.5)], 16)
         artifact.free_fermion_parity_spectrum(p, 8)
-        artifact.embed_ground_state(artifact.build_ground_state(p, 8))
         print(scipy_loaded())
         artifact.ed_ground(p, 4)
         artifact.ed_ground(p, 10)

@@ -15,7 +15,6 @@ from artifact import (
     berry_curvature_mode,
     bogoliubov_angle,
     build_ground_state,
-    embed_ground_state,
     free_fermion_parity_spectrum,
     gap,
     qgt_finite_diff,
@@ -24,6 +23,7 @@ from artifact import (
 )
 from artifact import geometry, oracle
 from artifact.ground_state import _pair_arrays, _pair_block
+from pauli import fock_vector
 
 P = ModelParams
 PROPERTY = settings(max_examples=30)
@@ -242,7 +242,7 @@ def _product_finite_diff(p, n, h=1e-4):
     # every coordinate stepped, phi included: the reference uses no gauge
     def embedded(dphi=0.0, dgamma=0.0, dlam=0.0):
         _, u, v, _ = _pair_arrays(p.phi + dphi, p.gamma + dgamma, p.lam + dlam, n)
-        return embed_ground_state(replace(build_ground_state(p, n), u=u, v=v))
+        return fock_vector(replace(build_ground_state(p, n), u=u, v=v))
 
     psi = embedded()
     d = np.column_stack([

@@ -15,14 +15,13 @@ from artifact import (
     build_ground_state,
     dispersion,
     ed_ground,
-    embed_ground_state,
     free_fermion_parity_spectrum,
     gap,
     isotropic_ground_state,
     overlap,
 )
 from artifact.ground_state import _pair_block
-from pauli import pauli_hamiltonian
+from pauli import fock_vector, pauli_hamiltonian
 
 P = ModelParams
 
@@ -134,7 +133,7 @@ def test_isotropic_rejects_a_bad_field(lam):
 
 def test_ground_energy_flat_band():
     p = P(0.0, 1.0, 0.0)
-    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
+    energy = _assert_chain_eigenstate(p, 8, fock_vector(build_ground_state(p, 8)))
     assert energy == pytest.approx(-4.0, abs=1e-14)
     # the closed-form sums hold on any even ring
     for n in (4096, 8192, 65536):
@@ -143,7 +142,7 @@ def test_ground_energy_flat_band():
 
 def test_ground_energy_matches_ed():
     p = P(0.0, 0.5, 0.5)
-    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
+    energy = _assert_chain_eigenstate(p, 8, fock_vector(build_ground_state(p, 8)))
     assert energy == pytest.approx(ed_ground(p, 8).odd_sector_energy, abs=1e-10)
 
 
@@ -163,7 +162,7 @@ def test_overlap_phase_rotation_single_pair():
 def test_overlap_cross_sector():
     a = build_ground_state(P(0.0, 1.0, 0.0), 8)
     b = build_ground_state(P(0.0, 1.0, 0.1), 8)
-    fock = np.vdot(embed_ground_state(a), embed_ground_state(b))
+    fock = np.vdot(fock_vector(a), fock_vector(b))
     # frozen from the Fock-space evaluation of the two product states
     assert abs(fock) == pytest.approx(0.9974960775806171, abs=1e-12)
     assert overlap(a, b) == pytest.approx(fock, abs=1e-12)
@@ -171,7 +170,7 @@ def test_overlap_cross_sector():
     # parities differ and the states are orthogonal
     c = build_ground_state(P(0.0, 1.0, 1.5), 8)
     assert overlap(a, c) == 0j
-    assert np.vdot(embed_ground_state(a), embed_ground_state(c)) == 0j
+    assert np.vdot(fock_vector(a), fock_vector(c)) == 0j
 
 
 def test_overlap_grid_mismatch():
@@ -195,14 +194,14 @@ def test_ring_eigenstate_without_holes():
     state = build_ground_state(p, 8)
     assert not state.zero_mode_occupied
     assert np.allclose(state.alphas, np.pi * np.array([1, 3, 5, 7]) / 8, atol=1e-15)
-    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(state))
+    energy = _assert_chain_eigenstate(p, 8, fock_vector(state))
     assert energy == pytest.approx(ed_ground(p, 8).ground_energy, abs=1e-10)
 
 
 def test_ring_eigenstate_inside_fermi_edge():
     # at (gamma=1, lam=0, N=8) the pairs k = 1, 2 sit inside the Fermi edge
     p = P(0.0, 1.0, 0.0)
-    energy = _assert_chain_eigenstate(p, 8, embed_ground_state(build_ground_state(p, 8)))
+    energy = _assert_chain_eigenstate(p, 8, fock_vector(build_ground_state(p, 8)))
     assert energy == pytest.approx(ed_ground(p, 8).ground_energy, abs=1e-10)
 
 
@@ -222,7 +221,7 @@ def test_product_state_is_fock_ground_state(n, a, b):
     assume(gap(a[1], a[2]) > 1e-6 and gap(b[1], b[2]) > 1e-6)
     pa, pb = P(*a), P(*b)
     sa, sb = build_ground_state(pa, n), build_ground_state(pb, n)
-    va, vb = embed_ground_state(sa), embed_ground_state(sb)
+    va, vb = fock_vector(sa), fock_vector(sb)
     _assert_chain_eigenstate(pa, n, va)
     assert overlap(sa, sb) == pytest.approx(np.vdot(va, vb), abs=1e-12)
 

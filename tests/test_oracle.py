@@ -12,7 +12,6 @@ from artifact import (
     chern_discrete,
     dispersion,
     ed_ground,
-    embed_ground_state,
     free_fermion_parity_spectrum,
     qgt_finite_diff,
     qgt_matrix_elements,
@@ -22,7 +21,7 @@ from artifact import (
 )
 from artifact import model, oracle
 from artifact.ground_state import _pair_grid
-from pauli import pauli_hamiltonian, sparse_hamiltonian
+from pauli import fock_vector, pauli_hamiltonian, sparse_hamiltonian
 
 P = ModelParams
 
@@ -100,8 +99,6 @@ def test_free_fermion_bad_size():
 def test_ed_size_limit():
     with pytest.raises(BadSize, match=r"must be in \[2, 12\]"):
         ed_ground(P(0.0, 0.5, 0.5), 14)
-    with pytest.raises(BadSize, match=r"must be in \[2, 12\]"):
-        embed_ground_state(build_ground_state(P(0.0, 0.5, 0.5), 14))
     with pytest.raises(BadSize):
         ed_ground(P(0.0, 0.5, 0.5), n_sites=None)
 
@@ -335,7 +332,7 @@ def test_wilson_regauge_invariance():
     ts = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
     loop = [P(0.3 + 0.05 * np.cos(t), 1.0 + 0.1 * np.sin(t), 1.5) for t in ts]
     base = wilson_loop_berry_phase(loop, 8)
-    vecs = [embed_ground_state(build_ground_state(p, 8)) for p in loop]
+    vecs = [fock_vector(build_ground_state(p, 8)) for p in loop]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(vecs)))
     gauged = [ph * v for ph, v in zip(phases, vecs)]
     prod = 1.0 + 0.0j

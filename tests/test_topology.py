@@ -105,13 +105,17 @@ def test_discrete_grid_doubling_invariant():
     st.floats(0.0, 3.0),
     st.integers(16, 96),
     st.integers(16, 96),
-    st.integers(128, 2048).map(lambda half: 2 * half),
+    st.integers(128, 2**52).map(lambda half: 2 * half),
 )
 def test_discrete_residual_is_machine_precision(lam, n_phi, n_beta, n):
     # every link enters two cells with opposite orientation, so the summed
-    # phase is a multiple of 2 pi up to rounding on any valid grid
+    # phase is a multiple of 2 pi up to rounding on any valid grid; each cell
+    # lies in a lune 2 pi / n_phi wide in azimuth, so no cell phase nears pi
     assume(abs(lam - 1.0) > 1e-3)
-    assert chern_discrete(lam, (n_phi, n_beta), n).residual < 1e-9
+    result = chern_discrete(lam, (n_phi, n_beta), n)
+    assert result.residual < 1e-9
+    assert result.nearest_integer == (-1 if lam < 1.0 else 0)
+    assert result.worst_cell_phase <= 2.0 * math.pi / n_phi + 1e-12
 
 
 def test_discrete_validation():
@@ -121,6 +125,9 @@ def test_discrete_validation():
         chern_discrete(0.5, (32, 32), 513)
     with pytest.raises(BadSize):
         chern_discrete(0.5, (32, 32), 128)
+    for n in (2**53 + 2, 10**30):
+        with pytest.raises(BadSize, match="N <= 2"):
+            chern_discrete(0.5, (32, 32), n)
 
 
 @pytest.mark.parametrize("fn", [chern_number, chern_discrete])
