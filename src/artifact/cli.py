@@ -91,9 +91,16 @@ def _renderer(args):
 
 
 def _rendered(args, fieldnames, rows):
-    """Dict rows as tuples of rendered cells in field order; a missing key renders as None."""
+    """Dict rows rendered for ``_emit``, cells in field order; a missing key renders as None.
+
+    JSON rows are tuples of cells; CSV rows are lines, the cells joined by
+    commas and ended by LF.
+    """
     render = _renderer(args)
-    return [tuple(render(row.get(name)) for name in fieldnames) for row in rows]
+    cells = [tuple(render(row.get(name)) for name in fieldnames) for row in rows]
+    if _resolve_format(args) == "json":
+        return cells
+    return [",".join(row) + "\n" for row in cells]
 
 
 def _open_out(args, mode: str):
@@ -133,12 +140,14 @@ def _output(args):
 def _emit(args, fieldnames, rows, summary) -> None:
     """Write the rows as CSV, or as JSON with the parsed command line as ``config``.
 
-    ``rows`` is an iterable of tuples in ``fieldnames`` order whose cells the
-    run's ``_renderer`` has already rendered, so each cell is rendered once.
-    A CSV cell is a number, an empty string or a fixed word, never one holding
-    a comma, a quote or a line break, so no cell needs quoting and each row is
-    written as its cells joined by commas, one LF-terminated line at a time.
-    The destination is complete and closed when this returns.
+    ``rows`` is an iterable whose cells the run has already rendered, so each
+    cell is rendered once.  For JSON each item is a tuple of ``_jnum`` cells
+    in ``fieldnames`` order.  For CSV each item is text made of whole
+    LF-terminated lines, one row or a block of rows, written after the
+    header as it comes.  A CSV cell is a number, an empty string or a fixed
+    word, never one holding a comma, a quote or a line break, so no cell
+    needs quoting and a row is its cells joined by commas.  The destination
+    is complete and closed when this returns.
     """
     with _output(args) as stream:
         if _resolve_format(args) == "json":
@@ -155,7 +164,7 @@ def _emit(args, fieldnames, rows, summary) -> None:
             stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         else:
             stream.write(",".join(fieldnames) + "\n")
-            stream.writelines(",".join(row) + "\n" for row in rows)
+            stream.writelines(rows)
 
 
 def _chern_row(task):
@@ -221,8 +230,10 @@ def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
     gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes").tolist()
     lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes").tolist()
-    model._check_sign("gamma", args.gamma_min)
-    model._check_sign("lam", args.lambda_min)
+    model._check_coupling("gamma", args.gamma_min)
+    model._check_coupling("gamma", args.gamma_max)
+    model._check_coupling("lam", args.lambda_min)
+    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     gaps = _map_rows(_gap_row, itertools.product(gammas, lams))
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
@@ -232,7 +243,15 @@ def _run_gap_map(args) -> int:
     render = _renderer(args)
     g_cells = [render(g) for g in gammas]
     l_cells = [render(l) for l in lams]
-    rows = zip([g for g in g_cells for _ in l_cells], l_cells * len(g_cells), map(render, gaps))
+    if _resolve_format(args) == "json":
+        rows = zip([g for g in g_cells for _ in l_cells], l_cells * len(g_cells), map(render, gaps))
+    else:
+        # one template per gamma block, filled by one C-level % format:
+        # "%.12g" renders a float exactly as _fmt's f"{value:.12g}", and no
+        # rendered cell holds a "%"
+        tails = [f",{l},%.12g\n" for l in l_cells]
+        blocks = zip(*[iter(gaps)] * len(lams))  # the gaps of each gamma, in order
+        rows = ((g + g.join(tails)) % block for g, block in zip(g_cells, blocks))
     _emit(args, ["gamma", "lambda", "gap"], rows, summary)
     print(
         f"gap-map: {len(gaps)} rows written, {zero_rows} exactly gapless",

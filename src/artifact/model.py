@@ -91,15 +91,10 @@ def _check_coupling(name: str, value: float) -> None:
     The upper bound keeps r^2 of ``_Pairing`` below 2e300, clear of overflow.
     """
     _check_finite(name, value)
-    _check_sign(name, value)
-    if value > 1e150:
-        raise ValueError(f"{name} must be <= 1e150, got {value}")
-
-
-def _check_sign(name: str, value: float) -> None:
-    """ValueError if the coupling ``name`` is negative; NaN and +inf pass."""
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    if value > 1e150:
+        raise ValueError(f"{name} must be <= 1e150, got {value}")
 
 
 def _check_integer(n_sites: int) -> None:
@@ -214,17 +209,25 @@ def gap(gamma: float, lam: float) -> float:
 
     The dispersion minimum sits in the band interior when gamma < 1 and
     lam < 1 - gamma^2, and at the band edge alpha = 0 otherwise.  Returns
-    exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1},
-    and NaN when either coupling is NaN.
+    exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1}.
 
     Raises
     ------
     ValueError
-        If gamma or lam is negative.
+        If gamma or lam is not a real number in [0, 1e150]: negative,
+        above 1e150, non-finite or no number at all.
     """
-    if gamma < 0.0 or lam < 0.0:
-        _check_sign("gamma", gamma)
-        _check_sign("lam", lam)
+    # one chained comparison keeps the check cheap on the gap-map hot path;
+    # only a failure (NaN, out of range, or no number) pays for the full
+    # checks and their messages.  The handler repeats the two calls because
+    # a flag stored for one shared call costs a fifth more per valid call.
+    try:
+        if not (0.0 <= gamma <= 1e150 and 0.0 <= lam <= 1e150):
+            _check_coupling("gamma", gamma)
+            _check_coupling("lam", lam)
+    except TypeError:
+        _check_coupling("gamma", gamma)
+        _check_coupling("lam", lam)
     if not (gamma >= 1.0 or lam >= 1.0 - gamma * gamma):
         omg2 = 1.0 - gamma * gamma
         return gamma * math.sqrt((omg2 - lam * lam) / omg2)

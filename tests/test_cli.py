@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -224,6 +225,85 @@ def test_gap_map_bytes_match_an_independent_rendering(monkeypatch, signed):
     ]
 
 
+_axis_end = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e150]),
+    st.floats(0.0, 1e150),
+)
+
+
+@st.composite
+def _gap_axes(draw):
+    ends = []
+    for _ in range(2):
+        lo, hi = sorted(draw(st.lists(_axis_end, min_size=2, max_size=2, unique=True)))
+        ends.append((-0.0 if draw(st.booleans()) and lo == 0.0 else lo, hi))
+    return ends, draw(st.integers(2, 40)), draw(st.integers(2, 40))
+
+
+@settings(max_examples=60)
+@given(_gap_axes())
+def test_gap_map_blocks_match_a_cell_by_cell_rendering(axes):
+    # gap-map fills one "%.12g" template per gamma block; the bytes must be
+    # those of rendering every cell on its own, on stdout and through --out,
+    # subnormal and 1e150 ends and signed-zero starts included
+    ((g_lo, g_hi), (l_lo, l_hi)), g_steps, l_steps = axes
+    gammas = np.linspace(g_lo, g_hi, g_steps).tolist()
+    lams = np.linspace(l_lo, l_hi, l_steps).tolist()
+    gammas[0], lams[0] = g_lo, l_lo  # a -0.0 start, kept by _keep_signed_axis_starts
+    expected = "".join(
+        ["gamma,lambda,gap\n"]
+        + [f"{g:.12g},{l:.12g},{model.gap(g, l):.12g}\n" for g in gammas for l in lams]
+    ).encode()
+    argv = ["gap-map", "--gamma-min", repr(g_lo), "--gamma-max", repr(g_hi),
+            "--lambda-min", repr(l_lo), "--lambda-max", repr(l_hi),
+            "--grid", f"{g_steps}x{l_steps}", "--format", "csv"]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        _keep_signed_axis_starts(patch)
+        assert _stdout_of(argv) == (0, expected)
+        out = f"{tmp}/gap.csv"
+        assert _stdout_of(argv + ["--out", out]) == (0, b"")
+        with open(out, "rb") as handle:
+            assert handle.read() == expected
+
+
+def test_percent_g_renders_as_the_format_spec():
+    # the block template's "%.12g" and _fmt's f"{value:.12g}" must agree on
+    # every float: signed zeros, subnormals, integers past 2**53, non-finite
+    # values and a seeded sample of bit patterns over every exponent
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             float(10**16 - 1), float(10**16 + 1), float(10**16 + 2), 1e16 - 2,
+             math.inf, -math.inf, math.nan, 1e150, 0.1, 1 / 3]
+    sample = np.random.default_rng(27).integers(0, 2**64, 20000, dtype=np.uint64)
+    for x in edges + sample.view(np.float64).tolist():
+        assert "%.12g" % x == f"{x:.12g}", x
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts ``write`` calls, one per ``writelines`` item."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_gap_map_writes_one_block_per_gamma():
+    # a header and one write per gamma block, never one per row: 301 * 7 rows
+    # written one at a time would be 2107 writes
+    stream = _CountingStream()
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
+        assert artifact_cli.main(["gap-map", "--grid", "301x7"]) == 0
+    assert stream.getvalue().count("\n") == 1 + 301 * 7
+    assert stream.writes <= 1 + 301
+
+
 def test_rendered_rows_keep_empty_cells():
     # a skipped metric-scan row has no components: empty CSV cells, JSON nulls
     argv = ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
@@ -331,6 +411,7 @@ def test_metric_scan_usage_errors(cli):
 
 _SCAN = ("scan-chern", "--lambda-min", 0.2, "--lambda-max", 0.6, "--steps", 3)
 _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps", 2)
+_GAP_AXIS_ENDS = ("--gamma-min", "--gamma-max", "--lambda-min", "--lambda-max")
 
 
 @pytest.mark.parametrize(
@@ -354,6 +435,10 @@ _STRIP = ("scan-chern", "--lambda-min", 0.9995, "--lambda-max", 1.0005, "--steps
         (*_SCAN, "--n-sites", 10**30),
         ("scan-chern", "--lambda-min", 0.2, "--lambda-max", 1e300, "--steps", 3),
         ("metric-scan", "--gamma", 1, "--lambda-min", 0.2, "--lambda-max", 1e300, "--steps", 3),
+        ("gap-map", "--gamma-max", 1e151),
+        ("gap-map", "--lambda-max", 1e300),
+        ("gap-map", "--lambda-max", 1e151, "--gamma-max", 1e300),
+        ("gap-map", "--lambda-max", 1e151, "--lambda-min", -1),
     ],
 )
 def test_library_input_checks_exit_2(cli, tmp_path, args):
@@ -365,9 +450,14 @@ def test_library_input_checks_exit_2(cli, tmp_path, args):
     assert "error:" in res.stderr
     assert not out.exists()
     if args[0] == "gap-map":
-        # model.gap's own sign check, gamma before lam
-        name = "gamma" if "--gamma-min" in args else "lam"
-        assert res.stderr.splitlines() == [f"error: {name} must be >= 0, got -1.0"]
+        # the library's coupling check on each axis end, in the order
+        # --gamma-min, --gamma-max, --lambda-min, --lambda-max
+        ends = dict(zip(args[1::2], args[2::2]))
+        flag = next(f for f in _GAP_AXIS_ENDS if f in ends)
+        name = "gamma" if flag.startswith("--gamma") else "lam"
+        value = float(ends[flag])
+        rule = "must be >= 0" if value < 0 else "must be <= 1e150"
+        assert res.stderr.splitlines() == [f"error: {name} {rule}, got {value}"]
 
 
 @pytest.mark.parametrize(
@@ -484,6 +574,13 @@ def test_out_on_a_failed_run(tmp_path):
     kept.write_bytes(b"earlier\n")
     assert artifact_cli.main(["gap-map", "--gamma-min", "-1", "--out", str(kept)]) == 2
     assert kept.read_bytes() == b"earlier\n"
+    # an axis end above the coupling bound is judged up front too
+    for flag in ("--gamma-max", "--lambda-max"):
+        argv = ["gap-map", flag, "1e151", "--grid", "3x3", "--out"]
+        assert artifact_cli.main(argv + [str(missing)]) == 2
+        assert not missing.exists()
+        assert artifact_cli.main(argv + [str(kept)]) == 2
+        assert kept.read_bytes() == b"earlier\n"
 
 
 def test_oracle_verify_report(cli, tmp_path):

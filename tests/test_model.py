@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,18 +76,37 @@ def test_gap_values():
     assert gap(1.0, 0.0) == 1.0
 
 
-def test_gap_nan_coupling_is_nan():
-    for gamma, lam in ((math.nan, 0.5), (0.5, math.nan), (2.0, math.nan), (math.nan, 2.0)):
-        assert math.isnan(gap(gamma, lam)), (gamma, lam)
+_BAD_COUPLINGS = [
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (-math.inf, "must be finite, got -inf"),
+    ("0.5", "must be a finite real number, got '0.5'"),
+    (None, "must be a finite real number, got None"),
+    (10**400, "must be a finite real number, got 1000"),
+    (1e151, "must be <= 1e150, got 1e+151"),
+]
+
+
+def test_gap_rejects_a_bad_coupling():
+    # each slot, on both branches of the closed form; gamma is judged first
+    for bad, message in _BAD_COUPLINGS:
+        for gamma, lam, name in (
+            (bad, 0.5, "gamma"), (0.5, bad, "lam"), (2.0, bad, "lam"), (bad, 2.0, "gamma"),
+            (bad, bad, "gamma"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+                gap(gamma, lam)
     # the gap-map edges keep their values: the lines gamma = 0, lam = 0 and
-    # lam = 1, the band-interior boundary lam = 1 - gamma^2, and infinities
+    # lam = 1, the band-interior boundary lam = 1 - gamma^2, the coupling
+    # bound and a signed-zero anisotropy
     assert gap(0.0, 1.5) == 0.5
     assert gap(0.5, 0.0) == 0.5
     assert gap(2.0, 0.0) == 1.0
     assert gap(0.5, 0.75) == 0.25
     assert gap(1.0, 0.5) == 0.5
-    assert gap(math.inf, 0.5) == 0.5
-    assert gap(0.5, math.inf) == math.inf
+    assert gap(1e150, 0.5) == 0.5
+    assert gap(0.5, 1e150) == 1e150
+    assert math.copysign(1.0, gap(-0.0, 0.5)) == -1.0
 
 
 @pytest.mark.parametrize(
