@@ -69,12 +69,24 @@ def _map_rows(fn, tasks):
 
 
 def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--steps"):
-    """The ``steps`` evenly spaced values from lo to hi; ValueError on a bad axis."""
+    """The ``steps`` evenly spaced values from lo to hi; ValueError on a bad axis.
+
+    An axis is bad also when two adjacent values print alike at the 12
+    significant digits of the output, since their rows could not be told apart.
+    """
     if steps < 2:
         raise ValueError(f"{steps_flag} must be >= 2")
     if not lo < hi:
         raise ValueError(f"--{name}-min must be < --{name}-max")
-    return np.linspace(lo, hi, steps)
+    values = np.linspace(lo, hi, steps)
+    cells = [_fmt(value) for value in values.tolist()]
+    repeat = next((a for a, b in zip(cells, cells[1:]) if a == b), None)
+    if repeat is not None:
+        raise ValueError(
+            f"--{name}-min and --{name}-max are too close for {steps} values: "
+            f"two adjacent {name} values print as {repeat}"
+        )
+    return values
 
 
 def _resolve_format(args) -> str:
@@ -168,26 +180,21 @@ def _emit(args, fieldnames, rows, summary) -> None:
 
 
 def _chern_row(task):
-    """One scan-chern row, or None for a field inside the critical strip."""
-    lam, grid, n_sites = task
-    row = {"lambda": lam, "label": "failed"}
-    try:
-        point = topology.classify_phase(lam)
-        if point.chern is None:
-            return None
-        row["chern_quadrature"] = point.chern.value
-        row["chern_error"] = point.chern.residual
-        disc = topology.chern_discrete(lam, grid, n_sites)
-        row["chern_discrete"] = disc.nearest_integer
-        if disc.nearest_integer == point.chern.nearest_integer:
-            row["label"] = point.label.value
-        else:
-            row["error"] = (
-                f"method disagreement: winding {point.chern.nearest_integer}, "
-                f"discrete {disc.nearest_integer}"
-            )
-    except ArtifactError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+    """One scan-chern row from a field's phase point and its plaquette result or error."""
+    point, disc = task
+    row = {"lambda": point.lam, "label": "failed", "chern_quadrature": point.chern.value}
+    row["chern_error"] = point.chern.residual
+    if isinstance(disc, ArtifactError):
+        row["error"] = f"{type(disc).__name__}: {disc}"
+        return row
+    row["chern_discrete"] = disc.nearest_integer
+    if disc.nearest_integer == point.chern.nearest_integer:
+        row["label"] = point.label.value
+    else:
+        row["error"] = (
+            f"method disagreement: winding {point.chern.nearest_integer}, "
+            f"discrete {disc.nearest_integer}"
+        )
     return row
 
 
@@ -197,9 +204,12 @@ def _run_scan_chern(args) -> int:
     model._check_coupling("lam", args.lambda_min)
     model._check_coupling("lam", args.lambda_max)
     _check_out(args)
-    results = _map_rows(_chern_row, [(float(l), args.grid, args.n_sites) for l in lams])
-    rows = [row for row in results if row is not None]
-    skipped = [float(l) for l, row in zip(lams, results) if row is None]
+    points = [topology.classify_phase(l) for l in lams.tolist()]
+    kept = [point for point in points if point.chern is not None]
+    # the plaquette flux of every field outside the critical strip, in blocks
+    discs = topology._chern_discrete_batch([p.lam for p in kept], args.grid, args.n_sites)
+    rows = _map_rows(_chern_row, zip(kept, discs))
+    skipped = [point.lam for point in points if point.chern is None]
     failed = [row for row in rows if row["label"] == "failed"]
     fieldnames = ["lambda", "chern_quadrature", "chern_error", "chern_discrete", "label"]
     summary = {

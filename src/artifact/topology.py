@@ -12,7 +12,10 @@ A step in phi maps every pair block by diag(1, e^{-2i dphi}), which fixes
 both pole states, so every phi-column of cells carries the same phases.
 The discrete route therefore evaluates one strip of cells, the 2 n_beta
 nodes of two adjacent columns, and multiplies its flux by n_phi: the
-result is the flux of the whole n_phi x n_beta grid.
+result is the flux of the whole n_phi x n_beta grid.  The strips of many
+fields are evaluated together, the field being the leading batch axis of
+every array, in blocks of about ``_BLOCK_NODES`` nodes; ``chern_discrete``
+is that evaluation at one field.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import BadSize, CriticalPoint, NoJumpFound, VortexOnPlaquette
+from .errors import ArtifactError, BadSize, CriticalPoint, NoJumpFound, VortexOnPlaquette
 from .ground_state import _pair_block
 
 __all__ = [
@@ -37,6 +40,10 @@ __all__ = [
     "classify_phase",
     "detect_transition",
 ]
+
+# Strip nodes evaluated in one numpy pass: 16 fields at n_beta = 128, which
+# keeps a block's temporaries within about a megabyte.
+_BLOCK_NODES = 4096
 
 
 class PhaseLabel(str, enum.Enum):
@@ -103,7 +110,7 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     Raises
     ------
     ValueError
-        If a grid side is not an integer or is below 16.
+        If a grid side is not an integer in [16, 2**53].
     BadSize
         Unless N is an even integer with 256 <= N <= 2**53, where N / 2 and
         every snapped momentum index are still exact in float64.
@@ -111,22 +118,23 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     n_phi, n_beta = grid
     if not all(isinstance(side, (int, np.integer)) for side in grid):
         raise ValueError(f"grid sizes must be integers, got {grid}")
-    if n_phi < 16 or n_beta < 16:
-        raise ValueError(f"grid sizes must be >= 16, got {grid}")
+    if not (16 <= n_phi <= 2**53 and 16 <= n_beta <= 2**53):
+        raise ValueError(f"grid sizes must lie in [16, 2**53], got {grid}")
     model._check_size(n_sites)
     if not 256 <= n_sites <= 2**53:
         raise BadSize(f"n_sites must be even with 256 <= N <= 2**53, got {n_sites}")
     return n_phi, n_beta, n_sites
 
 
-def _pole_thetas(lam: float) -> np.ndarray:
-    """Pairing angle at the two unpaired momenta alpha = 0 and pi (gamma = 1)."""
+def _pole_thetas(lam) -> np.ndarray:
+    """Pairing angle at the two unpaired momenta alpha = 0 and pi (gamma = 1), last axis."""
     return model._Pairing(np.array([0.0, math.pi]), 1.0, lam).theta
 
 
-def _pole_state(theta: float) -> tuple[float, float]:
+def _pole_state(theta) -> tuple[np.ndarray, np.ndarray]:
     """Unpaired level as an exact cap state: occupied (0, 1) past theta = pi/2."""
-    return (0.0, 1.0) if theta > 0.5 * math.pi else (1.0, 0.0)
+    occupied = theta > 0.5 * math.pi
+    return (~occupied).astype(float), occupied.astype(float)
 
 
 def chern_number(lam: float) -> ChernResult:
@@ -156,41 +164,80 @@ def chern_number(lam: float) -> ChernResult:
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
     """Summed plaquette and pole-fan phases of a strip of cells on the sphere.
 
-    ``u`` and ``v`` are amplitude arrays of shape (n_cols, n_beta): rows are
+    ``u`` and ``v`` are amplitude arrays of shape (..., n_cols, n_beta):
+    leading axes are a batch of strips, and in each strip the rows are
     consecutive phi-columns of nodes, joined by links with no wrap, so they
     bound n_cols - 1 columns of cells.  The beta direction is closed by
-    triangle fans to the two cap states.  The whole closed grid is the
-    strip whose last row repeats the first.  Returns (total phase, worst
-    |cell phase|, smallest link modulus); on a closed grid every link
-    enters exactly two cells with opposite orientation, so the total is an
-    exact multiple of 2 pi.
+    triangle fans to the two cap states, whose components broadcast against
+    the (..., n_cols) end nodes.  The whole closed grid is the strip whose
+    last row repeats the first.  Returns (total phase, worst |cell phase|,
+    smallest link modulus), each of the batch shape; on a closed grid every
+    link enters exactly two cells with opposite orientation, so the total is
+    an exact multiple of 2 pi.
     """
-    link_phi = np.conj(u[:-1]) * u[1:] + np.conj(v[:-1]) * v[1:]
-    link_beta = np.conj(u[:, :-1]) * u[:, 1:] + np.conj(v[:, :-1]) * v[:, 1:]
+    link_phi = np.conj(u[..., :-1, :]) * u[..., 1:, :] + np.conj(v[..., :-1, :]) * v[..., 1:, :]
+    link_beta = np.conj(u[..., :-1]) * u[..., 1:] + np.conj(v[..., :-1]) * v[..., 1:]
     cb_u, cb_v = cap_bottom
     ct_u, ct_v = cap_top
-    bottom = np.conj(cb_u) * u[:, 0] + np.conj(cb_v) * v[:, 0]
-    top = np.conj(u[:, -1]) * ct_u + np.conj(v[:, -1]) * ct_v
-    min_link = min(
-        float(np.min(np.abs(link_phi))),
-        float(np.min(np.abs(link_beta))) if link_beta.size else math.inf,
-        float(np.min(np.abs(bottom))),
-        float(np.min(np.abs(top))),
-    )
+    bottom = np.conj(cb_u) * u[..., 0] + np.conj(cb_v) * v[..., 0]
+    top = np.conj(u[..., -1]) * ct_u + np.conj(v[..., -1]) * ct_v
+    links = (np.abs(link_phi), np.abs(link_beta), np.abs(bottom)[..., None], np.abs(top)[..., None])
+    min_link = np.min([np.min(a, axis=(-2, -1), initial=math.inf) for a in links], axis=0)
     plaq = (
-        link_phi[:, :-1]
-        * link_beta[1:]
-        * np.conj(link_phi[:, 1:])
-        * np.conj(link_beta[:-1])
+        link_phi[..., :-1]
+        * link_beta[..., 1:, :]
+        * np.conj(link_phi[..., 1:])
+        * np.conj(link_beta[..., :-1, :])
     )
-    tri_bottom = bottom[1:] * np.conj(link_phi[:, 0]) * np.conj(bottom[:-1])
-    tri_top = np.conj(top[:-1]) * link_phi[:, -1] * top[1:]
+    tri_bottom = bottom[..., 1:] * np.conj(link_phi[..., 0]) * np.conj(bottom[..., :-1])
+    tri_top = np.conj(top[..., :-1]) * link_phi[..., -1] * top[..., 1:]
     phases = np.concatenate(
-        [np.angle(plaq).ravel(), np.angle(tri_bottom), np.angle(tri_top)]
+        [np.angle(plaq).reshape(*plaq.shape[:-2], -1), np.angle(tri_bottom), np.angle(tri_top)],
+        axis=-1,
     )
-    total = float(np.sum(phases))
-    worst = float(np.max(np.abs(phases))) if phases.size else 0.0
-    return total, worst, min_link
+    return np.sum(phases, axis=-1), np.max(np.abs(phases), axis=-1, initial=0.0), min_link
+
+
+def _strip_result(lam, critical, flux, phase, link, n_phi, n_beta) -> ChernResult:
+    """One field's ChernResult from its strip flux, or the error its guards raise."""
+    if critical:
+        raise CriticalPoint(f"sampled mode energy below 1e-9 at lam={lam}")
+    if link < 1e-12:
+        raise VortexOnPlaquette(f"link modulus {link:.3e}; refine the grid")
+    if phase >= math.pi - 1e-9:
+        raise VortexOnPlaquette(f"cell phase {phase:.6f} is ambiguous; refine the grid")
+    value = n_phi * flux / (2.0 * math.pi)
+    return ChernResult(value, ChernMethod.DISCRETE, n_phi * n_beta + 2, phase, link)
+
+
+def _chern_discrete_batch(lams, grid: tuple[int, int], n_sites: int) -> list:
+    """``chern_discrete`` at each field of ``lams``: its ChernResult or the ArtifactError it raises.
+
+    The fields must pass ``model._check_coupling``; grid and N are checked
+    here.  Each block of ``_BLOCK_NODES`` strip nodes is one numpy pass.
+    """
+    n_phi, n_beta, n = _check_grid(grid, n_sites)
+    ks = np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int).clip(1, n // 2 - 1)
+    alphas = 2.0 * np.pi * ks / n
+    phis = np.array([[0.0], [math.pi / n_phi]])
+    lams = np.asarray(lams, dtype=float)
+    size = max(1, _BLOCK_NODES // (2 * n_beta))
+    results = []
+    for start in range(0, len(lams), size):
+        block = lams[start : start + size, None]
+        pairing = model._Pairing(alphas, 1.0, block)
+        critical = np.any(pairing.energy < 1e-9, axis=-1)
+        u, v = _pair_block(pairing.theta[:, None], phis)
+        poles = _pole_thetas(block)
+        strip, worst, min_link = _total_flux(
+            np.broadcast_to(u, v.shape), v, _pole_state(poles[:, :1]), _pole_state(poles[:, 1:])
+        )
+        for field in zip(*(a.tolist() for a in (block[:, 0], critical, strip, worst, min_link))):
+            try:
+                results.append(_strip_result(*field, n_phi, n_beta))
+            except ArtifactError as exc:
+                results.append(exc)
+    return results
 
 
 def chern_discrete(
@@ -211,47 +258,30 @@ def chern_discrete(
     fan phases over 2 pi give a machine-precision integer.  At lam = 1 the
     alpha = 0 pole level is gapless and theta = atan2(+0, +0) = 0 takes it
     empty, so the critical field reads 0; ``detect_transition`` relies on
-    this for its upper bracket end at exactly 1.0.
+    this for its upper bracket end at exactly 1.0.  This is the batched
+    evaluation of ``_chern_discrete_batch`` at a batch of one field; a scan
+    passes all its fields there at once and gets the same bits per field.
 
     Raises
     ------
     ValueError
-        If lam is not a real number in [0, 1e150], or a grid side is below 16.
+        If lam is not a real number in [0, 1e150], or a grid side is not an
+        integer in [16, 2**53].
     BadSize
         Unless N is even with 256 <= N <= 2**53.
     CriticalPoint
-        If a sampled mode is closer than 1e-9 to gapless.
+        If a sampled mode is closer than 1e-9 to gapless; the snapped
+        momenta stay about pi / (2 n_beta) or 2 pi / N from alpha = 0, so
+        only a grid far too large to evaluate could reach this.
     VortexOnPlaquette
         If a cell phase reaches pi or a link modulus collapses, making
         the phase assignment ambiguous.
     """
     model._check_coupling("lam", lam)
-    n_phi, n_beta, n = _check_grid(grid, n_sites)
-    ks = np.clip(
-        np.round((np.arange(n_beta) + 0.5) * (n / 2) / n_beta).astype(int),
-        1,
-        n // 2 - 1,
-    )
-    alphas = 2.0 * np.pi * ks / n
-    pairing = model._Pairing(alphas, 1.0, lam)
-    if np.any(pairing.energy < 1e-9):
-        raise CriticalPoint(f"sampled mode energy below 1e-9 at lam={lam}")
-    u, v = _pair_block(pairing.theta, np.array([[0.0], [math.pi / n_phi]]))
-    theta_0, theta_pi = _pole_thetas(lam)
-    strip, worst, min_link = _total_flux(
-        np.broadcast_to(u, v.shape), v, _pole_state(theta_0), _pole_state(theta_pi)
-    )
-    if min_link < 1e-12:
-        raise VortexOnPlaquette(f"link modulus {min_link:.3e}; refine the grid")
-    if worst >= math.pi - 1e-9:
-        raise VortexOnPlaquette(f"cell phase {worst:.6f} is ambiguous; refine the grid")
-    return ChernResult(
-        value=float(n_phi * strip / (2.0 * math.pi)),
-        method=ChernMethod.DISCRETE,
-        node_count=n_phi * n_beta + 2,
-        worst_cell_phase=worst,
-        min_link=min_link,
-    )
+    (result,) = _chern_discrete_batch([lam], grid, n_sites)
+    if isinstance(result, ArtifactError):
+        raise result
+    return result
 
 
 def classify_phase(lam: float) -> PhasePoint:
@@ -285,7 +315,8 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     Raises
     ------
     ValueError
-        If tol is not a finite positive number, or lambda_lo >= lambda_hi.
+        If tol is not a finite positive number, an endpoint is not a real
+        number in [0, 1e150], or lambda_lo >= lambda_hi.
     CriticalPoint
         If either endpoint lies in the excluded strip around the critical
         field (endpoints must classify as definite phases).
@@ -295,6 +326,8 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     model._check_finite("tol", tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    model._check_coupling("lambda_lo", lambda_lo)
+    model._check_coupling("lambda_hi", lambda_hi)
     if lambda_lo >= lambda_hi:
         raise ValueError("need lambda_lo < lambda_hi")
     lo_point = classify_phase(lambda_lo)

@@ -68,12 +68,14 @@ def test_scan_chern_usage_errors(cli):
     assert "error:" in res.stderr
 
 
-def test_scan_chern_partial_failure(monkeypatch, tmp_path):
-    # no valid input makes a row fail, so the plaquette route is made to raise
-    def vortex(*args):
-        raise VortexOnPlaquette("forced")
+def _vortices(lams, *args):
+    """A plaquette kernel whose every field fails, as no valid input does."""
+    return [VortexOnPlaquette("forced") for _ in lams]
 
-    monkeypatch.setattr(topology, "chern_discrete", vortex)
+
+def test_scan_chern_partial_failure(monkeypatch, tmp_path):
+    # no valid input makes a row fail, so the plaquette route is made to fail
+    monkeypatch.setattr(topology, "_chern_discrete_batch", _vortices)
     out = tmp_path / "partial.json"
     code = artifact_cli.main([
         "scan-chern", "--lambda-min", "0.2", "--lambda-max", "0.6", "--steps", "3",
@@ -266,6 +268,58 @@ def test_gap_map_blocks_match_a_cell_by_cell_rendering(axes):
             assert handle.read() == expected
 
 
+@st.composite
+def _chern_axes(draw):
+    # grid point j lies within 5e-4 of the critical field, so one field is
+    # skipped, and 40 or more kept fields fill three or more blocks of 16
+    lo = draw(st.floats(0.0, 0.5))
+    j = draw(st.integers(20, 40))
+    step = (1.0 + draw(st.floats(-5e-4, 5e-4)) - lo) / j
+    steps = j + draw(st.integers(20, 40))
+    return lo, lo + (steps - 1) * step, steps, draw(st.sampled_from([256, 512, 4096]))
+
+
+@settings(max_examples=10)
+@given(_chern_axes())
+def test_scan_chern_bytes_match_an_independent_rendering(axes):
+    # the CLI takes every plaquette result from one blocked kernel call; its
+    # bytes must be those of classify_phase and chern_discrete field by field
+    lo, hi, steps, n = axes
+    rows, skipped = [], []
+    for lam in np.linspace(lo, hi, steps).tolist():
+        point = topology.classify_phase(lam)
+        if point.chern is None:
+            skipped.append(lam)
+            continue
+        disc = topology.chern_discrete(lam, (16, 128), n)
+        assert disc.nearest_integer == point.chern.nearest_integer
+        rows.append((lam, point.chern.value, point.chern.residual, disc.nearest_integer,
+                     point.label.value))
+    assert len(skipped) == 1
+    argv = ["scan-chern", "--lambda-min", repr(lo), "--lambda-max", repr(hi),
+            "--steps", str(steps), "--grid", "16x128", "--n-sites", str(n)]
+    csv_text = "".join(
+        ["lambda,chern_quadrature,chern_error,chern_discrete,label\n"]
+        + [f"{l:.12g},{q:.12g},{e:.12g},{d},{label}\n" for l, q, e, d, label in rows]
+    )
+    assert _stdout_of(argv + ["--format", "csv"]) == (0, csv_text.encode())
+
+    def num(x):
+        return float(f"{x:.12g}")
+
+    keys = ("lambda", "chern_quadrature", "chern_error", "chern_discrete", "label")
+    doc = {
+        "config": {"command": "scan-chern", "lambda_min": num(lo), "lambda_max": num(hi),
+                   "steps": steps, "grid": "16x128", "n_sites": n},
+        "rows": [dict(zip(keys, (num(l), num(q), num(e), d, label)))
+                 for l, q, e, d, label in rows],
+        "summary": {"points_requested": steps, "rows_written": len(rows),
+                    "skipped_critical": [num(l) for l in skipped], "failed": []},
+    }
+    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _stdout_of(argv + ["--format", "json"]) == (0, json_text.encode())
+
+
 def test_percent_g_renders_as_the_format_spec():
     # the block template's "%.12g" and _fmt's f"{value:.12g}" must agree on
     # every float: signed zeros, subnormals, integers past 2**53, non-finite
@@ -336,16 +390,13 @@ def test_csv_cells_never_need_quoting(monkeypatch):
     # CSV rows are written as comma-joined lines; that is right only while
     # no cell holds a comma, a quote or a line break, for every row kind:
     # labelled, failed and skipped rows, empty cells and signed zeros
-    def vortex(*args):
-        raise VortexOnPlaquette("forced")
-
     scan = ["scan-chern", "--lambda-min", "0.5", "--lambda-max", "1.5", "--steps", "3",
             "--grid", "16x16", "--n-sites", "256", "--format", "csv"]
     metric = ["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
               "--steps", "3", "--n-sites", "64", "--format", "csv"]
     texts = [(0, *_stdout_of(scan)), (0, *_stdout_of(metric))]
     with monkeypatch.context() as patch:
-        patch.setattr(topology, "chern_discrete", vortex)
+        patch.setattr(topology, "_chern_discrete_batch", _vortices)
         texts.append((3, *_stdout_of(scan)))
     with monkeypatch.context() as patch:
         _keep_signed_axis_starts(patch)
@@ -562,6 +613,38 @@ def test_unwritable_out_fails_before_any_row(monkeypatch, capsys, tmp_path, argv
     assert artifact_cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write --out {str(out)!r}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["scan-chern", "--lambda-min", "0.5", "--lambda-max", "0.5000000000001",
+          "--steps", "3", "--grid", "16x16", "--n-sites", "256"], "lambda"),
+        (["gap-map", "--gamma-min", "1", "--gamma-max", "1.0000000000000004",
+          "--lambda-max", "1", "--grid", "5x2"], "gamma"),
+        (["gap-map", "--lambda-min", "0", "--lambda-max", "5e-324", "--grid", "2x3"], "lambda"),
+        (["metric-scan", "--gamma", "1", "--lambda-min", "0.3", "--lambda-max",
+          "0.30000000000001", "--steps", "4", "--n-sites", "64"], "lambda"),
+    ],
+    ids=["scan-chern", "gap-map-gamma", "gap-map-lambda", "metric-scan"],
+)
+def test_axis_finer_than_the_output_exits_2(capsys, tmp_path, argv, name):
+    # two adjacent axis values that print alike at 12 significant digits
+    # would write rows no reader can tell apart: a usage error, raised
+    # before --out is touched
+    missing = tmp_path / "missing.out"
+    assert artifact_cli.main(argv + ["--out", str(missing)]) == 2
+    assert not missing.exists()
+    kept = tmp_path / "kept.out"
+    kept.write_bytes(b"earlier\n")
+    assert artifact_cli.main(argv + ["--out", str(kept)]) == 2
+    assert kept.read_bytes() == b"earlier\n"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count(f"error: --{name}-min and --{name}-max are too close for ") == 2
+    # a little more room between the ends and the same axis is fine
+    lo, hi = (float(argv[argv.index(f"--{name}-{end}") + 1]) for end in ("min", "max"))
+    assert artifact_cli._axis(lo, hi + 1e-9, 3, name).size == 3
 
 
 def test_out_on_a_failed_run(tmp_path):

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from artifact import (
+    ArtifactError,
     BadSize,
     ChernMethod,
     CriticalPoint,
     NoJumpFound,
     PhaseLabel,
+    VortexOnPlaquette,
     chern_discrete,
     chern_number,
     classify_phase,
@@ -19,7 +21,7 @@ from artifact import (
 )
 from artifact import topology
 from artifact.ground_state import _pair_block
-from artifact.topology import _total_flux
+from artifact.topology import _chern_discrete_batch, _total_flux
 
 
 def _closed(a):
@@ -128,6 +130,11 @@ def test_discrete_validation():
     for n in (2**53 + 2, 10**30):
         with pytest.raises(BadSize, match="N <= 2"):
             chern_discrete(0.5, (32, 32), n)
+    # a side past 2**53 would overflow pi / n_phi; the check names the bound
+    for grid in [(10**400, 32), (32, 10**400), (2**53 + 1, 32)]:
+        with pytest.raises(ValueError, match=r"\[16, 2\*\*53\]"):
+            chern_discrete(0.5, grid, 512)
+    assert chern_discrete(0.5, (2**53, 32), 512).nearest_integer == -1
 
 
 @pytest.mark.parametrize("fn", [chern_number, chern_discrete])
@@ -214,7 +221,93 @@ def test_discrete_evaluates_two_phi_columns(monkeypatch, n_phi):
     monkeypatch.setattr(topology, "_pair_block", spy)
     r = chern_discrete(0.5, (n_phi, 32), 512)
     assert r.nearest_integer == -1
-    assert shapes == [(2, 32)]
+    assert len(shapes) == 1 and shapes[0][-2:] == (2, 32)
+
+
+def test_kernel_evaluates_one_pair_block_per_block(monkeypatch):
+    # 4096 strip nodes per block are 64 fields at n_beta = 32: 150 fields
+    # take three numpy passes, each over 2 n_beta nodes per field
+    shapes = []
+
+    def spy(theta, phi):
+        u, v = _pair_block(theta, phi)
+        shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return u, v
+
+    monkeypatch.setattr(topology, "_pair_block", spy)
+    results = _chern_discrete_batch(np.linspace(0.0, 3.0, 150), (16, 32), 512)
+    assert topology._BLOCK_NODES // (2 * 32) == 64
+    assert shapes == [(64, 2, 32), (64, 2, 32), (22, 2, 32)]
+    assert len(results) == 150
+
+
+def _bits(result):
+    return (
+        result.value.hex(),
+        result.worst_cell_phase.hex(),
+        result.min_link.hex(),
+        result.node_count,
+        result.method,
+    )
+
+
+@st.composite
+def _kernel_axes(draw):
+    n_beta = draw(st.integers(64, 256))
+    size = topology._BLOCK_NODES // (2 * n_beta)
+    lams = draw(st.lists(st.floats(0.0, 3.0), min_size=2 * size + 1, max_size=3 * size + 2))
+    for exact in (0.0, 1.0):
+        lams.insert(draw(st.integers(0, len(lams))), exact)
+    grid = (draw(st.integers(16, 96)), n_beta)
+    return lams, grid, 2 * draw(st.integers(128, 2**52))
+
+
+@settings(max_examples=20)
+@given(_kernel_axes())
+def test_kernel_equals_single_field_calls(axes):
+    # the blocked kernel spans at least three blocks and must give every
+    # field the bits of chern_discrete at that field alone, lambda = 0 and
+    # the critical field 1.0 included
+    lams, grid, n = axes
+    batch = _chern_discrete_batch(lams, grid, n)
+    assert len(batch) == len(lams)
+    for lam, result in zip(lams, batch):
+        assert _bits(result) == _bits(chern_discrete(lam, grid, n)), lam
+
+
+def test_kernel_fails_only_the_vortex_field(monkeypatch):
+    # zeroed amplitudes at one field in the middle of a block collapse its
+    # links; that field alone fails, with the single-field message
+    lams = np.linspace(0.1, 2.0, 40).tolist()
+    grid, n = (32, 128), 1024
+    bad = lams[21]  # fields 16..31 form the second block at n_beta = 128
+    bad_theta = _grid_thetas(bad, grid[1], n)
+    clean = _chern_discrete_batch(lams, grid, n)
+
+    def spy(theta, phi):
+        u, v = _pair_block(theta, phi)
+        hit = np.all(theta == bad_theta, axis=-1, keepdims=True)
+        return np.where(hit, 0.0, u), np.where(hit, 0.0, v)
+
+    monkeypatch.setattr(topology, "_pair_block", spy)
+    with pytest.raises(VortexOnPlaquette) as single:
+        chern_discrete(bad, grid, n)
+    batch = _chern_discrete_batch(lams, grid, n)
+    failed = [i for i, result in enumerate(batch) if isinstance(result, ArtifactError)]
+    assert failed == [21]
+    assert type(batch[21]) is VortexOnPlaquette
+    assert str(batch[21]) == str(single.value) == "link modulus 0.000e+00; refine the grid"
+    assert [_bits(r) for i, r in enumerate(batch) if i != 21] == [
+        _bits(r) for i, r in enumerate(clean) if i != 21
+    ]
+
+
+def test_no_valid_grid_reaches_the_critical_guard():
+    # the alpha = 0 level is gapless at lam = 1, but the snapped momenta stay
+    # at least pi / (2 n_beta) from it, far above the 1e-9 guard
+    result = chern_discrete(1.0, (16, 4096), 2**52)
+    assert result.nearest_integer == 0
+    assert result.residual < 1e-9
 
 
 def test_classify_phase():
@@ -269,3 +362,8 @@ def test_detect_transition_validation():
             detect_transition(0.5, 1.5, tol)
     with pytest.raises(ValueError):
         detect_transition(1.5, 0.5, 1e-3)
+    # each endpoint is a coupling, judged before the two are compared
+    for bad in ("0.5", None, math.nan, math.inf, 10**400, -0.5, 1e151):
+        for lo, hi, name in [(bad, 1.5, "lambda_lo"), (0.5, bad, "lambda_hi")]:
+            with pytest.raises(ValueError, match=name):
+                detect_transition(lo, hi, 1e-3)
