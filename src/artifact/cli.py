@@ -336,9 +336,8 @@ def _run_oracle_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
-    # the [energy] family's size checks, in the order its first sample meets them
-    n = oracle._resolve_ed_size(args.n_sites, oracle._ED_MAX)
-    model._check_size(n)
+    # the [energy] family's ring: ED's upper bound, the closed form's lower one
+    n = model._check_size(args.n_sites, 4, oracle._ED_MAX)
     _check_out(args)
     lines = [
         "oracle-verify report",

@@ -86,9 +86,12 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
 
     Raises
     ------
+    ValueError
+        If alpha is not a finite real number.
     CriticalPoint
         If the mode energy is below 1e-12.
     """
+    model._check_momentum(alpha)
     pairing = model._Pairing(alpha, params.gamma, params.lam)
     if pairing.r2 < 1e-24:
         raise CriticalPoint(f"mode at alpha={alpha} is gapless")
@@ -144,14 +147,14 @@ def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an even integer >= 4.
+        Unless ``n_sites`` is an even integer with 4 <= N <= 2**53.
     CriticalPoint
         If the couplings are gapless.
     """
-    model._check_size(n_sites)
+    n = model._check_size(n_sites)
     gamma, lam = params.gamma, params.lam
     model._check_gapped(gamma, lam)
-    pairing = _sector_pairs(n_sites, gamma, lam)[2]
+    pairing = _sector_pairs(n, gamma, lam)[2]
     sin_theta = pairing.sin_theta
     d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)
@@ -200,14 +203,14 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an integer with 2 <= N <= 10.
+        Unless ``n_sites`` is an even integer with 2 <= N <= 10.
     CriticalPoint
         If the center point is gapless, any stencil point has gap below
         1e-10, the two parity sectors swap order inside the stencil, or the
         estimates at the step and at half of it disagree by more than 1e-6
         of their scale.
     """
-    n = oracle._resolve_ed_size(n_sites, oracle._QGT_MAX)
+    n = model._check_size(n_sites, 2, oracle._QGT_MAX)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
     model._check_gapped(gamma, lam)
@@ -257,7 +260,7 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an integer with 2 <= N <= 10.
+        Unless ``n_sites`` is an even integer with 2 <= N <= 10.
     CriticalPoint
         When the finite-size gap closes below 1e-10.
     """

@@ -220,17 +220,17 @@ def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an even integer >= 4.
+        Unless ``n_sites`` is an even integer with 4 <= N <= 2**53.
     CriticalPoint
         If the spectral gap is below 1e-12.
     """
-    model._check_size(n_sites)
+    n = model._check_size(n_sites)
     model._check_gapped(params.gamma, params.lam)
-    odd, alphas, pairing = _sector_pairs(n_sites, params.gamma, params.lam)
+    odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
     theta, u, v, energies = _pair_states(params.phi, pairing)
     return GroundState(
         params=params,
-        n_sites=int(n_sites),
+        n_sites=n,
         alphas=alphas,
         thetas=theta,
         energies=energies,
@@ -251,25 +251,32 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     uses there.  The construction stays defined on the gapless line (the
     boundary shell is filled by convention), so no criticality check is
     made here.
+
+    Raises
+    ------
+    BadSize
+        Unless ``n_sites`` is an even integer with 4 <= N <= 2**53.
+    ValueError
+        If lam is not a real number in [0, 1e150].
     """
-    model._check_size(n_sites)
+    n = model._check_size(n_sites)
     params = ModelParams(0.0, 0.0, lam)
     # the 1e-9 snap counts a momentum landing exactly on the edge as inside
-    k_t = math.floor(n_sites * math.acos(min(lam, 1.0)) / (2.0 * math.pi) + 1e-9)
+    k_t = math.floor(n * math.acos(min(lam, 1.0)) / (2.0 * math.pi) + 1e-9)
     zero_occ = lam <= 1.0
-    alphas = _pair_grid(n_sites, zero_occ)
+    alphas = _pair_grid(n, zero_occ)
     filled = np.arange(1, alphas.size + 1) <= k_t
     # exact number states at gamma = 0: occupied pairs are pure |11>,
     # empty ones pure |00>; the degenerate boundary shell follows the mask
     theta = np.where(filled, np.pi, 0.0)
     u = np.where(filled, 0.0, 1.0).astype(complex)
     v = np.where(filled, 1j, 0.0)
-    grid_k = np.arange(-(n_sites // 2) + 1, n_sites // 2 + 1)
+    grid_k = np.arange(-(n // 2) + 1, n // 2 + 1)
     # k_t <= N/4, so the unpaired pi level k = N/2 stays empty
     mask = zero_occ & (np.abs(grid_k) <= k_t)
     return GroundState(
         params=params,
-        n_sites=int(n_sites),
+        n_sites=n,
         alphas=alphas,
         thetas=theta,
         energies=model.dispersion(alphas, 0.0, lam),

@@ -97,15 +97,15 @@ def _check_coupling(name: str, value: float) -> None:
         raise ValueError(f"{name} must be <= 1e150, got {value}")
 
 
-def _check_integer(n_sites: int) -> None:
+# the defaults are the closed form's sizes: past 2**53, N / 2 is inexact in float64
+def _check_size(n_sites: int, low: int = 4, high: int = 2**53) -> int:
+    """``n_sites`` as an int; BadSize unless it is an even integer in [low, high]."""
     if not isinstance(n_sites, (int, np.integer)):
         raise BadSize(f"n_sites must be an integer, got {n_sites!r}")
-
-
-def _check_size(n_sites: int) -> None:
-    _check_integer(n_sites)
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise BadSize(f"n_sites must be even and >= 4, got {n_sites}")
+    n = int(n_sites)
+    if not (low <= n <= high and n % 2 == 0):
+        raise BadSize(f"n_sites must be in [{low}, {high}] and even, got {n}")
+    return n
 
 
 class _Pairing:

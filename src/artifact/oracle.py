@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import BadSize, CriticalPoint, ZeroOverlap
+from .errors import CriticalPoint, ZeroOverlap
 from .ground_state import _sector_energy, build_ground_state, overlap
 from .model import ModelParams
 
@@ -60,13 +60,6 @@ _LANCZOS_MIN = 256
 _LANCZOS_TOL = 1e-14
 # the most Krylov vectors one Lanczos run keeps before it restarts
 _KRYLOV_MAX = 128
-
-
-def _resolve_ed_size(n_sites: int, limit: int) -> int:
-    model._check_integer(n_sites)
-    if not 2 <= n_sites <= limit:
-        raise BadSize(f"n_sites must be in [2, {limit}], got {n_sites}")
-    return int(n_sites)
 
 
 def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
@@ -148,9 +141,7 @@ def _dense_block(sector: _Sector, data: np.ndarray) -> np.ndarray:
     return block
 
 
-def _lanczos(
-    sector: _Sector, data: np.ndarray, start: np.ndarray, cap: int = _KRYLOV_MAX
-) -> tuple[float, np.ndarray]:
+def _lanczos(sector: _Sector, data: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest (energy, unit vector) of the block with entries ``data``.
 
     Lanczos from ``start`` with one full reorthogonalization per step.  The
@@ -159,13 +150,13 @@ def _lanczos(
     checked at step 32 and every 12 steps after, against ``_LANCZOS_TOL``
     times the block's largest absolute row sum (a bound on its norm).  A
     beta below that tolerance means the Krylov space is invariant, so the
-    solve stops there at once instead of dividing by it.  At most ``cap``
-    vectors are kept: a solve that needs more restarts from its Ritz vector.
+    solve stops there at once instead of dividing by it.  A solve that
+    needs more than ``_KRYLOV_MAX`` vectors restarts from its Ritz vector.
     """
     tol = _LANCZOS_TOL * np.abs(data).sum(axis=0).max()
     ritz = start
     while True:
-        basis = np.empty((min(cap, start.size), start.size))
+        basis = np.empty((min(_KRYLOV_MAX, start.size), start.size))
         basis[0] = ritz / np.linalg.norm(ritz)
         alpha, beta = [], []
         for m in range(1, len(basis) + 1):
@@ -250,9 +241,9 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an integer with 2 <= N <= 12.
+        Unless ``n_sites`` is an even integer with 2 <= N <= 12.
     """
-    n = _resolve_ed_size(n_sites, _ED_MAX)
+    n = model._check_size(n_sites, 2, _ED_MAX)
     return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
 
 
@@ -299,11 +290,11 @@ def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpect
     Raises
     ------
     BadSize
-        Unless N is an even integer >= 4.
+        Unless N is an even integer with 4 <= N <= 2**53.
     """
-    model._check_size(n_sites)
-    energies = [_sector_energy(n_sites, params.gamma, params.lam, odd) for odd in (False, True)]
-    return SpinSpectrum(n_sites, *energies, None)
+    n = model._check_size(n_sites)
+    energies = [_sector_energy(n, params.gamma, params.lam, odd) for odd in (False, True)]
+    return SpinSpectrum(n, *energies, None)
 
 
 def wilson_loop_berry_phase(loop, n_sites: int) -> float:
@@ -318,7 +309,7 @@ def wilson_loop_berry_phase(loop, n_sites: int) -> float:
     Raises
     ------
     BadSize
-        Unless N is an even integer >= 4.
+        Unless N is an even integer with 4 <= N <= 2**53.
     ZeroOverlap
         If any link modulus falls below 1e-12 (loop too coarse).
     CriticalPoint
@@ -371,13 +362,13 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     Raises
     ------
     BadSize
-        Unless ``n_sites`` is an integer with 2 <= N <= 10.
+        Unless ``n_sites`` is an even integer with 2 <= N <= 10.
     CriticalPoint
         When the finite-size gap E_1 - E_0 is below 1e-10, E_1 being the
         lower of the ground block's second level and the other block's
         lowest.
     """
-    n = _resolve_ed_size(n_sites, _QGT_MAX)
+    n = model._check_size(n_sites, 2, _QGT_MAX)
     blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
     sector, data = blocks[k]
     w, vectors = np.linalg.eigh(_dense_block(sector, data))

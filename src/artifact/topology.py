@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import ArtifactError, BadSize, CriticalPoint, NoJumpFound, VortexOnPlaquette
+from .errors import ArtifactError, CriticalPoint, NoJumpFound, VortexOnPlaquette
 from .ground_state import _pair_block
 
 __all__ = [
@@ -110,20 +110,18 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     Raises
     ------
     ValueError
-        If a grid side is not an integer in [16, 2**53].
+        If the grid is not a pair of integers, each in [16, 2**53].
     BadSize
         Unless N is an even integer with 256 <= N <= 2**53, where N / 2 and
         every snapped momentum index are still exact in float64.
     """
-    n_phi, n_beta = grid
-    if not all(isinstance(side, (int, np.integer)) for side in grid):
-        raise ValueError(f"grid sizes must be integers, got {grid}")
+    sides = grid if isinstance(grid, (tuple, list, np.ndarray)) and len(grid) == 2 else [None]
+    if not all(isinstance(side, (int, np.integer)) for side in sides):
+        raise ValueError(f"grid must be a pair of integers, got {grid!r}")
+    n_phi, n_beta = sides
     if not (16 <= n_phi <= 2**53 and 16 <= n_beta <= 2**53):
         raise ValueError(f"grid sizes must lie in [16, 2**53], got {grid}")
-    model._check_size(n_sites)
-    if not 256 <= n_sites <= 2**53:
-        raise BadSize(f"n_sites must be even with 256 <= N <= 2**53, got {n_sites}")
-    return n_phi, n_beta, n_sites
+    return n_phi, n_beta, model._check_size(n_sites, 256)
 
 
 def _pole_thetas(lam) -> np.ndarray:
@@ -265,10 +263,10 @@ def chern_discrete(
     Raises
     ------
     ValueError
-        If lam is not a real number in [0, 1e150], or a grid side is not an
-        integer in [16, 2**53].
+        If lam is not a real number in [0, 1e150], or the grid is not a pair
+        of integers, each in [16, 2**53].
     BadSize
-        Unless N is even with 256 <= N <= 2**53.
+        Unless N is an even integer with 256 <= N <= 2**53.
     CriticalPoint
         If a sampled mode is closer than 1e-9 to gapless; the snapped
         momenta stay about pi / (2 n_beta) or 2 pi / N from alpha = 0, so

@@ -1,12 +1,14 @@
-"""The package's public names are exactly its modules' public names."""
+"""The public API: its names, one input contract for every callable, and the modules' imports."""
 
 import ast
 import builtins
 import inspect
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import artifact
@@ -156,3 +158,116 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         artifact.no_such_name
     assert not hasattr(artifact, "no_such_name")
+
+
+# One input contract for the whole public API: every parameter of every public
+# callable is of a known kind, and each bad value of its kind raises that
+# kind's error, never a result: BadSize for a ring size, ValueError otherwise.
+_NOT_ROUTES = {
+    "GroundState", "GeometricTensor", "CurvatureDensity", "ChernResult", "PhasePoint",
+    "SpinSpectrum", "SpectralTerm", "PhaseLabel", "ChernMethod",
+}
+_COUPLING = ["0.5", None, 10**400, math.nan, math.inf, -math.inf, -1.0, 1e151]
+_BAD = {
+    "coupling": _COUPLING,
+    "phi": [*_COUPLING, math.pi],
+    "momentum": ["0.5", None, 10**400, math.nan, math.inf, -math.inf],
+    # sizes outside every route's bounds: one inside them but large, such as
+    # 2**40, would pass the check and then be allocated
+    "ring size": [None, 6.5, "6", 1, 3, -2, 10**400, 2**53 + 2],
+    "grid": [256, None, (16,), (16, 16, 16), "16x16", (15, 16), (16.0, 16)],
+    "tolerance": ["1e-3", None, math.nan, math.inf, 0.0, -1.0],
+    # composite inputs, validated where they are built
+    "state": [],
+}
+_KINDS = {
+    "gamma": "coupling", "lam": "coupling", "lambda_lo": "coupling",
+    "lambda_hi": "coupling", "phi": "phi", "alpha": "momentum", "n_sites": "ring size",
+    "grid": "grid", "tol": "tolerance", "params": "state", "loop": "state",
+    "a": "state", "b": "state",
+}
+# a valid value per required parameter; defaulted ones keep their defaults
+_P = artifact.ModelParams(0.3, 0.5, 1.5)
+_VALID = {
+    "gamma": 0.5, "lam": 0.5, "lambda_lo": 0.5, "lambda_hi": 1.5, "phi": 0.3,
+    "alpha": 1.1, "n_sites": 6, "tol": 0.1, "params": _P, "loop": [_P] * 3,
+    "a": artifact.build_ground_state(_P, 6), "b": artifact.build_ground_state(_P, 6),
+}
+
+
+def _routes():
+    for name in artifact.__all__:
+        obj = getattr(artifact, name)
+        if name not in _NOT_ROUTES | _error_classes():
+            yield name, obj, inspect.signature(obj).parameters
+
+
+def _required(params, **override):
+    args = {p: _VALID[p] for p, spec in params.items() if spec.default is inspect.Parameter.empty}
+    return {**args, **override}
+
+
+def test_every_parameter_has_a_kind():
+    unknown = {
+        f"{name}({param})"
+        for name, _, params in _routes()
+        for param in params
+        if param not in _KINDS
+    }
+    assert not unknown
+
+
+def _bad_calls():
+    for name, route, params in _routes():
+        for param in params:
+            # an unknown parameter fails test_every_parameter_has_a_kind, not collection
+            kind = _KINDS.get(param, "state")
+            error = errors.BadSize if kind == "ring size" else ValueError
+            for value in _BAD[kind]:
+                yield pytest.param(
+                    route, params, param, value, error, id=f"{name}-{param}={value!r:.16}"
+                )
+
+
+@pytest.mark.parametrize("route, params, param, value, error", _bad_calls())
+def test_bad_input_raises(route, params, param, value, error):
+    with pytest.raises(error):
+        route(**_required(params, **{param: value}))
+
+
+@pytest.mark.parametrize(
+    "name, route, params",
+    [pytest.param(*r, id=r[0]) for r in _routes() if "n_sites" in r[2]],
+)
+def test_every_stored_ring_size_is_a_python_int(name, route, params):
+    default = params["n_sites"].default
+    n = np.int64(_VALID["n_sites"] if default is inspect.Parameter.empty else default)
+    result = route(**_required(params, n_sites=n))
+    assert type(getattr(result, "n_sites", 0)) is int, name
+
+
+def _unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{path.name}: {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    paths = sorted(Path(errors.__file__).parent.glob("*.py"))
+    unused = [u for path in paths if path.name != "__init__.py" for u in _unused_imports(path)]
+    assert len(paths) > 1
+    assert unused == []

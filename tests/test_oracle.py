@@ -244,6 +244,7 @@ def test_lanczos_stops_on_an_invariant_start():
 def test_lanczos_restarts_from_its_ritz_vector(monkeypatch, gamma, lam):
     # with room for 20 vectors, each solve outruns its basis and restarts
     cap, steps = 20, []
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
 
     def matvec(*args):
         steps.append(1)
@@ -258,7 +259,7 @@ def test_lanczos_restarts_from_its_ritz_vector(monkeypatch, gamma, lam):
         oracle._spin_operators(10), blocks, (ff.even_sector_energy, ff.odd_sector_energy)
     ):
         steps.clear()
-        energy, v = oracle._lanczos(sector, sector.data(gamma, lam), start, cap)
+        energy, v = oracle._lanczos(sector, sector.data(gamma, lam), start)
         assert len(steps) > cap
         assert abs(energy - expected) <= 1e-12
         v = v / np.linalg.norm(v)

@@ -128,8 +128,11 @@ def test_discrete_validation():
     with pytest.raises(BadSize):
         chern_discrete(0.5, (32, 32), 128)
     for n in (2**53 + 2, 10**30):
-        with pytest.raises(BadSize, match="N <= 2"):
+        with pytest.raises(BadSize, match=r"\[256, 9007199254740992\]"):
             chern_discrete(0.5, (32, 32), n)
+    for grid in [256, None, (16,), (16, 16, 16), "16x16", (16.0, 16)]:
+        with pytest.raises(ValueError, match="grid must be a pair of integers"):
+            chern_discrete(0.5, grid, 512)
     # a side past 2**53 would overflow pi / n_phi; the check names the bound
     for grid in [(10**400, 32), (32, 10**400), (2**53 + 1, 32)]:
         with pytest.raises(ValueError, match=r"\[16, 2\*\*53\]"):
