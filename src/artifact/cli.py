@@ -271,11 +271,10 @@ def _run_gap_map(args) -> int:
 
 
 def _metric_row(task):
-    lam, gamma, n_sites = task
-    try:
-        tensor = geometry.qgt_product(model.ModelParams(0.0, gamma, lam), n_sites)
-    except CriticalPoint as exc:
-        return {"lambda": lam, "status": "skipped", "error": str(exc)}
+    """One metric-scan row from a field and its closed-form tensor or CriticalPoint."""
+    lam, tensor = task
+    if isinstance(tensor, CriticalPoint):
+        return {"lambda": lam, "status": "skipped", "error": str(tensor)}
     metric = tensor.real_metric
     return {
         "lambda": lam,
@@ -288,13 +287,15 @@ def _metric_row(task):
 
 
 def _run_metric_scan(args) -> int:
-    lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
+    lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda").tolist()
     model._check_size(args.n_sites)
     model._check_coupling("gamma", args.gamma)
     model._check_coupling("lam", args.lambda_min)
     model._check_coupling("lam", args.lambda_max)
     _check_out(args)
-    rows = _map_rows(_metric_row, [(float(l), args.gamma, args.n_sites) for l in lams])
+    # the tensor of every field, in blocks
+    tensors = geometry._qgt_product_batch(args.gamma, lams, args.n_sites)
+    rows = _map_rows(_metric_row, zip(lams, tensors))
     ok = [row for row in rows if row["status"] == "ok"]
     skipped = [row for row in rows if row["status"] == "skipped"]
     monotone = None

@@ -10,6 +10,12 @@ derivative vectors of the ED ground vector, with gamma and lam stepped and
 phi exact from the gauge.  The curvature density is the tensor's curvature
 per pair momentum in the limit N -> infinity: the even-sector sum on rings
 doubled until it has converged.
+
+The closed-form tensors of many fields at one anisotropy are evaluated
+together, grouped by parity sector, with the field as the leading axis of
+the pairing kernel, in blocks of about ``_BLOCK_PAIRS`` (field, pair)
+entries; each field's sums are taken on its own row.  ``qgt_product`` is
+that evaluation at one field, so a scan gets the same bits per field.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import model, oracle
 from .errors import CriticalPoint
-from .ground_state import _pair_grid, _sector_pairs
+from .ground_state import _odd_sector, _pair_grid
 # Not called here; bench/tracer.py probes these names on this module.
 from .ground_state import _overlap_arrays, _pair_arrays  # noqa: F401
 from .model import ModelParams
@@ -41,6 +47,9 @@ __all__ = [
 _ED_STEP = 2e-4
 # Pair count past which the curvature density's midpoint sums stop doubling.
 _DENSITY_MAX_PAIRS = 1 << 20
+# Pair momenta evaluated in one numpy pass: 8 fields at N = 4096, which
+# keeps a block's temporaries within about a megabyte.
+_BLOCK_PAIRS = 16384
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,12 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
     Raises
     ------
     ValueError
-        If alpha is not a finite real number.
+        If alpha is not a finite real number, or ``params`` not a ``ModelParams``.
     CriticalPoint
         If the mode energy is below 1e-12.
     """
     model._check_momentum(alpha)
+    model._check_kind("params", params, ModelParams)
     pairing = model._Pairing(alpha, params.gamma, params.lam)
     if pairing.r2 < 1e-24:
         raise CriticalPoint(f"mode at alpha={alpha} is gapless")
@@ -132,6 +142,47 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     )
 
 
+def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
+    """``qgt_product`` at gamma and each field of ``lams``: its tensor or its CriticalPoint.
+
+    The couplings must pass ``model._check_coupling``; N is checked here.
+    The gapped fields are grouped by parity sector, whose pair momenta are
+    built once, and each block of ``_BLOCK_PAIRS`` (field, pair) entries is
+    one numpy pass of the pairing kernel.  Each field's sums are then taken
+    on its own contiguous row, so they are the same BLAS reductions at any
+    block size.
+    """
+    n = model._check_size(n_sites)
+    results = [None] * len(lams)
+    sectors = {True: [], False: []}
+    for i, lam in enumerate(lams):
+        try:
+            model._check_gapped(gamma, lam)
+        except CriticalPoint as exc:
+            results[i] = exc
+            continue
+        sectors[_odd_sector(lam)].append(i)
+    for odd, fields in sectors.items():
+        if not fields:
+            continue
+        alphas = _pair_grid(n, odd)
+        size = max(1, _BLOCK_PAIRS // alphas.size)
+        for start in range(0, len(fields), size):
+            block = fields[start : start + size]
+            column = np.array([lams[i] for i in block], dtype=float)[:, None]
+            pairing = model._Pairing(alphas, gamma, column)
+            sin_theta = pairing.sin_theta
+            d_theta = np.stack((pairing.d_gamma, pairing.d_lam), axis=1)
+            for i, s, d in zip(block, sin_theta, d_theta):
+                q = np.empty((3, 3), dtype=complex)
+                q[0, 0] = s @ s
+                q[1:, 1:] = 0.25 * (d @ d.T)
+                q[0, 1:] = 0.5j * (d @ s)
+                q[1:, 0] = q[0, 1:].conj()
+                results[i] = GeometricTensor(q)
+    return results
+
+
 def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
     """Closed-form geometric tensor of the product ground state.
 
@@ -142,27 +193,25 @@ def qgt_product(params: ModelParams, n_sites: int) -> GeometricTensor:
     with sin(theta) and the derivatives of theta in closed form.  The pairs
     are those of ``build_ground_state``: the periodic 2 pi k / N,
     k = 1 ... N/2 - 1, when lam < 1 and the antiperiodic (2k+1) pi / N,
-    k = 0 ... N/2 - 1, otherwise.  The result does not depend on phi.
+    k = 0 ... N/2 - 1, otherwise.  The result does not depend on phi.  This
+    is the blocked evaluation of ``_qgt_product_batch`` at a batch of one
+    field; ``metric-scan`` passes all its fields there at once and gets the
+    same bits per field.
 
     Raises
     ------
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     BadSize
         Unless ``n_sites`` is an even integer with 4 <= N <= 2**53.
     CriticalPoint
         If the couplings are gapless.
     """
-    n = model._check_size(n_sites)
-    gamma, lam = params.gamma, params.lam
-    model._check_gapped(gamma, lam)
-    pairing = _sector_pairs(n, gamma, lam)[2]
-    sin_theta = pairing.sin_theta
-    d_theta = np.stack((pairing.d_gamma, pairing.d_lam))
-    q = np.empty((3, 3), dtype=complex)
-    q[0, 0] = sin_theta @ sin_theta
-    q[1:, 1:] = 0.25 * (d_theta @ d_theta.T)
-    q[0, 1:] = 0.5j * (d_theta @ sin_theta)
-    q[1:, 0] = q[0, 1:].conj()
-    return GeometricTensor(q)
+    model._check_kind("params", params, ModelParams)
+    (result,) = _qgt_product_batch(params.gamma, [params.lam], n_sites)
+    if isinstance(result, CriticalPoint):
+        raise result
+    return result
 
 
 def _stencil_gap_floor(gamma: float, lam: float, h: float) -> float:
@@ -204,6 +253,8 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
     ------
     BadSize
         Unless ``n_sites`` is an even integer with 2 <= N <= 10.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     CriticalPoint
         If the center point is gapless, any stencil point has gap below
         1e-10, the two parity sectors swap order inside the stencil, or the
@@ -211,6 +262,7 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
         of their scale.
     """
     n = model._check_size(n_sites, 2, oracle._QGT_MAX)
+    model._check_kind("params", params, ModelParams)
     h = _ED_STEP
     phi, gamma, lam = params.phi, params.gamma, params.lam
     model._check_gapped(gamma, lam)
@@ -261,6 +313,8 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     ------
     BadSize
         Unless ``n_sites`` is an even integer with 2 <= N <= 10.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     CriticalPoint
         When the finite-size gap closes below 1e-10.
     """

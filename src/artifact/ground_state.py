@@ -166,13 +166,17 @@ def _sector_energy(n_sites: int, gamma: float, lam: float, odd: bool) -> float:
     return energy + (lam - 1.0) if odd else energy
 
 
+def _odd_sector(lam) -> bool:
+    """The one sector rule: the product state is in the odd sector when lam < 1."""
+    return lam < 1.0
+
+
 def _sector_pairs(n_sites: int, gamma: float, lam: float):
     """The product state's sector, its pair momenta and their pairing kernel.
 
-    The one sector rule: the odd sector when lam < 1, the even one otherwise.
-    Returns ``(odd, alphas, pairing)``.
+    Returns ``(odd, alphas, pairing)``, the sector by ``_odd_sector``.
     """
-    odd = lam < 1.0
+    odd = _odd_sector(lam)
     alphas = _pair_grid(n_sites, odd)
     return odd, alphas, model._Pairing(alphas, gamma, lam)
 
@@ -221,10 +225,13 @@ def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     ------
     BadSize
         Unless ``n_sites`` is an even integer with 4 <= N <= 2**53.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     CriticalPoint
         If the spectral gap is below 1e-12.
     """
     n = model._check_size(n_sites)
+    model._check_kind("params", params, ModelParams)
     model._check_gapped(params.gamma, params.lam)
     odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
     theta, u, v, energies = _pair_states(params.phi, pairing)
@@ -303,9 +310,13 @@ def overlap(a: GroundState, b: GroundState) -> complex:
 
     Raises
     ------
+    ValueError
+        If a state is not a ``GroundState``.
     BadSize
         If the states live on rings of different length.
     """
+    model._check_kind("a", a, GroundState)
+    model._check_kind("b", b, GroundState)
     if a.n_sites != b.n_sites:
         raise BadSize(f"n_sites {a.n_sites} != {b.n_sites}")
     if a.zero_mode_occupied != b.zero_mode_occupied:

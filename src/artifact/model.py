@@ -97,6 +97,17 @@ def _check_coupling(name: str, value: float) -> None:
         raise ValueError(f"{name} must be <= 1e150, got {value}")
 
 
+def _check_kind(name: str, value, *kinds: type) -> None:
+    """ValueError unless ``value`` is an instance of one of ``kinds``.
+
+    The one check of the composite inputs: a point, a loop of points and a
+    ground state, each checked where its route first reads it.
+    """
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {names}, got {value!r}")
+
+
 # the defaults are the closed form's sizes: past 2**53, N / 2 is inexact in float64
 def _check_size(n_sites: int, low: int = 4, high: int = 2**53) -> int:
     """``n_sites`` as an int; BadSize unless it is an even integer in [low, high]."""

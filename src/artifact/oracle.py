@@ -242,8 +242,11 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
     ------
     BadSize
         Unless ``n_sites`` is an even integer with 2 <= N <= 12.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     """
     n = model._check_size(n_sites, 2, _ED_MAX)
+    model._check_kind("params", params, ModelParams)
     return SpinSpectrum(n, *_ed_vector(params.phi, params.gamma, params.lam, n))
 
 
@@ -291,8 +294,11 @@ def free_fermion_parity_spectrum(params: ModelParams, n_sites: int) -> SpinSpect
     ------
     BadSize
         Unless N is an even integer with 4 <= N <= 2**53.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     """
     n = model._check_size(n_sites)
+    model._check_kind("params", params, ModelParams)
     energies = [_sector_energy(n, params.gamma, params.lam, odd) for odd in (False, True)]
     return SpinSpectrum(n, *energies, None)
 
@@ -310,11 +316,14 @@ def wilson_loop_berry_phase(loop, n_sites: int) -> float:
     ------
     BadSize
         Unless N is an even integer with 4 <= N <= 2**53.
+    ValueError
+        If the loop is not a non-empty list or tuple of ``ModelParams``.
     ZeroOverlap
         If any link modulus falls below 1e-12 (loop too coarse).
     CriticalPoint
         If a loop point is gapless.
     """
+    model._check_kind("loop", loop, list, tuple)
     points = list(loop)
     if not points:
         raise ValueError("empty loop")
@@ -363,12 +372,15 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     ------
     BadSize
         Unless ``n_sites`` is an even integer with 2 <= N <= 10.
+    ValueError
+        If ``params`` is not a ``ModelParams``.
     CriticalPoint
         When the finite-size gap E_1 - E_0 is below 1e-10, E_1 being the
         lower of the ground block's second level and the other block's
         lowest.
     """
     n = model._check_size(n_sites, 2, _QGT_MAX)
+    model._check_kind("params", params, ModelParams)
     blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
     sector, data = blocks[k]
     w, vectors = np.linalg.eigh(_dense_block(sector, data))

@@ -105,7 +105,7 @@ class PhasePoint:
 
 
 def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
-    """Validated plaquette grid sides and ring length of the discrete route.
+    """Validated plaquette grid sides and ring length of the discrete route, as Python ints.
 
     Raises
     ------
@@ -121,7 +121,7 @@ def _check_grid(grid: tuple[int, int], n_sites: int) -> tuple[int, int, int]:
     n_phi, n_beta = sides
     if not (16 <= n_phi <= 2**53 and 16 <= n_beta <= 2**53):
         raise ValueError(f"grid sizes must lie in [16, 2**53], got {grid}")
-    return n_phi, n_beta, model._check_size(n_sites, 256)
+    return int(n_phi), int(n_beta), model._check_size(n_sites, 256)
 
 
 def _pole_thetas(lam) -> np.ndarray:

@@ -177,8 +177,9 @@ _BAD = {
     "ring size": [None, 6.5, "6", 1, 3, -2, 10**400, 2**53 + 2],
     "grid": [256, None, (16,), (16, 16, 16), "16x16", (15, 16), (16.0, 16)],
     "tolerance": ["1e-3", None, math.nan, math.inf, 0.0, -1.0],
-    # composite inputs, validated where they are built
-    "state": [],
+    # composite inputs (a point, a loop of points, a ground state), checked
+    # where each route first reads them
+    "state": [None, "0.5", 0.5, (0.3, 0.5, 1.5)],
 }
 _KINDS = {
     "gamma": "coupling", "lam": "coupling", "lambda_lo": "coupling",
@@ -202,7 +203,7 @@ def _routes():
             yield name, obj, inspect.signature(obj).parameters
 
 
-def _required(params, **override):
+def _required(params, /, **override):
     args = {p: _VALID[p] for p, spec in params.items() if spec.default is inspect.Parameter.empty}
     return {**args, **override}
 
@@ -244,6 +245,14 @@ def test_every_stored_ring_size_is_a_python_int(name, route, params):
     n = np.int64(_VALID["n_sites"] if default is inspect.Parameter.empty else default)
     result = route(**_required(params, n_sites=n))
     assert type(getattr(result, "n_sites", 0)) is int, name
+
+
+def test_grid_sides_of_numpy_integers_give_python_numbers():
+    result = artifact.chern_discrete(0.5, np.array([32, 32]), 512)
+    assert type(result.node_count) is int
+    assert result.node_count == 32 * 32 + 2
+    assert type(result.value) is float
+    assert result == artifact.chern_discrete(0.5, (32, 32), 512)
 
 
 def _unused_imports(path):

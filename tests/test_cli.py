@@ -10,10 +10,11 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artifact import VortexOnPlaquette, cli as artifact_cli, model, oracle, topology
+from artifact import CriticalPoint, VortexOnPlaquette, cli as artifact_cli, geometry, model
+from artifact import oracle, topology
 
 
 def _load(path):
@@ -318,6 +319,88 @@ def test_scan_chern_bytes_match_an_independent_rendering(axes):
     }
     json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert _stdout_of(argv + ["--format", "json"]) == (0, json_text.encode())
+
+
+@st.composite
+def _metric_axes(draw):
+    # field axes that cross the critical field; at gamma = 0 every field
+    # below it is gapless too
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.5)))
+    lo, hi = draw(st.floats(0.0, 0.95)), draw(st.floats(1.05, 2.5))
+    return gamma, lo, hi, draw(st.integers(2, 40)), draw(st.sampled_from([4, 6, 64, 1024, 4096]))
+
+
+@settings(max_examples=10)
+@given(_metric_axes())
+@example((0.0, 0.5, 1.5, 3, 64))
+@example((0.8, 0.5, 1.5, 21, 1024))
+def test_metric_scan_bytes_match_an_independent_rendering(axes):
+    # the CLI takes every tensor from one blocked kernel call; its bytes must
+    # be those of qgt_product field by field, skipped rows with empty cells
+    gamma, lo, hi, steps, n = axes
+    rows = []
+    for lam in np.linspace(lo, hi, steps).tolist():
+        try:
+            tensor = geometry.qgt_product(model.ModelParams(0.0, gamma, lam), n)
+        except CriticalPoint:
+            rows.append((lam, None, None, None, None, "skipped"))
+            continue
+        metric = tensor.real_metric
+        rows.append((lam, float(metric[2, 2]), float(metric[1, 1]), float(metric[0, 0]),
+                     float(-2.0 * tensor.matrix[0, 1].imag), "ok"))
+    argv = ["metric-scan", "--gamma", repr(gamma), "--lambda-min", repr(lo),
+            "--lambda-max", repr(hi), "--steps", str(steps), "--n-sites", str(n)]
+    keys = ("lambda", "g_lambda_lambda", "g_gamma_gamma", "g_phi_phi",
+            "minus_two_im_g_phi_gamma", "status")
+    csv_text = "".join(
+        [",".join(keys) + "\n"]
+        + [",".join("" if x is None else x if isinstance(x, str) else f"{x:.12g}" for x in row)
+           + "\n" for row in rows]
+    )
+    assert _stdout_of(argv + ["--format", "csv"]) == (0, csv_text.encode())
+
+    def num(x):
+        return x if x is None or isinstance(x, str) else float(f"{x:.12g}")
+
+    ok = [row[1] for row in rows if row[-1] == "ok"]
+    doc = {
+        "config": {"command": "metric-scan", "gamma": num(gamma), "lambda_min": num(lo),
+                   "lambda_max": num(hi), "steps": steps, "n_sites": n},
+        "rows": [dict(zip(keys, map(num, row))) for row in rows],
+        "summary": {
+            "rows_written": steps, "ok": len(ok),
+            "skipped_critical": [num(row[0]) for row in rows if row[-1] == "skipped"],
+            "g_lambda_lambda_monotone": (
+                all(b > a for a, b in zip(ok, ok[1:])) if len(ok) >= 2 else None
+            ),
+        },
+    }
+    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _stdout_of(argv + ["--format", "json"]) == (0, json_text.encode())
+
+
+def test_metric_scan_makes_one_kernel_call(monkeypatch):
+    # the tensors of all 60 fields come from one blocked kernel call, and no
+    # row calls qgt_product
+    calls = []
+    kernel = geometry._qgt_product_batch
+
+    def counted(*args):
+        calls.append("kernel")
+        return kernel(*args)
+
+    def per_row(*args):
+        calls.append("qgt_product")
+        raise AssertionError("metric-scan called qgt_product")
+
+    monkeypatch.setattr(geometry, "_qgt_product_batch", counted)
+    monkeypatch.setattr(geometry, "qgt_product", per_row)
+    argv = ["metric-scan", "--gamma", "0.7", "--lambda-min", "0.1", "--lambda-max", "2.5",
+            "--steps", "60", "--n-sites", "4096"]
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out.decode().count("\n") == 1 + 60
+    assert calls == ["kernel"]
 
 
 def test_percent_g_renders_as_the_format_spec():

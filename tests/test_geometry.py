@@ -22,7 +22,7 @@ from artifact import (
     qgt_spectral,
 )
 from artifact import geometry, oracle
-from artifact.ground_state import _pair_arrays, _pair_block
+from artifact.ground_state import _pair_arrays, _pair_block, _sector_pairs
 from pauli import fock_vector
 
 P = ModelParams
@@ -236,6 +236,77 @@ def test_qgt_product_input_checks():
         qgt_product(P(0.0, 0.5, 0.5), 7)
     with pytest.raises(BadSize):
         qgt_product(P(0.0, 0.5, 0.5), 64.5)
+
+
+def _tensor_bits(result):
+    # a tensor by the bytes of its matrix, a CriticalPoint by its message
+    if isinstance(result, CriticalPoint):
+        return "CriticalPoint", str(result)
+    return "tensor", result.matrix.tobytes()
+
+
+def _unblocked_bits(gamma, lam, n):
+    # one field's closed-form sums, on the pairing of its own sector alone
+    pairing = _sector_pairs(n, gamma, lam)[2]
+    s = pairing.sin_theta
+    d = np.stack((pairing.d_gamma, pairing.d_lam))
+    q = np.empty((3, 3), dtype=complex)
+    q[0, 0] = s @ s
+    q[1:, 1:] = 0.25 * (d @ d.T)
+    q[0, 1:] = 0.5j * (d @ s)
+    q[1:, 0] = q[0, 1:].conj()
+    return "tensor", q.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 6, 1024, 4096, 2 * geometry._BLOCK_PAIRS + 6])
+def test_kernel_gives_every_field_the_bits_of_qgt_product(n):
+    # seeded fields on both sides of the critical field, in more than one
+    # block where a block holds few fields (past 2 _BLOCK_PAIRS sites it
+    # holds one), plus the gapless lam = 1 and, at gamma = 0, every lam < 1
+    rng = np.random.default_rng(n)
+    per_sector = min(geometry._BLOCK_PAIRS // (n // 2) + 3, 40)
+    lams = [*rng.uniform(0.0, 1.0, per_sector), *rng.uniform(1.0, 2.5, per_sector)]
+    lams = [*rng.permutation(lams).tolist(), 1.0, 0.0, 1.0 - 1e-9, 1.0 + 1e-9]
+    for gamma in (0.0, float(rng.uniform(0.05, 1.5))):
+        batch = geometry._qgt_product_batch(gamma, lams, n)
+        assert len(batch) == len(lams)
+        for lam, result in zip(lams, batch):
+            try:
+                expected = qgt_product(P(0.0, gamma, lam), n)
+            except CriticalPoint as exc:
+                expected = exc
+            assert _tensor_bits(result) == _tensor_bits(expected), (gamma, lam)
+            if not isinstance(result, CriticalPoint):
+                assert _tensor_bits(result) == _unblocked_bits(gamma, lam, n), (gamma, lam)
+        gapless = [lam for lam, r in zip(lams, batch) if isinstance(r, CriticalPoint)]
+        assert gapless == [lam for lam in lams if gap(gamma, lam) < 1e-12]
+        assert 1.0 in gapless and (gamma > 0.0 or 0.0 in gapless)
+
+
+def test_kernel_evaluates_one_pairing_per_block(monkeypatch):
+    # 16384 pairs per block are 8 fields of the even sector at N = 4096:
+    # 20 fields above the field take three passes, 3 below it one more
+    shapes = []
+    pairing = geometry.model._Pairing
+
+    def spy(alpha, gamma, lam):
+        shapes.append(np.broadcast_shapes(np.shape(alpha), np.shape(lam)))
+        return pairing(alpha, gamma, lam)
+
+    monkeypatch.setattr(geometry.model, "_Pairing", spy)
+    lams = [0.2, 0.4, 0.6] + np.linspace(1.1, 2.5, 20).tolist()
+    results = geometry._qgt_product_batch(0.7, lams, 4096)
+    assert geometry._BLOCK_PAIRS // 2048 == 8
+    assert shapes == [(3, 2047), (8, 2048), (8, 2048), (4, 2048)]
+    assert len(results) == 23
+
+
+def test_kernel_checks_the_size_and_takes_no_fields():
+    assert geometry._qgt_product_batch(0.5, [], 64) == []
+    with pytest.raises(BadSize):
+        geometry._qgt_product_batch(0.5, [], 7)
+    with pytest.raises(BadSize):
+        geometry._qgt_product_batch(0.5, [0.5], 2)
 
 
 def _product_finite_diff(p, n, h=1e-4):
