@@ -336,6 +336,8 @@ def _verdict(lines, label: str, worst: float, tol: float) -> bool:
 def _run_oracle_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     # the [energy] family's ring: ED's upper bound, the closed form's lower one
     n = model._check_size(args.n_sites, 4, oracle._ED_MAX)

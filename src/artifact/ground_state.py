@@ -14,7 +14,6 @@ spin chain.  ``_pair_block`` is the one statement of those amplitudes;
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,9 +53,9 @@ class GroundState:
     params : ModelParams
         The point (phi, gamma, lam).
     n_sites : int
-        Ring length; ``to_json`` writes it among the ``"params"``.
-    alphas, thetas, energies : ndarray
-        Momentum, pairing angle, and quasiparticle energy per pair.
+        Ring length.
+    alphas, thetas : ndarray
+        Momentum and pairing angle per pair.
     u, v : ndarray of complex
         Amplitudes on the empty / doubly occupied pair states.
     zero_mode_occupied : bool
@@ -71,74 +70,10 @@ class GroundState:
     n_sites: int
     alphas: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
-    energies: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     zero_mode_occupied: bool
     occupation_mask: np.ndarray | None = field(default=None, repr=False)
-
-    def to_json(self) -> str:
-        p = self.params
-        payload = {
-            "params": {
-                "phi": p.phi,
-                "gamma": p.gamma,
-                "lam": p.lam,
-                "n_sites": self.n_sites,
-            },
-            "zero_mode_occupied": self.zero_mode_occupied,
-            "modes": [
-                {
-                    "alpha": float(a),
-                    "theta": float(t),
-                    "energy": float(e),
-                    "u": [float(np.real(uu)), float(np.imag(uu))],
-                    "v": [float(np.real(vv)), float(np.imag(vv))],
-                }
-                for a, t, e, uu, vv in zip(
-                    self.alphas, self.thetas, self.energies, self.u, self.v
-                )
-            ],
-            "occupation_mask": (
-                None
-                if self.occupation_mask is None
-                else [bool(b) for b in self.occupation_mask]
-            ),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "GroundState":
-        """The state ``to_json`` wrote, rebuilt from its stored point.
-
-        A document with an ``occupation_mask`` is rebuilt by
-        ``isotropic_ground_state(lam, n_sites)``, any other by
-        ``build_ground_state``.  It is accepted only if it is exactly what
-        the rebuilt state writes, so every mode, the sector flag and the
-        mask come back bit for bit.
-
-        Raises
-        ------
-        BadSize, ValueError, CriticalPoint
-            As the constructor raises them at the stored point.
-        ValueError
-            If the document is not what the rebuilt state writes, or lacks
-            or mistypes a field the rebuild reads.
-        """
-        d = json.loads(text)
-        try:
-            p = d["params"]
-            if d["occupation_mask"] is None:
-                state = build_ground_state(
-                    ModelParams(p["phi"], p["gamma"], p["lam"]), p["n_sites"]
-                )
-            else:
-                state = isotropic_ground_state(p["lam"], p["n_sites"])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"not a ground-state document: {exc!r}") from exc
-        if state.to_json() != json.dumps(d):
-            raise ValueError("the document is not the state its stored point builds")
-        return state
 
 
 def _pair_grid(n_sites: int, odd: bool) -> np.ndarray:
@@ -182,10 +117,10 @@ def _sector_pairs(n_sites: int, gamma: float, lam: float):
 
 
 def _pair_states(phi: float, pairing: model._Pairing):
-    """(theta, u, v, energy) of every pair block of ``pairing`` at rotation ``phi``."""
+    """(theta, u, v) of every pair block of ``pairing`` at rotation ``phi``."""
     theta = pairing.theta
     u, v = _pair_block(theta, phi)
-    return theta, u.astype(complex), v, pairing.energy
+    return theta, u.astype(complex), v
 
 
 def _pair_arrays(
@@ -193,13 +128,13 @@ def _pair_arrays(
     gamma: float,
     lam: float,
     n_sites: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (theta, u, v, energy) pair arrays of the ground state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw (theta, u, v) pair arrays of the ground state.
 
-    All four come from one pairing kernel, so ``energy`` is bit-identical
-    to ``dispersion``.  The pairs sit on the momenta of the odd sector when
-    lam < 1 and of the even sector otherwise.  No parameter validation: the
-    closed forms continue smoothly to gamma or lam slightly below zero.
+    All three come from the pairing kernel of ``build_ground_state``.  The
+    pairs sit on the momenta of the odd sector when lam < 1 and of the even
+    sector otherwise.  No parameter validation: the closed forms continue
+    smoothly to gamma or lam slightly below zero.
     """
     return _pair_states(phi, _sector_pairs(n_sites, gamma, lam)[2])
 
@@ -234,13 +169,12 @@ def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     model._check_kind("params", params, ModelParams)
     model._check_gapped(params.gamma, params.lam)
     odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
-    theta, u, v, energies = _pair_states(params.phi, pairing)
+    theta, u, v = _pair_states(params.phi, pairing)
     return GroundState(
         params=params,
         n_sites=n,
         alphas=alphas,
         thetas=theta,
-        energies=energies,
         u=u,
         v=v,
         zero_mode_occupied=odd,
@@ -286,7 +220,6 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
         n_sites=n,
         alphas=alphas,
         thetas=theta,
-        energies=model.dispersion(alphas, 0.0, lam),
         u=u,
         v=v,
         zero_mode_occupied=zero_occ,

@@ -307,8 +307,8 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     """Bracket the invariant jump between two gapped field values.
 
     Bisection on the integer label of ``chern_discrete`` on a fixed 32 x 32
-    grid of a 512-site ring; the returned closed interval has width <= tol
-    and contains the jump.
+    grid of a 512-site ring; the returned closed interval contains the jump
+    and has width <= tol, or one ulp where tol is smaller.
 
     Raises
     ------
@@ -340,6 +340,8 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     lo_integer = lo_point.chern.nearest_integer
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent doubles: no midpoint left
+            break
         if chern_discrete(mid, (32, 32), 512).nearest_integer == lo_integer:
             lo = mid
         else:

@@ -811,3 +811,14 @@ def test_oracle_verify_size_limit(cli, tmp_path):
         assert res.stdout == ""
         assert "error:" in res.stderr
         assert not out.exists(), n
+
+
+def test_oracle_verify_rejects_a_bad_seed_or_sample_count(cli, tmp_path):
+    # the CLI's own checks name the flag, before --out is touched
+    out = tmp_path / "missing.txt"
+    for flag, value in (("--seed", -1), ("--samples", 0)):
+        res = cli("oracle-verify", "--n-sites", 6, flag, value, "--out", out)
+        assert res.returncode == 2, flag
+        assert res.stdout == ""
+        assert any(line.startswith("error:") and flag in line for line in res.stderr.splitlines())
+        assert not out.exists(), flag

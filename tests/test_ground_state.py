@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from artifact import (
     BadSize,
     CriticalPoint,
-    GroundState,
     ModelParams,
     bogoliubov_angle,
     build_ground_state,
@@ -102,6 +100,7 @@ def test_isotropic_occupation():
     grid_k = np.arange(-49, 51)
     s = isotropic_ground_state(0.0, 100)
     assert grid_k[s.occupation_mask].tolist() == list(range(-25, 26))
+    assert isotropic_ground_state(0.3, 12).occupation_mask.dtype == bool
     empty = isotropic_ground_state(2.0, 100)
     assert not empty.occupation_mask.any()
     edge = isotropic_ground_state(1.0, 100)
@@ -251,94 +250,3 @@ def test_isotropic_state_shares_the_even_grid(n, lam, phi):
     built = build_ground_state(P(phi, 0.0, lam), n)
     assert np.array_equal(iso.alphas, built.alphas)
     assert overlap(iso, built) == 1.0
-
-
-def test_json_roundtrip():
-    s = build_ground_state(P(0.7, 0.9, 1.6), 12)
-    t = GroundState.from_json(s.to_json())
-    for key in ("alphas", "thetas", "energies", "u", "v"):
-        assert np.array_equal(getattr(t, key), getattr(s, key)), key
-    assert t.zero_mode_occupied == s.zero_mode_occupied
-    assert t.params == s.params
-    assert t.n_sites == s.n_sites
-    assert json.loads(s.to_json())["params"]["n_sites"] == 12
-
-
-def test_json_roundtrip_keeps_the_isotropic_mask():
-    s = isotropic_ground_state(0.3, 12)
-    t = GroundState.from_json(s.to_json())
-    assert t.occupation_mask.dtype == bool
-    assert np.array_equal(t.occupation_mask, s.occupation_mask)
-
-
-_DOCS = {
-    "even": lambda: build_ground_state(P(0.7, 0.9, 1.6), 12),
-    "odd": lambda: build_ground_state(P(0.7, 0.9, 0.4), 12),
-    "isotropic": lambda: isotropic_ground_state(0.3, 12),
-}
-
-
-@pytest.mark.parametrize(
-    "doc, path, edit, error",
-    [
-        ("isotropic", ("occupation_mask",), lambda m: m[:3], ValueError),
-        ("isotropic", ("occupation_mask",), lambda m: [1, 2, "x", None, 0] + m[5:], ValueError),
-        ("even", ("modes",), lambda m: m[:1], ValueError),
-        ("even", ("modes", 2, "u", 0), lambda x: math.nan, ValueError),
-        ("odd", ("zero_mode_occupied",), lambda flag: "no", ValueError),
-        ("even", ("modes", 2, "theta"), lambda x: math.nextafter(x, math.inf), ValueError),
-        ("even", ("modes", 2, "u", 1), lambda x: math.nextafter(x, math.inf), ValueError),
-        ("even", ("modes", 2, "energy"), lambda x: math.nextafter(x, math.inf), ValueError),
-        ("even", ("params", "gamma"), lambda g: 0.8, ValueError),
-        ("even", ("params", "lam"), lambda lam: 1.0, CriticalPoint),
-        ("isotropic", ("occupation_mask", 0), lambda b: not b, ValueError),
-        ("isotropic", ("params", "phi"), lambda phi: 0.5, ValueError),
-        ("isotropic", ("occupation_mask",), lambda m: [int(b) for b in m], ValueError),
-        ("even", (), lambda d: {}, (ValueError, KeyError)),
-        ("even", (), lambda d: [], (ValueError, TypeError)),
-        ("even", (), lambda d: None, (ValueError, TypeError)),
-        ("odd", (), lambda d: {k: v for k, v in d.items() if k != "occupation_mask"},
-         (ValueError, KeyError)),
-        ("even", ("params", "phi"), lambda phi: str(phi), (ValueError, TypeError)),
-        ("even", ("params", "phi"), lambda phi: 10**400, (ValueError, OverflowError)),
-    ],
-    ids=[
-        "short-mask",
-        "non-boolean-mask",
-        "modes-off-the-ring",
-        "non-finite-amplitude",
-        "non-boolean-flag",
-        "edited-theta",
-        "edited-u",
-        "edited-energy",
-        "edited-gamma",
-        "critical-field",
-        "flipped-mask-entry",
-        "isotropic-phi",
-        "integer-mask",
-        "empty-object",
-        "array",
-        "null",
-        "no-mask-field",
-        "string-phi",
-        "huge-integer-phi",
-    ],
-)
-def test_json_rejects_a_document_no_constructor_writes(doc, path, edit, error):
-    # from_json rebuilds the state from the stored point and accepts only
-    # the exact document that state writes.  An empty path edits the whole
-    # document; an (error, cause) pair is a malformed document, whose
-    # ValueError is chained to the lookup or type error behind it
-    error, cause = error if isinstance(error, tuple) else (error, type(None))
-    d = json.loads(_DOCS[doc]().to_json())
-    if path:
-        *parents, last = path
-        target = d
-        for key in parents:
-            target = target[key]
-        target[last] = edit(target[last])
-    else:
-        d = edit(d)
-    with pytest.raises(error) as raised:
-        GroundState.from_json(json.dumps(d))
-    assert isinstance(raised.value.__cause__, cause)

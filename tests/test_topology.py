@@ -342,6 +342,10 @@ def test_detect_transition_brackets_critical_field():
     assert (lo, hi) == (0.9990234375, 1.0)
     assert lo < 1.0 <= hi
     assert hi - lo <= 1e-3
+    # below the spacing of doubles the bracket stops at one ulp
+    lo, hi = detect_transition(0.5, 1.5, 1e-300)
+    assert hi == math.nextafter(lo, math.inf)
+    assert lo < 1.0 <= hi
 
 
 def test_detect_transition_no_jump():
