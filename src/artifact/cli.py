@@ -3,9 +3,9 @@
 A thin shell over the library: scan-chern's labels are ``classify_phase``'s,
 and every input the library can judge is judged by its own checks, once,
 before ``--out`` is touched and before any row.  Exit codes: 0 success,
-1 oracle check breach, 2 bad usage or configuration (``main`` alone prints
-the ``error:`` line), 3 runtime failure on one or more scan-chern rows
-(partial output is kept).
+1 oracle check breach, 2 bad usage or configuration, or a run too large to
+allocate (``main`` alone prints the ``error:`` line and nothing is written),
+3 runtime failure on one or more scan-chern rows (partial output is kept).
 """
 
 from __future__ import annotations
@@ -89,28 +89,15 @@ def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--step
     return values
 
 
-def _resolve_format(args) -> str:
-    if args.format is not None:
-        return args.format
-    if args.out and args.out.lower().endswith(".json"):
-        return "json"
-    return "csv"
-
-
-def _renderer(args):
-    """The run's one cell renderer: JSON values for JSON, CSV strings for CSV."""
-    return _jnum if _resolve_format(args) == "json" else _fmt
-
-
 def _rendered(args, fieldnames, rows):
     """Dict rows rendered for ``_emit``, cells in field order; a missing key renders as None.
 
     JSON rows are tuples of cells; CSV rows are lines, the cells joined by
     commas and ended by LF.
     """
-    render = _renderer(args)
+    render = _jnum if args.format == "json" else _fmt
     cells = [tuple(render(row.get(name)) for name in fieldnames) for row in rows]
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         return cells
     return [",".join(row) + "\n" for row in cells]
 
@@ -162,7 +149,7 @@ def _emit(args, fieldnames, rows, summary) -> None:
     is complete and closed when this returns.
     """
     with _output(args) as stream:
-        if _resolve_format(args) == "json":
+        if args.format == "json":
             config = {
                 key: "x".join(map(str, value)) if key == "grid" else _jnum(value)
                 for key, value in vars(args).items()
@@ -250,10 +237,10 @@ def _run_gap_map(args) -> int:
     summary = {"rows_written": len(gaps), "exact_zero_rows": zero_rows}
     # render each value itself, with no cache keyed on values: -0.0 and 0.0
     # are equal keys but render as "-0" and "0"
-    render = _renderer(args)
+    render = _jnum if args.format == "json" else _fmt
     g_cells = [render(g) for g in gammas]
     l_cells = [render(l) for l in lams]
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         rows = zip([g for g in g_cells for _ in l_cells], l_cells * len(g_cells), map(render, gaps))
     else:
         # one template per gamma block, filled by one C-level % format:
@@ -480,11 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", "") is None:
+        # a subcommand with --format, left unset: json for a .json --out, else csv
+        args.format = "json" if (args.out or "").lower().endswith(".json") else "csv"
     try:
         return args.run(args)
-    except (ValueError, BadSize) as exc:
-        # a bad axis, a library input check or an unwritable --out; each is
-        # raised before any row is written
+    except (ValueError, BadSize, MemoryError) as exc:
+        # a bad axis, a library input check, an unwritable --out or arrays
+        # too large to allocate; each is raised before any row is written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -96,11 +96,13 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
     Raises
     ------
     ValueError
-        If alpha is not a finite real number, or ``params`` not a ``ModelParams``.
+        If alpha is not one finite real number, or ``params`` not a ``ModelParams``.
     CriticalPoint
         If the mode energy is below 1e-12.
     """
     model._check_momentum(alpha)
+    if np.ndim(alpha) != 0:
+        raise ValueError(f"alpha must be one momentum, got shape {np.shape(alpha)}")
     model._check_kind("params", params, ModelParams)
     pairing = model._Pairing(alpha, params.gamma, params.lam)
     if pairing.r2 < 1e-24:

@@ -8,8 +8,8 @@ antiperiodic momenta (2k+1) pi / N, which all pair.  The product state
 lives in the odd sector exactly when lam < 1.  Each pair block (alpha,
 -alpha) is described by two complex amplitudes on the empty and doubly
 occupied states, so every product state is an exact eigenstate of the
-spin chain.  ``_pair_block`` is the one statement of those amplitudes;
-``GroundState.u`` and ``.v`` carry them for every pair of a ring.
+spin chain.  ``_pair_arrays`` is the one path from a point to those
+amplitudes; ``GroundState.u`` and ``.v`` carry them for every pair of a ring.
 """
 
 from __future__ import annotations
@@ -106,37 +106,22 @@ def _odd_sector(lam) -> bool:
     return lam < 1.0
 
 
-def _sector_pairs(n_sites: int, gamma: float, lam: float):
-    """The product state's sector, its pair momenta and their pairing kernel.
-
-    Returns ``(odd, alphas, pairing)``, the sector by ``_odd_sector``.
-    """
-    odd = _odd_sector(lam)
-    alphas = _pair_grid(n_sites, odd)
-    return odd, alphas, model._Pairing(alphas, gamma, lam)
-
-
-def _pair_states(phi: float, pairing: model._Pairing):
-    """(theta, u, v) of every pair block of ``pairing`` at rotation ``phi``."""
-    theta = pairing.theta
-    u, v = _pair_block(theta, phi)
-    return theta, u.astype(complex), v
-
-
 def _pair_arrays(
     phi: float,
     gamma: float,
     lam: float,
     n_sites: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (theta, u, v) pair arrays of the ground state.
+    """The one path from a point to the (theta, u, v) arrays of its pair blocks.
 
-    All three come from the pairing kernel of ``build_ground_state``.  The
-    pairs sit on the momenta of the odd sector when lam < 1 and of the even
-    sector otherwise.  No parameter validation: the closed forms continue
-    smoothly to gamma or lam slightly below zero.
+    The pairs sit on the momenta of the sector ``_odd_sector`` picks: the
+    odd sector when lam < 1 and the even sector otherwise.  No parameter
+    validation: the closed forms continue smoothly to gamma or lam slightly
+    below zero.
     """
-    return _pair_states(phi, _sector_pairs(n_sites, gamma, lam)[2])
+    theta = model._Pairing(_pair_grid(n_sites, _odd_sector(lam)), gamma, lam).theta
+    u, v = _pair_block(theta, phi)
+    return theta, u.astype(complex), v
 
 
 def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
@@ -168,12 +153,12 @@ def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     n = model._check_size(n_sites)
     model._check_kind("params", params, ModelParams)
     model._check_gapped(params.gamma, params.lam)
-    odd, alphas, pairing = _sector_pairs(n, params.gamma, params.lam)
-    theta, u, v = _pair_states(params.phi, pairing)
+    odd = _odd_sector(params.lam)
+    theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n)
     return GroundState(
         params=params,
         n_sites=n,
-        alphas=alphas,
+        alphas=_pair_grid(n, odd),
         thetas=theta,
         u=u,
         v=v,

@@ -72,11 +72,13 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _check_momentum(alpha) -> None:
-    """ValueError unless every momentum in ``alpha``, scalar or array, is finite.
+    """ValueError unless every momentum in ``alpha``, scalar or array, is finite and real.
 
-    Momenta that are no numbers raise ValueError chained to the TypeError
-    behind it.
+    Complex momenta raise ValueError, even with a zero imaginary part;
+    momenta that are no numbers raise it chained to the TypeError behind it.
     """
+    if np.iscomplexobj(alpha):
+        raise ValueError(f"alpha must be finite real numbers, got {alpha!r}")
     try:
         finite = bool(np.all(np.isfinite(alpha)))
     except TypeError as exc:

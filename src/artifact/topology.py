@@ -32,7 +32,6 @@ from .ground_state import _pair_block
 
 __all__ = [
     "PhaseLabel",
-    "ChernMethod",
     "ChernResult",
     "PhasePoint",
     "chern_number",
@@ -52,11 +51,6 @@ class PhaseLabel(str, enum.Enum):
     CHERN_ZERO = "ChernZero"
 
 
-class ChernMethod(str, enum.Enum):
-    WINDING = "Winding"
-    DISCRETE = "DiscretePlaquette"
-
-
 @dataclass(frozen=True)
 class ChernResult:
     """Chern number estimate with its quality bookkeeping.
@@ -66,21 +60,20 @@ class ChernResult:
     value : float
         Raw estimate before integer snapping; ``nearest_integer`` and
         ``residual`` (the distance |value - nearest_integer|) derive from it.
-    method : ChernMethod
     node_count : int
         Pairing-angle evaluations (winding), or the n_phi * n_beta + 2 nodes
         of the grid the discrete flux covers; by the phi symmetry it
         evaluates 2 * n_beta of them.
     worst_cell_phase : float or None
-        Largest |phase| of one plaquette or pole-fan cell (discrete only);
-        the sum is unambiguous while it stays below pi.
+        Largest |phase| of one plaquette or pole-fan cell (discrete only;
+        None marks a winding result); the sum is unambiguous while it
+        stays below pi.
     min_link : float or None
         Smallest link modulus on the grid (discrete only); a link near zero
         marks a vortex on the grid.
     """
 
     value: float
-    method: ChernMethod
     node_count: int
     worst_cell_phase: float | None = None
     min_link: float | None = None
@@ -156,7 +149,7 @@ def chern_number(lam: float) -> ChernResult:
         raise CriticalPoint(f"lam={lam} is within 1e-3 of the critical field")
     theta = _pole_thetas(lam)
     value = float(theta[1] - theta[0]) / math.pi
-    return ChernResult(value=value, method=ChernMethod.WINDING, node_count=2)
+    return ChernResult(value=value, node_count=2)
 
 
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
@@ -205,7 +198,7 @@ def _strip_result(lam, critical, flux, phase, link, n_phi, n_beta) -> ChernResul
     if phase >= math.pi - 1e-9:
         raise VortexOnPlaquette(f"cell phase {phase:.6f} is ambiguous; refine the grid")
     value = n_phi * flux / (2.0 * math.pi)
-    return ChernResult(value, ChernMethod.DISCRETE, n_phi * n_beta + 2, phase, link)
+    return ChernResult(value, n_phi * n_beta + 2, phase, link)
 
 
 def _chern_discrete_batch(lams, grid: tuple[int, int], n_sites: int) -> list:

@@ -674,6 +674,26 @@ def test_unwritable_out_exits_2(cli, tmp_path, args, target):
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("metric-scan", "--gamma", 0.5, "--lambda-min", 0.1, "--lambda-max", 2,
+         "--steps", 3, "--n-sites", 9007199254740992),
+        ("scan-chern", "--lambda-min", 0.1, "--lambda-max", 2, "--steps", 3,
+         "--grid", "16x9007199254740992", "--n-sites", 256),
+    ],
+    ids=lambda args: args[0],
+)
+def test_unallocatable_run_exits_2(cli, args):
+    # sizes the checks accept but whose arrays (32 and 64 PiB) exceed any
+    # 47-bit address space, so the allocation fails at once on every machine
+    res = cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 def _no_rows(*args):
     raise AssertionError("a row was computed before --out was checked")
 

@@ -21,8 +21,8 @@ from artifact import (
     qgt_product,
     qgt_spectral,
 )
-from artifact import geometry, oracle
-from artifact.ground_state import _pair_arrays, _pair_block, _sector_pairs
+from artifact import geometry, model, oracle
+from artifact.ground_state import _odd_sector, _pair_arrays, _pair_block, _pair_grid
 from pauli import fock_vector
 
 P = ModelParams
@@ -60,6 +60,16 @@ def test_mode_matches_finite_difference():
 def test_mode_gapless():
     with pytest.raises(CriticalPoint, match="is gapless"):
         berry_curvature_mode(0.0, P(0.0, 0.7, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [np.array([1.1]), [1.1, 1.2], np.zeros((2, 2))], ids=str)
+def test_mode_takes_one_momentum(alpha):
+    with pytest.raises(ValueError, match="alpha must be one momentum"):
+        berry_curvature_mode(alpha, P(0.3, 0.7, 0.4))
+    # a 0-d array and a numpy scalar are one momentum
+    one = berry_curvature_mode(1.1, P(0.3, 0.7, 0.4))
+    assert berry_curvature_mode(np.array(1.1), P(0.3, 0.7, 0.4)) == one
+    assert berry_curvature_mode(np.float64(1.1), P(0.3, 0.7, 0.4)) == one
 
 
 def test_mode_phi_independent():
@@ -247,7 +257,7 @@ def _tensor_bits(result):
 
 def _unblocked_bits(gamma, lam, n):
     # one field's closed-form sums, on the pairing of its own sector alone
-    pairing = _sector_pairs(n, gamma, lam)[2]
+    pairing = model._Pairing(_pair_grid(n, _odd_sector(lam)), gamma, lam)
     s = pairing.sin_theta
     d = np.stack((pairing.d_gamma, pairing.d_lam))
     q = np.empty((3, 3), dtype=complex)

@@ -211,6 +211,26 @@ def test_lanczos_sectors_match_dense_blocks(phi, gamma, lam):
     assert np.array_equal(ed_ground(p, 10).ground_vector, v)
 
 
+_FIELD_DRAWS = np.random.default_rng(23).uniform((0.0, 0.2, 1.05), (np.pi, 1.5, 2.5), (10, 3))
+
+
+@pytest.mark.parametrize(
+    "phi, gamma, lam, n",
+    [(*draw, (4, 6, 8, 10, 12)[i % 5]) for i, draw in enumerate(_FIELD_DRAWS)],
+)
+def test_ed_vector_magnetization_moments(phi, gamma, lam, n):
+    # phi is the gauge exp(-i phi P), P the down-spin count, so q_phiphi =
+    # Var(P); above the field each pair holds 1 - cos(theta) down spins on
+    # average and the ground is the even-sector product state
+    p = P(phi, gamma, lam)
+    weight = np.abs(ed_ground(p, n).ground_vector) ** 2
+    pop = np.array([bin(b).count("1") for b in range(1 << n)])
+    mean = weight @ pop
+    var = weight @ (pop - mean) ** 2
+    assert mean == pytest.approx(np.sum(1.0 - np.cos(build_ground_state(p, n).thetas)), rel=1e-12)
+    assert var == pytest.approx(qgt_product(p, n).matrix[0, 0].real, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [10, 12])
 @pytest.mark.parametrize("gamma, lam", [(1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (0.0, 0.5), (0.0, 5.0)])
 def test_lanczos_at_degenerate_points(gamma, lam, n):
