@@ -15,6 +15,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,11 +113,15 @@ def _open_out(args, mode: str):
 def _check_out(args) -> None:
     """Fail before the first row when ``--out`` cannot be opened for writing.
 
-    Opens for append, so a missing file is created empty and an existing
-    one keeps its bytes until ``_emit`` rewrites it.
+    Opens for append, so an existing file keeps its bytes until ``_emit``
+    rewrites it; a file the probe created is removed again, so a run that
+    fails later leaves a missing ``--out`` missing.
     """
     if args.out:
+        existed = os.path.lexists(args.out)
         _open_out(args, "a").close()
+        if not existed:
+            os.remove(args.out)
 
 
 @contextlib.contextmanager

@@ -227,24 +227,21 @@ def gap(gamma: float, lam: float) -> float:
     Raises
     ------
     ValueError
-        If gamma or lam is not a real number in [0, 1e150]: negative,
-        above 1e150, non-finite or no number at all.
+        If gamma or lam is not one real number in [0, 1e150]: negative,
+        above 1e150, non-finite, an array or no number at all.
     """
-    # one chained comparison keeps the check cheap on the gap-map hot path;
-    # only a failure (NaN, out of range, or no number) pays for the full
-    # checks and their messages.  The handler repeats the two calls because
-    # a flag stored for one shared call costs a fifth more per valid call.
+    # only input the closed form cannot take pays for the checks; math.fabs takes no array
     try:
-        if not (0.0 <= gamma <= 1e150 and 0.0 <= lam <= 1e150):
-            _check_coupling("gamma", gamma)
-            _check_coupling("lam", lam)
-    except TypeError:
-        _check_coupling("gamma", gamma)
-        _check_coupling("lam", lam)
-    if not (gamma >= 1.0 or lam >= 1.0 - gamma * gamma):
-        omg2 = 1.0 - gamma * gamma
-        return gamma * math.sqrt((omg2 - lam * lam) / omg2)
-    return abs(1.0 - lam)
+        if 0.0 <= gamma <= 1e150 and 0.0 <= lam <= 1e150:
+            if math.fabs(gamma) >= 1.0 or lam >= 1.0 - gamma * gamma:
+                return math.fabs(1.0 - lam)
+            omg2 = 1.0 - gamma * gamma
+            return gamma * math.sqrt((omg2 - lam * lam) / omg2)
+    except (TypeError, ValueError):
+        pass
+    _check_coupling("gamma", gamma)
+    _check_coupling("lam", lam)
+    raise ValueError(f"gamma and lam must be real numbers, got {gamma!r} and {lam!r}")
 
 
 def _check_gapped(gamma: float, lam: float) -> None:

@@ -4,6 +4,7 @@ import ast
 import builtins
 import inspect
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,7 +168,10 @@ _NOT_ROUTES = {
     "GroundState", "GeometricTensor", "CurvatureDensity", "ChernResult", "PhasePoint",
     "SpinSpectrum", "SpectralTerm", "PhaseLabel",
 }
-_COUPLING = ["0.5", None, 10**400, math.nan, math.inf, -math.inf, -1.0, 1e151]
+_COUPLING = [
+    "0.5", None, 10**400, math.nan, math.inf, -math.inf, -1.0, 1e151,
+    np.array([0.5]), np.array([0.5, 0.6]),
+]
 _BAD = {
     "coupling": _COUPLING,
     "phi": [*_COUPLING, math.pi],
@@ -305,3 +309,24 @@ def test_every_definition_is_public_or_named():
     ]
     assert len(trees) > 1
     assert [f"{stem}.{name}" for stem, name in defined if name not in named] == []
+
+
+def test_test_extra_names_every_package_the_tests_import():
+    # a package a test module imports, other than the standard library and
+    # the repository's own modules, is a dependency or in the `test` extra
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    specs = [*project["dependencies"], *project["optional-dependencies"]["test"]]
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in specs}
+    own = {"artifact", "pauli", "tracer", "workloads"}
+    imported = set()
+    paths = [*root.glob("tests/*.py"), *root.glob("bench/tests/*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert len(paths) > 1 and "pytest" in imported
+    assert imported - set(sys.stdlib_module_names) - own - declared == set()

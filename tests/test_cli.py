@@ -684,7 +684,7 @@ def test_unwritable_out_exits_2(cli, tmp_path, args, target):
     ],
     ids=lambda args: args[0],
 )
-def test_unallocatable_run_exits_2(cli, args):
+def test_unallocatable_run_exits_2(cli, args, tmp_path):
     # sizes the checks accept but whose arrays (32 and 64 PiB) exceed any
     # 47-bit address space, so the allocation fails at once on every machine
     res = cli(*args)
@@ -692,6 +692,14 @@ def test_unallocatable_run_exits_2(cli, args):
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+    # the allocation fails after --out is checked: a missing file is not
+    # created, and an existing one keeps its bytes
+    missing, existing = tmp_path / "missing.csv", tmp_path / "existing.csv"
+    existing.write_bytes(b"kept\n")
+    for out in (missing, existing):
+        assert cli(*args, "--out", out).returncode == 2
+    assert not missing.exists()
+    assert existing.read_bytes() == b"kept\n"
 
 
 def _no_rows(*args):

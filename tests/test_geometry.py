@@ -220,6 +220,22 @@ def test_qgt_critical_guards():
         qgt_finite_diff(P(0.0, 0.5, 0.5), 12)
 
 
+@pytest.mark.parametrize(
+    "gamma, lam",
+    [(1e-4, 0.5), (2e-4, 0.5), (0.7, 1 + 2e-4), (0.7, 1 - 2e-4), (0.7, 1 + 1e-4), (0.7, 1 - 1e-4)],
+)
+def test_qgt_stencil_guard_covers_every_offset(gamma, lam):
+    # a gapped center whose stencil touches the gapless set only at one
+    # point stepped by 2e-4 or 1e-4 in gamma or lam
+    with pytest.raises(CriticalPoint, match="stencil around"):
+        qgt_finite_diff(P(0.0, gamma, lam), 6)
+
+
+@pytest.mark.parametrize("gamma, lam", [(3e-4, 0.5), (0.7, 1.0003)])
+def test_qgt_stencil_guard_clears_a_stencil_off_the_gapless_set(gamma, lam):
+    assert qgt_finite_diff(P(0.0, gamma, lam), 6).matrix.shape == (3, 3)
+
+
 def test_qgt_finite_diff_stencil_across_a_parity_crossing():
     # a doublet crossing of the 6-site ring below lam = 1: the even and odd
     # sector levels swap order inside the 2e-4 stencil, so the ED ground

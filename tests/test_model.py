@@ -84,6 +84,8 @@ _BAD_COUPLINGS = [
     (None, "must be a finite real number, got None"),
     (10**400, "must be a finite real number, got 1000"),
     (1e151, "must be <= 1e150, got 1e+151"),
+    (np.array([0.5]), "must be a finite real number, got array([0.5])"),
+    (np.array([0.5, 2.0]), "must be a finite real number, got array([0.5, 2. ])"),
 ]
 
 
