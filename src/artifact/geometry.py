@@ -127,6 +127,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
         On the gapless lines, and where the gap is too small for the sums
         to agree within 2^20 pairs.
     """
+    gamma, lam = model._check_coupling("gamma", gamma), model._check_coupling("lam", lam)
     model._check_gapped(gamma, lam)
     pairs, previous = 64, None
     while pairs <= _DENSITY_MAX_PAIRS:
@@ -134,7 +135,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
         p = model._Pairing(_pair_grid(n, False), gamma, lam)
         total = (2.0 * math.pi / n) * float(p.sin_theta @ p.d_gamma)
         if previous is not None and abs(total - previous) <= 1e-13:
-            return CurvatureDensity(1j * total, float(gamma), float(lam), pairs)
+            return CurvatureDensity(1j * total, gamma, lam, pairs)
         previous, pairs = total, 2 * pairs
     raise CriticalPoint(
         f"gap {model.gap(gamma, lam):.3e} at gamma={gamma}, lam={lam} is too small "

@@ -188,8 +188,8 @@ def isotropic_ground_state(lam: float, n_sites: int) -> GroundState:
     n = model._check_size(n_sites)
     params = ModelParams(0.0, 0.0, lam)
     # the 1e-9 snap counts a momentum landing exactly on the edge as inside
-    k_t = math.floor(n * math.acos(min(lam, 1.0)) / (2.0 * math.pi) + 1e-9)
-    zero_occ = lam <= 1.0
+    k_t = math.floor(n * math.acos(min(params.lam, 1.0)) / (2.0 * math.pi) + 1e-9)
+    zero_occ = params.lam <= 1.0
     alphas = _pair_grid(n, zero_occ)
     filled = np.arange(1, alphas.size + 1) <= k_t
     # exact number states at gamma = 0: occupied pairs are pure |11>,

@@ -37,7 +37,7 @@ class ModelParams:
         Rotation angle of the XY bond about z, in [0, pi).  The bond
         Hamiltonian is pi-periodic in phi, so the representative interval
         is half a turn.  phi is the U(1) gauge of the ground states: it
-        rephases them and changes no energy, so it is stored as given,
+        rephases them and changes no energy, so it is stored as a float,
         subnormal angles included.
     gamma : float
         XY anisotropy, in [0, 1e150].
@@ -50,22 +50,24 @@ class ModelParams:
     lam: float
 
     def __post_init__(self) -> None:
-        _check_finite("phi", self.phi)
+        object.__setattr__(self, "phi", _check_finite("phi", self.phi))
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"phi must lie in [0, pi), got {self.phi}")
-        _check_coupling("gamma", self.gamma)
-        _check_coupling("lam", self.lam)
+        object.__setattr__(self, "gamma", _check_coupling("gamma", self.gamma))
+        object.__setattr__(self, "lam", _check_coupling("lam", self.lam))
 
 
-def _check_finite(name: str, value: float) -> None:
-    """ValueError unless ``name`` is a finite real number.
+def _check_finite(name: str, value: float) -> float:
+    """``value`` as a float; ValueError unless ``name`` is one finite real number.
 
-    A value that is no number, or an integer too large for a float, raises
-    ValueError chained to the TypeError or OverflowError behind it.
+    An array with an axis, no number or an integer too large for a float
+    raises ValueError, chained to any TypeError or OverflowError behind it.
     """
+    if isinstance(value, np.ndarray) and value.ndim > 0:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     try:
         if math.isfinite(value):
-            return
+            return float(value)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from exc
     raise ValueError(f"{name} must be finite, got {value}")
@@ -87,16 +89,17 @@ def _check_momentum(alpha) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def _check_coupling(name: str, value: float) -> None:
-    """ValueError unless the coupling ``name`` (gamma or lam) lies in [0, 1e150].
+def _check_coupling(name: str, value: float) -> float:
+    """``value`` as a float; ValueError unless the coupling ``name`` lies in [0, 1e150].
 
     The upper bound keeps r^2 of ``_Pairing`` below 2e300, clear of overflow.
     """
-    _check_finite(name, value)
+    value = _check_finite(name, value)
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     if value > 1e150:
         raise ValueError(f"{name} must be <= 1e150, got {value}")
+    return value
 
 
 def _check_kind(name: str, value, *kinds: type) -> None:
@@ -173,8 +176,7 @@ def dispersion(alpha, gamma: float, lam: float):
         If gamma or lam is not a real number in [0, 1e150], or if any momentum
         is not finite.
     """
-    _check_coupling("gamma", gamma)
-    _check_coupling("lam", lam)
+    gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
     _check_momentum(alpha)
     return _Pairing(alpha, gamma, lam).energy
 
@@ -206,8 +208,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
-    _check_coupling("gamma", gamma)
-    _check_coupling("lam", lam)
+    gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
     _check_momentum(alpha)
     pairing = _Pairing(alpha, gamma, lam)
     if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
@@ -239,9 +240,7 @@ def gap(gamma: float, lam: float) -> float:
             return gamma * math.sqrt((omg2 - lam * lam) / omg2)
     except (TypeError, ValueError):
         pass
-    _check_coupling("gamma", gamma)
-    _check_coupling("lam", lam)
-    raise ValueError(f"gamma and lam must be real numbers, got {gamma!r} and {lam!r}")
+    return gap(_check_coupling("gamma", gamma), _check_coupling("lam", lam))
 
 
 def _check_gapped(gamma: float, lam: float) -> None:

@@ -18,10 +18,12 @@ and one per bond, is built once per ring size in the block's own basis,
 with one coefficient array per coupling, and no 2^N matrix is ever built.
 A block's lowest level is found by dense ``eigh`` below ``_LANCZOS_MIN``
 states, both blocks in one call, and by a seeded Lanczos solve (Lanczos
-1950; Paige 1972) from there on.  The rotation phi enters the chain only
-as the diagonal gauge H(phi) = U H(0) U^dag with U = diag(exp(-i phi
-popcount)), so the real phi = 0 blocks are solved, the energies carry no
-phi dependence, and U is applied to the eigenvectors afterwards.
+1950; Paige 1972) from there on, which runs until its residual bound is
+met or its Krylov space is invariant or fills the block.  The rotation
+phi enters the chain only as the diagonal gauge H(phi) = U H(0) U^dag
+with U = diag(exp(-i phi popcount)), so the real phi = 0 blocks are
+solved, the energies carry no phi dependence, and U is applied to the
+eigenvectors afterwards.
 
 Basis convention: basis index b has site j stored in bit N-1-j, a set bit
 is a down spin, which is identified with an occupied fermion level.  The
@@ -58,8 +60,6 @@ _QGT_MAX = 10
 _LANCZOS_MIN = 256
 # Lanczos stops once its residual is below this share of the block's norm bound
 _LANCZOS_TOL = 1e-14
-# the most Krylov vectors one Lanczos run keeps before it restarts
-_KRYLOV_MAX = 128
 
 
 def _popcounts(b: np.ndarray, n_sites: int) -> np.ndarray:
@@ -149,35 +149,30 @@ def _lanczos(sector: _Sector, data: np.ndarray, start: np.ndarray) -> tuple[floa
     coefficient and s the Ritz vector of the tridiagonal matrix; it is
     checked at step 32 and every 12 steps after, against ``_LANCZOS_TOL``
     times the block's largest absolute row sum (a bound on its norm).  A
-    beta below that tolerance means the Krylov space is invariant, so the
-    solve stops there at once instead of dividing by it.  A solve that
-    needs more than ``_KRYLOV_MAX`` vectors restarts from its Ritz vector.
+    beta below that tolerance means the Krylov space is invariant, and a
+    basis as wide as the block fills it; either way the Ritz pair is exact
+    and is returned at once.
     """
     tol = _LANCZOS_TOL * np.abs(data).sum(axis=0).max()
-    ritz = start
-    while True:
-        basis = np.empty((min(_KRYLOV_MAX, start.size), start.size))
-        basis[0] = ritz / np.linalg.norm(ritz)
-        alpha, beta = [], []
-        for m in range(1, len(basis) + 1):
-            v, kept = basis[m - 1], basis[:m]
-            w = _matvec(sector, data, v)
-            alpha.append(v @ w)
-            w -= alpha[-1] * v
-            if beta:
-                w -= beta[-1] * basis[m - 2]
-            w -= kept.T @ (kept @ w)
-            b = math.sqrt(w @ w)
-            if b <= tol or m == len(basis) or (m >= 32 and (m - 32) % 12 == 0):
-                tridiagonal = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-                theta, s = np.linalg.eigh(tridiagonal)
-                ritz = s[:, 0] @ kept
-                if b * abs(s[-1, 0]) <= tol:
-                    return float(theta[0]), ritz
-                if m == len(basis):
-                    break
-            beta.append(b)
-            basis[m] = w / b
+    basis = np.empty((start.size, start.size))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    for m in range(1, start.size + 1):
+        v, kept = basis[m - 1], basis[:m]
+        w = _matvec(sector, data, v)
+        alpha.append(v @ w)
+        w -= alpha[-1] * v
+        if beta:
+            w -= beta[-1] * basis[m - 2]
+        w -= kept.T @ (kept @ w)
+        b = math.sqrt(w @ w)
+        if b <= tol or m == start.size or (m >= 32 and (m - 32) % 12 == 0):
+            tridiagonal = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(tridiagonal)
+            if b * abs(s[-1, 0]) <= tol or m == start.size:
+                return float(theta[0]), s[:, 0] @ kept
+        beta.append(b)
+        basis[m] = w / b
 
 
 def _rotated_vector(

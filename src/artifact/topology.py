@@ -144,7 +144,7 @@ def chern_number(lam: float) -> ChernResult:
     CriticalPoint
         If |lam - 1| <= 1e-3.
     """
-    model._check_coupling("lam", lam)
+    lam = model._check_coupling("lam", lam)
     if abs(lam - 1.0) <= 1e-3:
         raise CriticalPoint(f"lam={lam} is within 1e-3 of the critical field")
     theta = _pole_thetas(lam)
@@ -268,8 +268,7 @@ def chern_discrete(
         If a cell phase reaches pi or a link modulus collapses, making
         the phase assignment ambiguous.
     """
-    model._check_coupling("lam", lam)
-    (result,) = _chern_discrete_batch([lam], grid, n_sites)
+    (result,) = _chern_discrete_batch([model._check_coupling("lam", lam)], grid, n_sites)
     if isinstance(result, ArtifactError):
         raise result
     return result
@@ -288,6 +287,7 @@ def classify_phase(lam: float) -> PhasePoint:
     ValueError
         Unless lam is a real number in [0, 1e150].
     """
+    lam = model._check_coupling("lam", lam)
     try:
         result = chern_number(lam)
     except CriticalPoint:
@@ -314,22 +314,21 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     NoJumpFound
         If both endpoints carry the same label.
     """
-    model._check_finite("tol", tol)
+    tol = model._check_finite("tol", tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    model._check_coupling("lambda_lo", lambda_lo)
-    model._check_coupling("lambda_hi", lambda_hi)
-    if lambda_lo >= lambda_hi:
+    lo = model._check_coupling("lambda_lo", lambda_lo)
+    hi = model._check_coupling("lambda_hi", lambda_hi)
+    if lo >= hi:
         raise ValueError("need lambda_lo < lambda_hi")
-    lo_point = classify_phase(lambda_lo)
-    hi_point = classify_phase(lambda_hi)
+    lo_point = classify_phase(lo)
+    hi_point = classify_phase(hi)
     if PhaseLabel.BOUNDARY in (lo_point.label, hi_point.label):
         raise CriticalPoint("endpoints must lie outside the critical strip")
     if lo_point.label == hi_point.label:
         raise NoJumpFound(
             f"both endpoints classify as {lo_point.label.value}; nothing to bracket"
         )
-    lo, hi = float(lambda_lo), float(lambda_hi)
     lo_integer = lo_point.chern.nearest_integer
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -6,6 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+# One BLAS thread, as the benchmark runs: on a two-core machine a threaded
+# OpenBLAS spends far longer synchronizing than computing on these small
+# matrices.  Neither pytest nor hypothesis imports numpy, so this is set
+# before numpy loads; the CLI subprocesses inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 # Run from a plain checkout: the package is importable here and in the CLI
 # subprocesses, which inherit PYTHONPATH.
 SRC = str(Path(__file__).resolve().parents[1] / "src")

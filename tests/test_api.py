@@ -2,11 +2,14 @@
 
 import ast
 import builtins
+import dataclasses
 import inspect
 import math
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,59 @@ def test_every_stored_ring_size_is_a_python_int(name, route, params):
     n = np.int64(_VALID["n_sites"] if default is inspect.Parameter.empty else default)
     result = route(**_required(params, n_sites=n))
     assert type(getattr(result, "n_sites", 0)) is int, name
+
+
+# every real number math.isfinite accepts is computed on as its float
+_NUMBERS = {
+    "Decimal": lambda v: Decimal(repr(v)),
+    "Fraction": Fraction,
+    "float32": np.float32,
+    "float64": np.float64,
+}
+
+
+def _same_bits(a, b):
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, (np.ndarray, np.generic, float, complex)):
+        # gap returns a float64 scalar for a float64 coupling: the same bits
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+# gap's fast path compares a float32 coupling with 1e150, which numpy casts to
+# float32: "overflow encountered in cast", an error under this suite's filters
+_GAP_CAST = pytest.mark.xfail(raises=RuntimeWarning, reason="gap casts 1e150 to float32")
+
+
+def _number_calls():
+    for name, route, params in _routes():
+        numeric = [p for p in params if _KINDS.get(p) in ("coupling", "phi", "tolerance")]
+        for label, make in _NUMBERS.items() if numeric else ():
+            marks = _GAP_CAST if (name, label) == ("gap", "float32") else ()
+            yield pytest.param(route, params, numeric, make, id=f"{name}-{label}", marks=marks)
+
+
+@pytest.mark.parametrize("route, params, numeric, make", _number_calls())
+def test_every_route_computes_a_number_as_its_float(route, params, numeric, make):
+    for param in numeric:
+        x = make(_VALID[param])
+        result = route(**_required(params, **{param: x}))
+        assert _same_bits(result, route(**_required(params, **{param: float(x)}))), param
+
+
+@pytest.mark.parametrize("make", _NUMBERS.values(), ids=_NUMBERS)
+def test_stored_couplings_are_python_floats(make):
+    p = artifact.ModelParams(make(0.3), make(0.5), make(1.5))
+    assert [type(x) for x in (p.phi, p.gamma, p.lam)] == [float] * 3
+    assert type(artifact.classify_phase(make(0.5)).lam) is float
+    density = artifact.berry_curvature_density(make(0.5), make(1.5))
+    assert (type(density.gamma), type(density.lam)) == (float, float)
 
 
 def test_grid_sides_of_numpy_integers_give_python_numbers():

@@ -260,11 +260,21 @@ def test_lanczos_stops_on_an_invariant_start():
     assert abs(ff.even_sector_energy - energy) <= 1e-12
 
 
-@pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4), (0.0, 5.0)])
-def test_lanczos_restarts_from_its_ritz_vector(monkeypatch, gamma, lam):
-    # with room for 20 vectors, each solve outruns its basis and restarts
-    cap, steps = 20, []
-    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
+_BLOCK_DRAWS = [
+    (0.0, 1.0), (0.0, 0.5), (0.6, 1.0), (1.0, 0.0),
+    *np.random.default_rng(29).uniform((0.0, 0.0), (1.5, 2.0), (4, 2)).tolist(),
+]
+
+
+@pytest.mark.parametrize("share", [oracle._LANCZOS_TOL, 0.0], ids=["tol", "no-tol"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("gamma, lam", _BLOCK_DRAWS)
+def test_lanczos_solves_blocks_its_krylov_space_fills(monkeypatch, gamma, lam, n, share):
+    # ed_ground solves blocks this narrow dense.  Lanczos on them stops at the
+    # latest when its basis is as wide as the block; with no tolerance, most
+    # solves at N <= 6 end at that full-width exit
+    monkeypatch.setattr(oracle, "_LANCZOS_TOL", share)
+    steps = []
 
     def matvec(*args):
         steps.append(1)
@@ -272,17 +282,14 @@ def test_lanczos_restarts_from_its_ritz_vector(monkeypatch, gamma, lam):
 
     product = oracle._matvec
     monkeypatch.setattr(oracle, "_matvec", matvec)
-    ff = free_fermion_parity_spectrum(P(0.0, gamma, lam), 10)
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, 512)
-    blocks = _pauli_parity_blocks(gamma, lam, 10)
-    for sector, block, expected in zip(
-        oracle._spin_operators(10), blocks, (ff.even_sector_energy, ff.odd_sector_energy)
-    ):
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, 1 << (n - 1))
+    for sector in oracle._spin_operators(n):
+        data = sector.data(gamma, lam)
+        block = oracle._dense_block(sector, data)
         steps.clear()
-        energy, v = oracle._lanczos(sector, sector.data(gamma, lam), start)
-        assert len(steps) > cap
-        assert abs(energy - expected) <= 1e-12
-        v = v / np.linalg.norm(v)
+        energy, v = oracle._lanczos(sector, data, start)
+        assert len(steps) <= start.size
+        assert abs(energy - np.linalg.eigvalsh(block)[0]) <= 1e-12
         assert np.linalg.norm(block @ v - energy * v) <= 1e-9
 
 
