@@ -90,17 +90,45 @@ def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--step
     return values
 
 
-def _rendered(args, fieldnames, rows):
-    """Dict rows rendered for ``_emit``, cells in field order; a missing key renders as None.
+def _jtext(value, words: dict) -> str:
+    """``_jnum(value)`` as ``json.dumps`` writes it.
 
-    JSON rows are tuples of cells; CSV rows are lines, the cells joined by
-    commas and ended by LF.
+    A finite float is its ``float.__repr__`` and an int its ``int.__repr__``,
+    as ``json`` writes them; None, a bool and a non-finite float go through
+    ``json.dumps``, and so does a word, once per run: ``words`` keeps its text.
     """
-    render = _jnum if args.format == "json" else _fmt
-    cells = [tuple(render(row.get(name)) for name in fieldnames) for row in rows]
+    value = _jnum(value)
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return words.get(value) or words.setdefault(value, json.dumps(value))
+    return json.dumps(value)
+
+
+def _json_template(fieldnames) -> str:
+    """One JSON row as ``_emit`` nests it, with a ``%s`` slot per cell, keys sorted.
+
+    The text is that of ``json.dumps(indent=2, sort_keys=True)`` for an
+    object in the ``rows`` list; no key holds a "%".
+    """
+    keys = ",\n".join(f"      {json.dumps(key)}: %s" for key in sorted(fieldnames))
+    return "    {\n" + keys + "\n    }"
+
+
+def _rendered(args, fieldnames, rows):
+    """Dict rows rendered for ``_emit``; a missing key renders as None.
+
+    A JSON row is the per-run ``_json_template`` filled with its ``_jtext``
+    cells; a CSV row is a line, the cells joined by commas and ended by LF.
+    """
     if args.format == "json":
-        return cells
-    return [",".join(row) + "\n" for row in cells]
+        keys, words = sorted(fieldnames), {}
+        template = _json_template(keys)
+        return [template % tuple([_jtext(row.get(key), words) for key in keys]) for row in rows]
+    return [",".join([_fmt(row.get(name)) for name in fieldnames]) + "\n" for row in rows]
 
 
 def _open_out(args, mode: str):
@@ -144,9 +172,12 @@ def _output(args):
 def _emit(args, fieldnames, rows, summary) -> None:
     """Write the rows as CSV, or as JSON with the parsed command line as ``config``.
 
-    ``rows`` is an iterable whose cells the run has already rendered, so each
-    cell is rendered once.  For JSON each item is a tuple of ``_jnum`` cells
-    in ``fieldnames`` order.  For CSV each item is text made of whole
+    ``rows`` is an iterable whose text the run has already rendered, so each
+    cell is rendered once.  For JSON each item is one row object, rendered
+    by ``_json_template``; the items are joined by commas into the ``rows``
+    list of the document, whose ``config`` and ``summary`` ``json.dumps``
+    writes, so the text is that of ``json.dumps(indent=2, sort_keys=True)``
+    on the whole document.  For CSV each item is text made of whole
     LF-terminated lines, one row or a block of rows, written after the
     header as it comes.  A CSV cell is a number, an empty string or a fixed
     word, never one holding a comma, a quote or a line break, so no cell
@@ -160,12 +191,14 @@ def _emit(args, fieldnames, rows, summary) -> None:
                 for key, value in vars(args).items()
                 if key not in ("run", "out", "format")
             }
-            doc = {
-                "config": config,
-                "rows": [dict(zip(fieldnames, row)) for row in rows],
-                "summary": summary,
-            }
-            stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            doc = {"config": config, "rows": [], "summary": summary}
+            text = json.dumps(doc, indent=2, sort_keys=True)
+            body = ",\n".join(rows)
+            if body:
+                # the one line indented by two spaces that opens "rows": no
+                # JSON string holds a line break
+                text = text.replace('\n  "rows": []', '\n  "rows": [\n' + body + "\n  ]", 1)
+            stream.write(text + "\n")
         else:
             stream.write(",".join(fieldnames) + "\n")
             stream.writelines(rows)
@@ -196,7 +229,7 @@ def _run_scan_chern(args) -> int:
     model._check_coupling("lam", args.lambda_min)
     model._check_coupling("lam", args.lambda_max)
     _check_out(args)
-    points = [topology.classify_phase(l) for l in lams.tolist()]
+    points = topology._phase_batch(lams)
     kept = [point for point in points if point.chern is not None]
     # the plaquette flux of every field outside the critical strip, in blocks
     discs = topology._chern_discrete_batch([p.lam for p in kept], args.grid, args.n_sites)
@@ -242,12 +275,16 @@ def _run_gap_map(args) -> int:
     summary = {"rows_written": len(gaps), "exact_zero_rows": zero_rows}
     # render each value itself, with no cache keyed on values: -0.0 and 0.0
     # are equal keys but render as "-0" and "0"
-    render = _jnum if args.format == "json" else _fmt
-    g_cells = [render(g) for g in gammas]
-    l_cells = [render(l) for l in lams]
     if args.format == "json":
-        rows = zip([g for g in g_cells for _ in l_cells], l_cells * len(g_cells), map(render, gaps))
+        words = {}
+        g_cells = [_jtext(g, words) for g in gammas]
+        l_cells = [_jtext(l, words) for l in lams]
+        template = _json_template(["gamma", "lambda", "gap"])  # slots: gamma, gap, lambda
+        points = itertools.product(g_cells, l_cells)
+        rows = (template % (g, _jtext(gap, words), l) for (g, l), gap in zip(points, gaps))
     else:
+        g_cells = [_fmt(g) for g in gammas]
+        l_cells = [_fmt(l) for l in lams]
         # one template per gamma block, filled by one C-level % format:
         # "%.12g" renders a float exactly as _fmt's f"{value:.12g}", and no
         # rendered cell holds a "%"

@@ -147,11 +147,11 @@ def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
     """``qgt_product`` at gamma and each field of ``lams``: its tensor or its CriticalPoint.
 
     The couplings must pass ``model._check_coupling``; N is checked here.
-    The gapped fields are grouped by parity sector, whose pair momenta are
-    built once, and each block of ``_BLOCK_PAIRS`` (field, pair) entries is
-    one numpy pass of the pairing kernel.  Each field's sums are then taken
-    on its own contiguous row, so they are the same BLAS reductions at any
-    block size.
+    The gapped fields are grouped by parity sector, whose pair momenta and
+    their sines and cosines are computed once, and each block of
+    ``_BLOCK_PAIRS`` (field, pair) entries is one numpy pass of the pairing
+    kernel.  Each field's sums are then taken on its own contiguous row, so
+    they are the same BLAS reductions at any block size.
     """
     n = model._check_size(n_sites)
     results = [None] * len(lams)
@@ -167,11 +167,12 @@ def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
         if not fields:
             continue
         alphas = _pair_grid(n, odd)
+        trig = np.sin(alphas), np.cos(alphas)
         size = max(1, _BLOCK_PAIRS // alphas.size)
         for start in range(0, len(fields), size):
             block = fields[start : start + size]
             column = np.array([lams[i] for i in block], dtype=float)[:, None]
-            pairing = model._Pairing(alphas, gamma, column)
+            pairing = model._Pairing(alphas, gamma, column, trig)
             sin_theta = pairing.sin_theta
             d_theta = np.stack((pairing.d_gamma, pairing.d_lam), axis=1)
             for i, s, d in zip(block, sin_theta, d_theta):

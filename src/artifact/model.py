@@ -131,14 +131,16 @@ class _Pairing:
     formed on construction.  The pairing angle theta = atan2(b, a), the
     energy r and the derivatives of theta are derived only when asked for:
     the arctangent alone is a sizeable share of a tensor evaluation that
-    does not need it.
+    does not need it.  A caller that evaluates many blocks of fields at the
+    same momenta passes their (sin(alpha), cos(alpha)) as ``trig``, computed
+    once, and alpha is then not read.
     """
 
     __slots__ = ("sin_alpha", "a", "b", "r2")
 
-    def __init__(self, alpha, gamma, lam):
-        self.sin_alpha = np.sin(alpha)
-        self.a = lam - np.cos(alpha)
+    def __init__(self, alpha, gamma, lam, trig=None):
+        self.sin_alpha, cos_alpha = (np.sin(alpha), np.cos(alpha)) if trig is None else trig
+        self.a = lam - cos_alpha
         self.b = gamma * self.sin_alpha
         self.r2 = self.a * self.a + self.b * self.b
 

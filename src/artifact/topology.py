@@ -6,7 +6,9 @@ its values at the two unpaired momenta; the discrete route closes the
 states and sums gauge-invariant plaquette and pole-fan phases.  Both jump
 from -1 to 0 at the critical field.  Both return a ``ChernResult`` that
 stores the raw estimate only; its nearest integer and residual are
-derived from it.
+derived from it.  The pole angles of many fields are one numpy pass, the
+field being the leading axis; ``chern_number`` and ``classify_phase`` are
+that pass at one field.
 
 A step in phi maps every pair block by diag(1, e^{-2i dphi}), which fixes
 both pole states, so every phi-column of cells carries the same phases.
@@ -49,6 +51,10 @@ class PhaseLabel(str, enum.Enum):
     CHERN_MINUS_ONE = "ChernMinusOne"
     BOUNDARY = "Boundary"
     CHERN_ZERO = "ChernZero"
+
+
+# the only integers the winding snaps to; see ``classify_phase``
+_WINDING_LABELS = {-1: PhaseLabel.CHERN_MINUS_ONE, 0: PhaseLabel.CHERN_ZERO}
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,8 @@ def chern_number(lam: float) -> ChernResult:
     telescopes to the net pairing-angle sweep across the band,
     (theta(pi) - theta(0)) / pi, read off the two unpaired momenta at a
     reference anisotropy (any positive one gives the same value): -1 below
-    the critical field and 0 above it.
+    the critical field and 0 above it.  This is the evaluation of
+    ``_phase_batch`` at a batch of one field.
 
     Raises
     ------
@@ -144,12 +151,10 @@ def chern_number(lam: float) -> ChernResult:
     CriticalPoint
         If |lam - 1| <= 1e-3.
     """
-    lam = model._check_coupling("lam", lam)
-    if abs(lam - 1.0) <= 1e-3:
-        raise CriticalPoint(f"lam={lam} is within 1e-3 of the critical field")
-    theta = _pole_thetas(lam)
-    value = float(theta[1] - theta[0]) / math.pi
-    return ChernResult(value=value, node_count=2)
+    (point,) = _phase_batch([model._check_coupling("lam", lam)])
+    if point.chern is None:
+        raise CriticalPoint(f"lam={point.lam} is within 1e-3 of the critical field")
+    return point.chern
 
 
 def _total_flux(u: np.ndarray, v: np.ndarray, cap_bottom, cap_top):
@@ -274,26 +279,43 @@ def chern_discrete(
     return result
 
 
+def _phase_batch(lams) -> list:
+    """``classify_phase`` at each field of ``lams``, from one pairing-angle pass.
+
+    The fields must pass ``model._check_coupling``.  The pole angles of every
+    field are one numpy pass, so a field's winding has the same bits in any
+    batch.
+    """
+    lams = np.asarray(lams, dtype=float)
+    thetas = _pole_thetas(lams[:, None])
+    points = []
+    for lam, winding in zip(lams.tolist(), ((thetas[:, 1] - thetas[:, 0]) / math.pi).tolist()):
+        gap = model.gap(1.0, lam)
+        if abs(lam - 1.0) <= 1e-3:
+            points.append(PhasePoint(lam, None, gap, PhaseLabel.BOUNDARY))
+        else:
+            result = ChernResult(value=winding, node_count=2)
+            points.append(PhasePoint(lam, result, gap, _WINDING_LABELS[result.nearest_integer]))
+    return points
+
+
 def classify_phase(lam: float) -> PhasePoint:
     """Label a field value by its Chern number.
 
     Inside the excluded strip |lam - 1| <= 1e-3 no invariant is computed
     and the label is Boundary with ``chern`` set to None; elsewhere the
-    pairing-angle winding snaps to -1 or 0, and to nothing else: theta(0)
-    is 0 or pi and theta(pi) lies in (0, 1.3e-16].
+    pairing-angle winding of ``chern_number`` snaps to -1 or 0, and to
+    nothing else: theta(0) is 0 or pi and theta(pi) lies in (0, 1.3e-16].
+    This is the evaluation of ``_phase_batch`` at a batch of one field;
+    ``scan-chern`` passes all its fields there at once.
 
     Raises
     ------
     ValueError
         Unless lam is a real number in [0, 1e150].
     """
-    lam = model._check_coupling("lam", lam)
-    try:
-        result = chern_number(lam)
-    except CriticalPoint:
-        return PhasePoint(lam, None, model.gap(1.0, lam), PhaseLabel.BOUNDARY)
-    label = {-1: PhaseLabel.CHERN_MINUS_ONE, 0: PhaseLabel.CHERN_ZERO}[result.nearest_integer]
-    return PhasePoint(lam, result, model.gap(1.0, lam), label)
+    (point,) = _phase_batch([model._check_coupling("lam", lam)])
+    return point
 
 
 def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[float, float]:
@@ -321,8 +343,7 @@ def detect_transition(lambda_lo: float, lambda_hi: float, tol: float) -> tuple[f
     hi = model._check_coupling("lambda_hi", lambda_hi)
     if lo >= hi:
         raise ValueError("need lambda_lo < lambda_hi")
-    lo_point = classify_phase(lo)
-    hi_point = classify_phase(hi)
+    lo_point, hi_point = _phase_batch([lo, hi])
     if PhaseLabel.BOUNDARY in (lo_point.label, hi_point.label):
         raise CriticalPoint("endpoints must lie outside the critical strip")
     if lo_point.label == hi_point.label:

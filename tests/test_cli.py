@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -401,6 +402,105 @@ def test_metric_scan_makes_one_kernel_call(monkeypatch):
     assert code == 0
     assert out.decode().count("\n") == 1 + 60
     assert calls == ["kernel"]
+
+
+def test_scan_chern_makes_one_winding_pass(monkeypatch):
+    # the windings of all 60 fields come from one batch call, and no row
+    # calls classify_phase or chern_number
+    calls = []
+    batch = topology._phase_batch
+
+    def counted(lams):
+        calls.append(len(lams))
+        return batch(lams)
+
+    def per_row(*args):
+        calls.append("per row")
+        raise AssertionError("scan-chern called a one-field route")
+
+    monkeypatch.setattr(topology, "_phase_batch", counted)
+    monkeypatch.setattr(topology, "classify_phase", per_row)
+    monkeypatch.setattr(topology, "chern_number", per_row)
+    argv = ["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "60",
+            "--grid", "16x16", "--n-sites", "256"]
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out.decode().count("\n") == 1 + 60
+    assert calls == [60]
+
+
+_json_cell = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e150, math.nan, math.inf, -math.inf,
+                     2**53 + 1, -(2**64) - 1, 0, None, True, False]),
+    st.floats(),
+    st.integers(),
+    st.sampled_from(["ChernMinusOne", "ChernZero", "failed", "ok", "skipped"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _json_runs(draw):
+    names = draw(st.lists(st.sampled_from(["lambda", "label", "gap", "gamma", "status",
+                                           "chern_error", "g_phi_phi"]),
+                          min_size=1, max_size=6, unique=True))
+    # a row may lack a key, which renders as null
+    row = st.fixed_dictionaries({}, optional={name: _json_cell for name in names})
+    return names, draw(st.lists(row, max_size=5))
+
+
+@settings(max_examples=200)
+@given(_json_runs())
+@example((["lambda", "label"], []))
+@example((["lambda", "label"], [{"lambda": -0.0, "label": "ok"}]))
+def test_json_row_template_writes_what_json_dumps_writes(run):
+    # the per-run row template and the cell texts give the bytes of
+    # json.dumps on the whole document, for every cell _jnum passes on
+    names, rows = run
+    args = argparse.Namespace(command="scan-chern", lambda_min=-0.0, steps=3, grid=(16, 32),
+                              out=None, format="json", run=None)
+    summary = {"rows_written": len(rows), "skipped_critical": [1.0], "monotone": None}
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        artifact_cli._emit(args, names, artifact_cli._rendered(args, names, rows), summary)
+    doc = {
+        "config": {"command": "scan-chern", "lambda_min": -0.0, "steps": 3, "grid": "16x32"},
+        "rows": [{name: artifact_cli._jnum(row.get(name)) for name in names} for row in rows],
+        "summary": summary,
+    }
+    assert stream.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["41x37", "signed-zero-7x9"])
+def test_gap_map_json_bytes_are_json_dumps(monkeypatch, signed):
+    # JSON gap-map rows come from the row template; the bytes must be those
+    # of json.dumps on the document, -0.0 cells included
+    argv = _SIGNED_GAP_MAP + ["--format", "json"] if signed else [
+        "gap-map", "--gamma-min", "0.1", "--gamma-max", "1.7", "--lambda-max", "1.5",
+        "--grid", "41x37", "--format", "json"]
+    if signed:
+        _keep_signed_axis_starts(monkeypatch)
+    config = {"command": "gap-map", "gamma_min": 0.1, "gamma_max": 1.7, "lambda_min": 0.0,
+              "lambda_max": 1.5, "grid": "41x37"}
+    gammas, lams = np.linspace(0.1, 1.7, 41), np.linspace(0.0, 1.5, 37)
+    if signed:
+        config.update(gamma_min=-0.0, gamma_max=2.0, lambda_min=-0.0, lambda_max=2.0,
+                      grid="7x9")
+        gammas, lams = np.linspace(-0.0, 2.0, 7), np.linspace(-0.0, 2.0, 9)
+        gammas[0] = lams[0] = -0.0
+    num = artifact_cli._jnum
+    rows = [{"gamma": num(g), "lambda": num(l), "gap": num(model.gap(g, l))}
+            for g in gammas.tolist() for l in lams.tolist()]
+    doc = {
+        "config": config,
+        "rows": rows,
+        "summary": {"rows_written": len(rows),
+                    "exact_zero_rows": sum(row["gap"] == 0.0 for row in rows)},
+    }
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out.decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert ('"gamma": -0.0' in out.decode()) == signed
 
 
 def test_percent_g_renders_as_the_format_spec():

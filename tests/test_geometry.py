@@ -311,19 +311,23 @@ def test_kernel_gives_every_field_the_bits_of_qgt_product(n):
 
 def test_kernel_evaluates_one_pairing_per_block(monkeypatch):
     # 16384 pairs per block are 8 fields of the even sector at N = 4096:
-    # 20 fields above the field take three passes, 3 below it one more
-    shapes = []
+    # 20 fields above the field take three passes, 3 below it one more; each
+    # sector's sin(alpha) and cos(alpha) are evaluated once, for all its blocks
+    shapes, trigs = [], []
     pairing = geometry.model._Pairing
 
-    def spy(alpha, gamma, lam):
+    def spy(alpha, gamma, lam, trig):
         shapes.append(np.broadcast_shapes(np.shape(alpha), np.shape(lam)))
-        return pairing(alpha, gamma, lam)
+        trigs.append(trig)
+        assert np.array_equal(trig[0], np.sin(alpha)) and np.array_equal(trig[1], np.cos(alpha))
+        return pairing(alpha, gamma, lam, trig)
 
     monkeypatch.setattr(geometry.model, "_Pairing", spy)
     lams = [0.2, 0.4, 0.6] + np.linspace(1.1, 2.5, 20).tolist()
     results = geometry._qgt_product_batch(0.7, lams, 4096)
     assert geometry._BLOCK_PAIRS // 2048 == 8
     assert shapes == [(3, 2047), (8, 2048), (8, 2048), (4, 2048)]
+    assert trigs[1] is trigs[2] is trigs[3] and trigs[0] is not trigs[1]
     assert len(results) == 23
 
 

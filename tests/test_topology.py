@@ -18,7 +18,7 @@ from artifact import (
     classify_phase,
     detect_transition,
 )
-from artifact import topology
+from artifact import model, topology
 from artifact.ground_state import _pair_block
 from artifact.topology import _chern_discrete_batch, _total_flux
 
@@ -322,6 +322,53 @@ def test_classify_phase():
     assert high.chern.nearest_integer == 0
     with pytest.raises(ValueError):
         classify_phase(-0.1)
+
+
+@pytest.mark.parametrize("fn", [chern_number, classify_phase])
+def test_winding_routes_check_their_field_once(fn, monkeypatch):
+    # one check per call, good field or bad; a bad one raises the same typed
+    # error with the same message as before
+    names = []
+    check = model._check_coupling
+
+    def counted(name, value):
+        names.append(name)
+        return check(name, value)
+
+    monkeypatch.setattr(model, "_check_coupling", counted)
+    fn(0.5)
+    assert names == ["lam"]
+    bad = [
+        (-0.1, "lam must be >= 0, got -0.1"),
+        (1e151, "lam must be <= 1e150, got 1e+151"),
+        (math.nan, "lam must be finite, got nan"),
+        ("0.5", "lam must be a finite real number, got '0.5'"),
+        (None, "lam must be a finite real number, got None"),
+    ]
+    for value, message in bad:
+        names.clear()
+        with pytest.raises(ValueError) as raised:
+            fn(value)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+        assert names == ["lam"]
+
+
+def test_winding_has_the_same_bits_in_any_batch():
+    # a field's winding is the same float in a batch of 201 and alone, and
+    # chern_number and classify_phase are that batch at one field
+    lams = np.linspace(0.0, 2.0, 201).tolist()
+    batch = topology._phase_batch(lams)
+    assert len(batch) == 201
+    for lam, point in zip(lams, batch):
+        (alone,) = topology._phase_batch([lam])
+        assert alone == point == classify_phase(lam)
+        if point.chern is None:
+            assert abs(lam - 1.0) <= 1e-3
+            continue
+        assert float.hex(alone.chern.value) == float.hex(point.chern.value)
+        assert float.hex(chern_number(lam).value) == float.hex(point.chern.value)
+    assert [p.label for p in batch].count(PhaseLabel.BOUNDARY) == 1
 
 
 @pytest.mark.parametrize("fn", [chern_number, chern_discrete, classify_phase])
