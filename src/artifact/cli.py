@@ -70,10 +70,11 @@ def _map_rows(fn, tasks):
 
 
 def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--steps"):
-    """The ``steps`` evenly spaced values from lo to hi; ValueError on a bad axis.
+    """The ``steps`` evenly spaced couplings from lo to hi; ValueError on a bad axis.
 
     An axis is bad also when two adjacent values print alike at the 12
-    significant digits of the output, since their rows could not be told apart.
+    significant digits of the output, since their rows could not be told
+    apart, and when an end fails the library's check of the coupling.
     """
     if steps < 2:
         raise ValueError(f"{steps_flag} must be >= 2")
@@ -87,6 +88,8 @@ def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--step
             f"--{name}-min and --{name}-max are too close for {steps} values: "
             f"two adjacent {name} values print as {repeat}"
         )
+    for end in (lo, hi):
+        model._check_coupling("lam" if name == "lambda" else name, end)
     return values
 
 
@@ -226,8 +229,6 @@ def _chern_row(task):
 def _run_scan_chern(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     topology._check_grid(args.grid, args.n_sites)
-    model._check_coupling("lam", args.lambda_min)
-    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     points = topology._phase_batch(lams)
     kept = [point for point in points if point.chern is not None]
@@ -265,10 +266,6 @@ def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
     gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes").tolist()
     lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes").tolist()
-    model._check_coupling("gamma", args.gamma_min)
-    model._check_coupling("gamma", args.gamma_max)
-    model._check_coupling("lam", args.lambda_min)
-    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     gaps = _map_rows(_gap_row, itertools.product(gammas, lams))
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
@@ -319,8 +316,6 @@ def _run_metric_scan(args) -> int:
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda").tolist()
     model._check_size(args.n_sites)
     model._check_coupling("gamma", args.gamma)
-    model._check_coupling("lam", args.lambda_min)
-    model._check_coupling("lam", args.lambda_max)
     _check_out(args)
     # the tensor of every field, in blocks
     tensors = geometry._qgt_product_batch(args.gamma, lams, args.n_sites)

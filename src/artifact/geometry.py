@@ -100,7 +100,7 @@ def berry_curvature_mode(alpha: float, params: ModelParams) -> complex:
     CriticalPoint
         If the mode energy is below 1e-12.
     """
-    model._check_momentum(alpha)
+    alpha = model._check_momentum(alpha)
     if np.ndim(alpha) != 0:
         raise ValueError(f"alpha must be one momentum, got shape {np.shape(alpha)}")
     model._check_kind("params", params, ModelParams)

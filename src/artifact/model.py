@@ -4,11 +4,15 @@ The chain couples N spins on a ring through anisotropic XY bonds rotated
 about z by a uniform angle, plus a transverse field.  After the fermion
 mapping every property of interest reduces to closed-form functions of the
 momentum alpha and the three couplings, which is what this module provides.
+
+Each input check returns the float64 its route computes on, so a bool, an int,
+a numpy scalar, a Decimal or a Fraction gives the bits of the call on its float.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,20 +77,24 @@ def _check_finite(name: str, value: float) -> float:
     raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_momentum(alpha) -> None:
-    """ValueError unless every momentum in ``alpha``, scalar or array, is finite and real.
+def _check_momentum(alpha):
+    """``alpha`` as float64, a float or an array; ValueError unless each momentum is finite.
 
     Complex momenta raise ValueError, even with a zero imaginary part;
     momenta that are no numbers raise it chained to the TypeError behind it.
     """
     if np.iscomplexobj(alpha):
         raise ValueError(f"alpha must be finite real numbers, got {alpha!r}")
+    # a Decimal or a Fraction is no number to numpy; an int is, unless too large for a float
+    if isinstance(alpha, numbers.Number) and not isinstance(alpha, int):
+        return _check_finite("alpha", alpha)
     try:
         finite = bool(np.all(np.isfinite(alpha)))
     except TypeError as exc:
         raise ValueError(f"alpha must be finite real numbers, got {alpha!r}") from exc
     if not finite:
         raise ValueError(f"alpha must be finite, got {alpha}")
+    return float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=np.float64)
 
 
 def _check_coupling(name: str, value: float) -> float:
@@ -179,7 +187,7 @@ def dispersion(alpha, gamma: float, lam: float):
         is not finite.
     """
     gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
-    _check_momentum(alpha)
+    alpha = _check_momentum(alpha)
     return _Pairing(alpha, gamma, lam).energy
 
 
@@ -211,7 +219,7 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
         gamma * sin(alpha) == 0 in floating point.
     """
     gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
-    _check_momentum(alpha)
+    alpha = _check_momentum(alpha)
     pairing = _Pairing(alpha, gamma, lam)
     if np.any((pairing.a == 0.0) & (pairing.b == 0.0)):
         raise CriticalPoint(
@@ -226,6 +234,7 @@ def gap(gamma: float, lam: float) -> float:
     The dispersion minimum sits in the band interior when gamma < 1 and
     lam < 1 - gamma^2, and at the band edge alpha = 0 otherwise.  Returns
     exact 0.0 on the gapless set {lam == 1} union {gamma == 0, lam <= 1}.
+    Any input but Python floats in [0, 1e150] is checked once, as its float.
 
     Raises
     ------
@@ -233,16 +242,12 @@ def gap(gamma: float, lam: float) -> float:
         If gamma or lam is not one real number in [0, 1e150]: negative,
         above 1e150, non-finite, an array or no number at all.
     """
-    # only input the closed form cannot take pays for the checks; math.fabs takes no array
-    try:
-        if 0.0 <= gamma <= 1e150 and 0.0 <= lam <= 1e150:
-            if math.fabs(gamma) >= 1.0 or lam >= 1.0 - gamma * gamma:
-                return math.fabs(1.0 - lam)
-            omg2 = 1.0 - gamma * gamma
-            return gamma * math.sqrt((omg2 - lam * lam) / omg2)
-    except (TypeError, ValueError):
-        pass
-    return gap(_check_coupling("gamma", gamma), _check_coupling("lam", lam))
+    if not (type(gamma) is type(lam) is float and 0.0 <= gamma <= 1e150 and 0.0 <= lam <= 1e150):
+        gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
+    if gamma >= 1.0 or lam >= 1.0 - gamma * gamma:
+        return abs(1.0 - lam)
+    omg2 = 1.0 - gamma * gamma
+    return gamma * math.sqrt((omg2 - lam * lam) / omg2)
 
 
 def _check_gapped(gamma: float, lam: float) -> None:

@@ -271,31 +271,51 @@ def _same_bits(a, b):
     if isinstance(a, (list, tuple)):
         return type(a) is type(b) and len(a) == len(b) and all(map(_same_bits, a, b))
     if isinstance(a, (np.ndarray, np.generic, float, complex)):
-        # gap returns a float64 scalar for a float64 coupling: the same bits
+        # a numpy float64 scalar and a float of the same value: the same bits
         a, b = np.asarray(a), np.asarray(b)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return type(a) is type(b) and a == b
 
 
-# gap's fast path compares a float32 coupling with 1e150, which numpy casts to
-# float32: "overflow encountered in cast", an error under this suite's filters
-_GAP_CAST = pytest.mark.xfail(raises=RuntimeWarning, reason="gap casts 1e150 to float32")
+# the kinds of one real number each: every route takes them as their floats
+_NUMERIC_KINDS = ("coupling", "phi", "tolerance", "momentum")
 
 
 def _number_calls():
     for name, route, params in _routes():
-        numeric = [p for p in params if _KINDS.get(p) in ("coupling", "phi", "tolerance")]
+        numeric = [p for p in params if _KINDS.get(p) in _NUMERIC_KINDS]
         for label, make in _NUMBERS.items() if numeric else ():
-            marks = _GAP_CAST if (name, label) == ("gap", "float32") else ()
-            yield pytest.param(route, params, numeric, make, id=f"{name}-{label}", marks=marks)
+            yield pytest.param(route, params, numeric, make, id=f"{name}-{label}")
 
 
-@pytest.mark.parametrize("route, params, numeric, make", _number_calls())
-def test_every_route_computes_a_number_as_its_float(route, params, numeric, make):
+def _assert_computes_as_its_float(route, params, numeric, make):
+    """Each number in ``numeric`` given as ``make`` of its valid value gives the float's bits."""
     for param in numeric:
         x = make(_VALID[param])
         result = route(**_required(params, **{param: x}))
         assert _same_bits(result, route(**_required(params, **{param: float(x)}))), param
+
+
+@pytest.mark.parametrize("route, params, numeric, make", _number_calls())
+def test_every_route_computes_a_number_as_its_float(route, params, numeric, make):
+    _assert_computes_as_its_float(route, params, numeric, make)
+
+
+# momenta numpy holds as bools, ints or narrow floats: each is computed on as its float too
+@pytest.mark.parametrize("make", [bool, int, np.float16], ids=["bool", "int", "float16"])
+@pytest.mark.parametrize(
+    "route, params",
+    [pytest.param(*r[1:], id=r[0]) for r in _routes() if "alpha" in r[2]],
+)
+def test_every_momentum_computes_as_its_float(route, params, make):
+    _assert_computes_as_its_float(route, params, ["alpha"], make)
+
+
+def test_gap_of_fractions_has_the_bits_of_their_floats():
+    # neither Fraction is a float: the squares and comparisons are the floats'
+    a, b = Fraction(634, 1407), Fraction(387, 616)
+    assert _same_bits(artifact.gap(a, b), artifact.gap(float(a), float(b)))
+    assert artifact.gap(a, b) == 0.3201345016079923
 
 
 @pytest.mark.parametrize("make", _NUMBERS.values(), ids=_NUMBERS)
@@ -375,9 +395,9 @@ def test_test_extra_names_every_package_the_tests_import():
     project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
     specs = [*project["dependencies"], *project["optional-dependencies"]["test"]]
     declared = {re.match(r"[\w.-]+", spec).group() for spec in specs}
-    own = {"artifact", "pauli", "tracer", "workloads"}
-    imported = set()
     paths = [*root.glob("tests/*.py"), *root.glob("bench/tests/*.py")]
+    own = {"artifact", "pauli", "tracer", "workloads", *(path.stem for path in paths)}
+    imported = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

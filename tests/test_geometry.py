@@ -364,7 +364,11 @@ def _product_finite_diff(p, n, h=1e-4):
 )
 def test_qgt_product_matches_product_finite_differences(phi, gamma, lam, n):
     assume(gap(gamma, lam) >= 0.05)
-    p = P(phi, gamma, lam)
+    _assert_product_finite_diff(P(phi, gamma, lam), n)
+
+
+def _assert_product_finite_diff(p, n):
+    """The closed-form tensor is the product state's, stepped in every coordinate."""
     q = qgt_product(p, n).matrix
     ref = _product_finite_diff(p, n)
     assert np.max(np.abs(q - ref)) <= 1e-5 * max(1.0, float(np.max(np.abs(q))))

@@ -57,16 +57,21 @@ def test_ed_polarized_limit():
     assert abs(np.linalg.norm(sp.ground_vector) - 1.0) < 1e-12
 
 
+def _assert_sectors_match_ed(p, n):
+    """Each closed-form sector energy is ED's; returns the ED spectrum."""
+    ed, ff = ed_ground(p, n), free_fermion_parity_spectrum(p, n)
+    assert abs(ed.even_sector_energy - ff.even_sector_energy) < 1e-10
+    assert abs(ed.odd_sector_energy - ff.odd_sector_energy) < 1e-10
+    return ed
+
+
 def test_parity_splitting_law():
     # below the field the parity sectors are split by an amount that closes
     # geometrically with N (so E1 - E0 at fixed N shrinks away from lam = 1);
     # above it the splitting tends to lam - 1
     splits = []
     for n in (4, 6, 8, 10, 12):
-        p = P(0.0, 1.0, 0.5)
-        ed, ff = ed_ground(p, n), free_fermion_parity_spectrum(p, n)
-        assert abs(ed.even_sector_energy - ff.even_sector_energy) < 1e-10
-        assert abs(ed.odd_sector_energy - ff.odd_sector_energy) < 1e-10
+        ed = _assert_sectors_match_ed(P(0.0, 1.0, 0.5), n)
         splits.append(ed.odd_sector_energy - ed.even_sector_energy)
     assert min(splits) > 0.0
     assert all(b < 0.25 * a for a, b in zip(splits, splits[1:]))
