@@ -6,6 +6,9 @@ before ``--out`` is touched and before any row.  Exit codes: 0 success,
 1 oracle check breach, 2 bad usage or configuration, or a run too large to
 allocate (``main`` alone prints the ``error:`` line and nothing is written),
 3 runtime failure on one or more scan-chern rows (partial output is kept).
+
+Each runner imports the modules it runs, and numpy, itself, so ``gap-map``
+loads neither numpy nor any library module but ``model``.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import geometry, model, oracle, topology
+from . import model
 from .errors import ArtifactError, BadSize, CriticalPoint
 
 EXIT_OK = 0
@@ -75,13 +76,20 @@ def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--step
     An axis is bad also when two adjacent values print alike at the 12
     significant digits of the output, since their rows could not be told
     apart, and when an end fails the library's check of the coupling.
+    The values are a list with the bits of ``np.linspace(lo, hi, steps)``,
+    computed in its order of operations, so a -0.0 start becomes 0.0.
     """
     if steps < 2:
         raise ValueError(f"{steps_flag} must be >= 2")
     if not lo < hi:
         raise ValueError(f"--{name}-min must be < --{name}-max")
-    values = np.linspace(lo, hi, steps)
-    cells = [_fmt(value) for value in values.tolist()]
+    # the whole list first, so a count too large to hold raises MemoryError
+    # at once, as numpy's allocation did, before the loop runs
+    values = [hi] * steps
+    step = (hi - lo) / (steps - 1)
+    for i in range(steps - 1):
+        values[i] = i * step + lo
+    cells = [_fmt(value) for value in values]
     repeat = next((a for a, b in zip(cells, cells[1:]) if a == b), None)
     if repeat is not None:
         raise ValueError(
@@ -227,6 +235,8 @@ def _chern_row(task):
 
 
 def _run_scan_chern(args) -> int:
+    from . import topology
+
     lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     topology._check_grid(args.grid, args.n_sites)
     _check_out(args)
@@ -239,7 +249,7 @@ def _run_scan_chern(args) -> int:
     failed = [row for row in rows if row["label"] == "failed"]
     fieldnames = ["lambda", "chern_quadrature", "chern_error", "chern_discrete", "label"]
     summary = {
-        "points_requested": int(len(lams)),
+        "points_requested": len(lams),
         "rows_written": len(rows),
         "skipped_critical": [_jnum(l) for l in skipped],
         "failed": [_jnum(row["lambda"]) for row in failed],
@@ -264,8 +274,8 @@ def _gap_row(task):
 
 def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
-    gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes").tolist()
-    lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes").tolist()
+    gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes")
+    lams = _axis(args.lambda_min, args.lambda_max, l_steps, "lambda", "--grid sizes")
     _check_out(args)
     gaps = _map_rows(_gap_row, itertools.product(gammas, lams))
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
@@ -313,7 +323,9 @@ def _metric_row(task):
 
 
 def _run_metric_scan(args) -> int:
-    lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda").tolist()
+    from . import geometry
+
+    lams = _axis(args.lambda_min, args.lambda_max, args.steps, "lambda")
     model._check_size(args.n_sites)
     model._check_coupling("gamma", args.gamma)
     _check_out(args)
@@ -358,6 +370,10 @@ def _verdict(lines, label: str, worst: float, tol: float) -> bool:
 
 
 def _run_oracle_verify(args) -> int:
+    import numpy as np
+
+    from . import geometry, oracle
+
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     if args.seed < 0:

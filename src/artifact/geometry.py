@@ -16,6 +16,8 @@ together, grouped by parity sector, with the field as the leading axis of
 the pairing kernel, in blocks of about ``_BLOCK_PAIRS`` (field, pair)
 entries; each field's sums are taken on its own row.  ``qgt_product`` is
 that evaluation at one field, so a scan gets the same bits per field.
+The two ED tensors import ``oracle`` when called, so the closed-form
+routes never load it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import model, oracle
+from . import model
 from .errors import CriticalPoint
 from .ground_state import _odd_sector, _pair_grid
 # Not called here; bench/tracer.py probes these names on this module.
@@ -241,6 +243,8 @@ def qgt_finite_diff(params: ModelParams, n_sites: int) -> GeometricTensor:
         estimates at the step and at half of it disagree by more than 1e-6
         of their scale.
     """
+    from . import oracle
+
     n = model._check_size(n_sites, 2, oracle._QGT_MAX)
     model._check_kind("params", params, ModelParams)
     h = _ED_STEP
@@ -300,6 +304,8 @@ def qgt_spectral(params: ModelParams, n_sites: int) -> GeometricTensor:
     CriticalPoint
         When the finite-size gap closes below 1e-10.
     """
+    from . import oracle
+
     total = np.zeros((3, 3), dtype=complex)
     for term in oracle.qgt_matrix_elements(params, n_sites):
         total += term.matrix

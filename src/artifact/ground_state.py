@@ -8,8 +8,9 @@ antiperiodic momenta (2k+1) pi / N, which all pair.  The product state
 lives in the odd sector exactly when lam < 1.  Each pair block (alpha,
 -alpha) is described by two complex amplitudes on the empty and doubly
 occupied states, so every product state is an exact eigenstate of the
-spin chain.  ``_pair_arrays`` is the one path from a point to those
-amplitudes; ``GroundState.u`` and ``.v`` carry them for every pair of a ring.
+spin chain.  ``_pair_arrays`` is the one path from a point to its pair
+momenta and those amplitudes; ``GroundState.u`` and ``.v`` carry them for
+every pair of a ring.
 """
 
 from __future__ import annotations
@@ -111,17 +112,18 @@ def _pair_arrays(
     gamma: float,
     lam: float,
     n_sites: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one path from a point to the (theta, u, v) arrays of its pair blocks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one path from a point to the (alpha, theta, u, v) arrays of its pair blocks.
 
     The pairs sit on the momenta of the sector ``_odd_sector`` picks: the
     odd sector when lam < 1 and the even sector otherwise.  No parameter
     validation: the closed forms continue smoothly to gamma or lam slightly
     below zero.
     """
-    theta = model._Pairing(_pair_grid(n_sites, _odd_sector(lam)), gamma, lam).theta
+    alphas = _pair_grid(n_sites, _odd_sector(lam))
+    theta = model._Pairing(alphas, gamma, lam).theta
     u, v = _pair_block(theta, phi)
-    return theta, u.astype(complex), v
+    return alphas, theta, u.astype(complex), v
 
 
 def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
@@ -153,16 +155,15 @@ def build_ground_state(params: ModelParams, n_sites: int) -> GroundState:
     n = model._check_size(n_sites)
     model._check_kind("params", params, ModelParams)
     model._check_gapped(params.gamma, params.lam)
-    odd = _odd_sector(params.lam)
-    theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n)
+    alphas, theta, u, v = _pair_arrays(params.phi, params.gamma, params.lam, n)
     return GroundState(
         params=params,
         n_sites=n,
-        alphas=_pair_grid(n, odd),
+        alphas=alphas,
         thetas=theta,
         u=u,
         v=v,
-        zero_mode_occupied=odd,
+        zero_mode_occupied=_odd_sector(params.lam),
     )
 
 

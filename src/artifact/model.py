@@ -7,15 +7,17 @@ momentum alpha and the three couplings, which is what this module provides.
 
 Each input check returns the float64 its route computes on, so a bool, an int,
 a numpy scalar, a Decimal or a Fraction gives the bits of the call on its float.
+
+No numpy is loaded at import: ``ModelParams``, ``gap`` and the scalar checks
+are pure Python, and the routes that build arrays import numpy themselves.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadSize, CriticalPoint
 
@@ -67,7 +69,9 @@ def _check_finite(name: str, value: float) -> float:
     An array with an axis, no number or an integer too large for a float
     raises ValueError, chained to any TypeError or OverflowError behind it.
     """
-    if isinstance(value, np.ndarray) and value.ndim > 0:
+    # an ndarray exists only once numpy is loaded, so a check never loads it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray) and value.ndim > 0:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     try:
         if math.isfinite(value):
@@ -83,6 +87,8 @@ def _check_momentum(alpha):
     Complex momenta raise ValueError, even with a zero imaginary part;
     momenta that are no numbers raise it chained to the TypeError behind it.
     """
+    import numpy as np
+
     if np.iscomplexobj(alpha):
         raise ValueError(f"alpha must be finite real numbers, got {alpha!r}")
     # a Decimal or a Fraction is no number to numpy; an int is, unless too large for a float
@@ -124,7 +130,8 @@ def _check_kind(name: str, value, *kinds: type) -> None:
 # the defaults are the closed form's sizes: past 2**53, N / 2 is inexact in float64
 def _check_size(n_sites: int, low: int = 4, high: int = 2**53) -> int:
     """``n_sites`` as an int; BadSize unless it is an even integer in [low, high]."""
-    if not isinstance(n_sites, (int, np.integer)):
+    # numpy's integer types register as numbers.Integral
+    if not isinstance(n_sites, numbers.Integral):
         raise BadSize(f"n_sites must be an integer, got {n_sites!r}")
     n = int(n_sites)
     if not (low <= n <= high and n % 2 == 0):
@@ -147,6 +154,8 @@ class _Pairing:
     __slots__ = ("sin_alpha", "a", "b", "r2")
 
     def __init__(self, alpha, gamma, lam, trig=None):
+        import numpy as np
+
         self.sin_alpha, cos_alpha = (np.sin(alpha), np.cos(alpha)) if trig is None else trig
         self.a = lam - cos_alpha
         self.b = gamma * self.sin_alpha
@@ -154,14 +163,20 @@ class _Pairing:
 
     @property
     def theta(self):
+        import numpy as np
+
         return np.arctan2(self.b, self.a)
 
     @property
     def energy(self):
+        import numpy as np
+
         return np.sqrt(self.r2)
 
     @property
     def sin_theta(self):
+        import numpy as np
+
         return self.b / np.sqrt(self.r2)
 
     @property
@@ -218,6 +233,8 @@ def bogoliubov_angle(alpha, gamma: float, lam: float):
         If any requested momentum has lam - cos(alpha) == 0 and
         gamma * sin(alpha) == 0 in floating point.
     """
+    import numpy as np
+
     gamma, lam = _check_coupling("gamma", gamma), _check_coupling("lam", lam)
     alpha = _check_momentum(alpha)
     pairing = _Pairing(alpha, gamma, lam)

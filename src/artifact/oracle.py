@@ -246,31 +246,36 @@ def ed_ground(params: ModelParams, n_sites: int) -> SpinSpectrum:
 
 
 def _ground_block(gamma: float, lam: float, n_sites: int):
-    """Each (sector, block entries), its lowest (energy, vector), and the ground's index.
+    """Each (sector, block entries) and lowest (energy, vector), the ground's index and spectrum.
 
     The one ground-block rule: even unless the odd level is strictly lower.
-    Both blocks are 2^(N-1) wide.  Narrow ones are solved together by one
-    batched dense ``eigh``.  Wide ones are solved by Lanczos from a random
+    Both blocks are 2^(N-1) wide.  Narrow ones are solved together, in full,
+    by one batched dense ``eigh``, whose (energies, vectors) of the ground
+    block are its spectrum.  Wide ones are solved by Lanczos from a random
     start vector, which, unlike a symmetric one such as all ones, has a
     component on every eigenvector, so Lanczos is confined to no symmetry
-    subspace; it is seeded, so the solve is the same on every call.
+    subspace; it is seeded, so the solve is the same on every call.  Their
+    spectrum is None.
     """
     blocks = [(sector, sector.data(gamma, lam)) for sector in _spin_operators(n_sites)]
     dim = blocks[0][0].index.size
     if dim < _LANCZOS_MIN:
         w, v = np.linalg.eigh(np.stack([_dense_block(*block) for block in blocks]))
         lowest = [(float(w[i, 0]), v[i, :, 0]) for i in (0, 1)]
+        spectra = list(zip(w, v))
     else:
         start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
         lowest = [_lanczos(*block, start) for block in blocks]
-    return blocks, lowest, 0 if lowest[0][0] <= lowest[1][0] else 1
+        spectra = [None, None]
+    k = 0 if lowest[0][0] <= lowest[1][0] else 1
+    return blocks, lowest, k, spectra[k]
 
 
 def _ed_vector(
     phi: float, gamma: float, lam: float, n_sites: int
 ) -> tuple[float, float, np.ndarray]:
     """Lowest level of each parity block and the gauge-fixed ground vector."""
-    blocks, lowest, k = _ground_block(gamma, lam, n_sites)
+    blocks, lowest, k, _ = _ground_block(gamma, lam, n_sites)
     vec = _rotated_vector(blocks[k][0], lowest[k][1], phi, n_sites)
     return lowest[0][0], lowest[1][0], vec
 
@@ -353,7 +358,9 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     """Per-excited-state geometric tensor terms from the ground's parity block.
 
     The lowest level of each parity block picks the ground's block, and
-    only that block is fully diagonalized.  Every coupling derivative
+    only that block's full spectrum is used: below ``_LANCZOS_MIN`` states
+    it comes from the batched solve of both blocks, and wider ground blocks
+    are then diagonalized alone.  Every coupling derivative
     conserves parity, so only the excited states of the ground's block
     contribute; the other block's terms are exactly zero and are not
     returned.  The gauge U multiplies both the eigenvectors and the
@@ -376,9 +383,11 @@ def qgt_matrix_elements(params: ModelParams, n_sites: int) -> list[SpectralTerm]
     """
     n = model._check_size(n_sites, 2, _QGT_MAX)
     model._check_kind("params", params, ModelParams)
-    blocks, lowest, k = _ground_block(params.gamma, params.lam, n)
+    blocks, lowest, k, spectrum = _ground_block(params.gamma, params.lam, n)
     sector, data = blocks[k]
-    w, vectors = np.linalg.eigh(_dense_block(sector, data))
+    if spectrum is None:
+        spectrum = np.linalg.eigh(_dense_block(sector, data))
+    w, vectors = spectrum
     e1 = min(w[1], lowest[1 - k][0])
     if e1 - w[0] < 1e-10:
         raise CriticalPoint(f"E1 - E0 = {e1 - w[0]:.3e}")

@@ -364,13 +364,15 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 def test_every_definition_is_public_or_named():
     # a module-level function or class that no __all__ lists and no code in
-    # the package names is dead; the console script names its entry point
+    # the package names is dead; the console script names its entry point,
+    # and the interpreter names the package's PEP 562 hooks
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"].values()
     paths = Path(errors.__file__).parent.glob("*.py")
     trees = {path.stem: ast.parse(path.read_text()) for path in paths}
     named = set(artifact.__all__) | {target.rsplit(":", 1)[1] for target in scripts}
+    named |= {"__getattr__", "__dir__"}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):

@@ -236,6 +236,51 @@ _axis_end = st.one_of(
 
 
 @st.composite
+def _axis_args(draw):
+    lo, hi = sorted(draw(st.lists(_axis_end, min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        # ends a few ulps apart, down to a step that underflows to zero
+        hi = min(lo + draw(st.integers(1, 1000)) * math.ulp(lo), 1e150)
+    if draw(st.booleans()) and lo == 0.0:
+        lo = -0.0
+    return lo, hi, draw(st.integers(2, 40)), draw(st.sampled_from(["gamma", "lambda"]))
+
+
+@settings(max_examples=300)
+@given(_axis_args())
+@example((0.0, 1.0, 1, "lambda"))  # too few steps
+@example((1.0, 0.5, 5, "gamma"))  # reversed ends
+@example((0.0, 5e-324, 3, "gamma"))  # the step underflows to zero
+def test_axis_has_the_bits_of_linspace(args):
+    # _axis computes in np.linspace's order of operations: an axis it accepts
+    # holds linspace's bits, a -0.0 start included, and an axis it rejects
+    # gets the error that linspace's values got; where the step underflows,
+    # linspace divides differently, but only on axes with repeated cells
+    lo, hi, steps, name = args
+    try:
+        values, error = artifact_cli._axis(lo, hi, steps, name), None
+    except ValueError as exc:
+        error = str(exc)
+    if steps < 2:
+        assert error == "--steps must be >= 2"
+        return
+    if not lo < hi:
+        assert error == f"--{name}-min must be < --{name}-max"
+        return
+    expected = np.linspace(lo, hi, steps).tolist()
+    cells = [artifact_cli._fmt(value) for value in expected]
+    repeat = next((a for a, b in zip(cells, cells[1:]) if a == b), None)
+    if repeat is None:
+        assert error is None
+        assert [value.hex() for value in values] == [value.hex() for value in expected]
+    else:
+        assert error == (
+            f"--{name}-min and --{name}-max are too close for {steps} values: "
+            f"two adjacent {name} values print as {repeat}"
+        )
+
+
+@st.composite
 def _gap_axes(draw):
     ends = []
     for _ in range(2):
@@ -754,6 +799,61 @@ def test_closed_form_paths_load_no_scipy(tmp_path):
     assert res.stdout.split() == ["False"] * 8 + ["True", "0", "False"]
 
 
+def _fresh_process(code: str) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter."""
+    res = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+_DEFERRED = ["artifact.ground_state", "artifact.geometry", "artifact.topology", "artifact.oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ([], ["numpy", *_DEFERRED]),
+        (["gap-map", "--grid", "3x3", "--format", "csv"], ["numpy", *_DEFERRED]),
+        (["gap-map", "--grid", "3x3", "--format", "json"], ["numpy", *_DEFERRED]),
+        (["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
+          "--grid", "16x16", "--n-sites", "256"], ["artifact.geometry", "artifact.oracle"]),
+        (["metric-scan", "--gamma", "1", "--lambda-min", "0.5", "--lambda-max", "1.5",
+          "--steps", "3", "--n-sites", "256"], ["artifact.topology", "artifact.oracle"]),
+    ],
+    ids=["import", "gap-map-csv", "gap-map-json", "scan-chern", "metric-scan"],
+)
+def test_each_run_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    # import artifact defers numpy and the modules past model; each
+    # subcommand then loads only the modules it runs
+    out = str(tmp_path / "out")
+    words = _fresh_process(f"""
+        import sys
+        import artifact
+        if {argv!r}:
+            import artifact.cli
+            assert artifact.cli.main({argv!r} + ["--out", {out!r}]) == 0
+        print(*[name for name in {unloaded!r} if name in sys.modules], "done")
+    """)
+    assert words == ["done"]
+
+
+def test_deferred_names_are_all_public():
+    # `import *` binds all 34 names, and dir() lists them in a fresh process
+    # before any attribute is read
+    assert _fresh_process("""
+        from artifact import *
+        import artifact
+        print(len(artifact.__all__), all(name in globals() for name in artifact.__all__))
+    """) == ["34", "True"]
+    assert _fresh_process("""
+        import artifact
+        listed = dir(artifact)
+        print(len(artifact.__all__), set(artifact.__all__) <= set(listed))
+    """) == ["34", "True"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -855,7 +955,7 @@ def test_axis_finer_than_the_output_exits_2(capsys, tmp_path, argv, name):
     assert err.count(f"error: --{name}-min and --{name}-max are too close for ") == 2
     # a little more room between the ends and the same axis is fine
     lo, hi = (float(argv[argv.index(f"--{name}-{end}") + 1]) for end in ("min", "max"))
-    assert artifact_cli._axis(lo, hi + 1e-9, 3, name).size == 3
+    assert len(artifact_cli._axis(lo, hi + 1e-9, 3, name)) == 3
 
 
 def test_out_on_a_failed_run(tmp_path):

@@ -342,7 +342,7 @@ def test_kernel_checks_the_size_and_takes_no_fields():
 def _product_finite_diff(p, n, h=1e-4):
     # every coordinate stepped, phi included: the reference uses no gauge
     def embedded(dphi=0.0, dgamma=0.0, dlam=0.0):
-        _, u, v = _pair_arrays(p.phi + dphi, p.gamma + dgamma, p.lam + dlam, n)
+        _, _, u, v = _pair_arrays(p.phi + dphi, p.gamma + dgamma, p.lam + dlam, n)
         return fock_vector(replace(build_ground_state(p, n), u=u, v=v))
 
     psi = embedded()

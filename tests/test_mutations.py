@@ -111,6 +111,9 @@ _ROWS = [
     ),
     pytest.param("_check_momentum", _unconverted, _momentum_walk, id="momentum-unconverted"),
     pytest.param(
+        "_odd_sector", lambda rule: lambda lam: False, _chain_eigenstate, id="always-even"
+    ),
+    pytest.param(
         "_odd_sector",
         lambda rule: lambda lam: lam < 0.99,
         test_geometry.test_qgt_product_is_the_chain_tensor,

@@ -304,23 +304,23 @@ def test_ed_size_is_a_python_int(n):
 
 
 @pytest.mark.parametrize("gamma, lam", [(0.4, 0.9), (0.7, 1.4)])
-def test_spectral_terms_fully_solve_only_the_ground_block(monkeypatch, gamma, lam):
+def test_spectral_terms_reuse_the_stacked_solve(monkeypatch, gamma, lam):
     # the odd block holds the ground at (0.4, 0.9) and the even one at (0.7, 1.4)
-    # both blocks' lowest levels come from one stacked solve; a single
-    # block is solved by itself only in full
-    dims, full = [], []
-    eigh = _counting(np.linalg.eigh, dims)
+    # one stacked solve of both blocks gives every level the terms use, so
+    # no block is solved a second time by itself
+    blocks = _pauli_parity_blocks(gamma, lam, 8)
+    ground = min((np.linalg.eigvalsh(block) for block in blocks), key=lambda w: w[0])
+    shapes = []
+    eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        out = eigh(a, *args, **kwargs)
-        if a.ndim == 2:
-            full.append(out[0][0])
-        return out
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    qgt_matrix_elements(P(0.0, gamma, lam), 8)
-    assert dims == [128, 128, 128]
-    assert full == [pytest.approx(ed_ground(P(0.0, gamma, lam), 8).ground_energy, abs=1e-12)]
+    terms = qgt_matrix_elements(P(0.0, gamma, lam), 8)
+    assert shapes == [(2, 128, 128)]
+    assert [term.energy_gap for term in terms] == pytest.approx(ground[1:] - ground[0], abs=1e-10)
 
 
 def test_wilson_constant_loop():
