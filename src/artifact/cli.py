@@ -108,6 +108,8 @@ def _jtext(value, words: dict) -> str:
     as ``json`` writes them; None, a bool and a non-finite float go through
     ``json.dumps``, and so does a word, once per run: ``words`` keeps its text.
     """
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(float(f"{value:.12g}"))
     value = _jnum(value)
     kind = type(value)
     if kind is float and math.isfinite(value):
@@ -311,13 +313,14 @@ def _metric_row(task):
     lam, tensor = task
     if isinstance(tensor, CriticalPoint):
         return {"lambda": lam, "status": "skipped", "error": str(tensor)}
-    metric = tensor.real_metric
+    # the real metric's diagonal is the tensor's, 0.5 (x + x) = x
+    q = tensor.matrix.tolist()
     return {
         "lambda": lam,
-        "g_lambda_lambda": float(metric[2, 2]),
-        "g_gamma_gamma": float(metric[1, 1]),
-        "g_phi_phi": float(metric[0, 0]),
-        "minus_two_im_g_phi_gamma": float(-2.0 * tensor.matrix[0, 1].imag),
+        "g_lambda_lambda": q[2][2].real,
+        "g_gamma_gamma": q[1][1].real,
+        "g_phi_phi": q[0][0].real,
+        "minus_two_im_g_phi_gamma": -2.0 * q[0][1].imag,
         "status": "ok",
     }
 

@@ -14,8 +14,12 @@ doubled until it has converged.
 The closed-form tensors of many fields at one anisotropy are evaluated
 together, grouped by parity sector, with the field as the leading axis of
 the pairing kernel, in blocks of about ``_BLOCK_PAIRS`` (field, pair)
-entries; each field's sums are taken on its own row.  ``qgt_product`` is
-that evaluation at one field, so a scan gets the same bits per field.
+entries.  A block's tensors are six per-row reductions (``_row_dots``),
+one per distinct sum of products of sin(theta) and the two derivatives of
+theta, scaled into one array whose rows are the fields' tensors; a row's
+sum does not depend on the rows beside it.  ``qgt_product`` is that
+evaluation at one field, so a scan gets the same bits per field, and the
+curvature density takes its sum by the same reduction.
 The two ED tensors import ``oracle`` when called, so the closed-form
 routes never load it.
 """
@@ -135,7 +139,7 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     while pairs <= _DENSITY_MAX_PAIRS:
         n = 2 * pairs
         p = model._Pairing(_pair_grid(n, False), gamma, lam)
-        total = (2.0 * math.pi / n) * float(p.sin_theta @ p.d_gamma)
+        total = (2.0 * math.pi / n) * float(_row_dots(p.sin_theta, p.d_gamma))
         if previous is not None and abs(total - previous) <= 1e-13:
             return CurvatureDensity(1j * total, gamma, lam, pairs)
         previous, pairs = total, 2 * pairs
@@ -145,6 +149,24 @@ def berry_curvature_density(gamma: float, lam: float) -> CurvatureDensity:
     )
 
 
+def _row_dots(x, y):
+    """The dot product of x and y along their last axis, one per row.
+
+    Each row is summed by one contiguous loop of ``np.einsum``, so a row
+    gets the same bits however many rows share the array, and a 1-D pair
+    the same bits as that pair taken as one row.
+    """
+    return np.einsum("...i,...i->...", x, y)
+
+
+# A tensor's (i, j) entry is _SCALE[i, j] times the row sum of x_i x_j over
+# the pair momenta, x = (sin theta, dtheta/dgamma, dtheta/dlam); the six
+# distinct sums are _SUMS, and entry (i, j) takes the sum _SUMS[_SUM_OF[i, j]].
+_SUMS = ((0, 0), (1, 1), (2, 2), (1, 2), (1, 0), (2, 0))
+_SUM_OF = np.array([[0, 4, 5], [4, 1, 3], [5, 3, 2]])
+_SCALE = np.array([[1.0, 0.5j, 0.5j], [-0.5j, 0.25, 0.25], [-0.5j, 0.25, 0.25]])
+
+
 def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
     """``qgt_product`` at gamma and each field of ``lams``: its tensor or its CriticalPoint.
 
@@ -152,8 +174,9 @@ def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
     The gapped fields are grouped by parity sector, whose pair momenta and
     their sines and cosines are computed once, and each block of
     ``_BLOCK_PAIRS`` (field, pair) entries is one numpy pass of the pairing
-    kernel.  Each field's sums are then taken on its own contiguous row, so
-    they are the same BLAS reductions at any block size.
+    kernel.  The block's tensors are then six ``_row_dots`` reductions, one
+    per distinct sum, scaled into one (fields, 3, 3) array whose rows are
+    the fields' tensors; a field's sums are the same at any block size.
     """
     n = model._check_size(n_sites)
     results = [None] * len(lams)
@@ -175,14 +198,9 @@ def _qgt_product_batch(gamma: float, lams, n_sites: int) -> list:
             block = fields[start : start + size]
             column = np.array([lams[i] for i in block], dtype=float)[:, None]
             pairing = model._Pairing(alphas, gamma, column, trig)
-            sin_theta = pairing.sin_theta
-            d_theta = np.stack((pairing.d_gamma, pairing.d_lam), axis=1)
-            for i, s, d in zip(block, sin_theta, d_theta):
-                q = np.empty((3, 3), dtype=complex)
-                q[0, 0] = s @ s
-                q[1:, 1:] = 0.25 * (d @ d.T)
-                q[0, 1:] = 0.5j * (d @ s)
-                q[1:, 0] = q[0, 1:].conj()
+            x = pairing.sin_theta, pairing.d_gamma, pairing.d_lam
+            sums = np.stack([_row_dots(x[i], x[j]) for i, j in _SUMS], axis=1)
+            for i, q in zip(block, _SCALE * sums[:, _SUM_OF]):
                 results[i] = GeometricTensor(q)
     return results
 

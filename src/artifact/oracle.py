@@ -151,10 +151,11 @@ def _lanczos(sector: _Sector, data: np.ndarray, start: np.ndarray) -> tuple[floa
     times the block's largest absolute row sum (a bound on its norm).  A
     beta below that tolerance means the Krylov space is invariant, and a
     basis as wide as the block fills it; either way the Ritz pair is exact
-    and is returned at once.
+    and is returned at once.  The basis starts at 64 rows and doubles its
+    rows as they fill, so it holds about the steps taken, not the block.
     """
     tol = _LANCZOS_TOL * np.abs(data).sum(axis=0).max()
-    basis = np.empty((start.size, start.size))
+    basis = np.empty((min(64, start.size), start.size))
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = [], []
     for m in range(1, start.size + 1):
@@ -172,6 +173,10 @@ def _lanczos(sector: _Sector, data: np.ndarray, start: np.ndarray) -> tuple[floa
             if b * abs(s[-1, 0]) <= tol or m == start.size:
                 return float(theta[0]), s[:, 0] @ kept
         beta.append(b)
+        if m == len(basis):
+            grown = np.empty((min(2 * m, start.size), start.size))
+            grown[:m] = basis
+            basis = grown
         basis[m] = w / b
 
 

@@ -498,6 +498,8 @@ def _json_runs(draw):
 @given(_json_runs())
 @example((["lambda", "label"], []))
 @example((["lambda", "label"], [{"lambda": -0.0, "label": "ok"}]))
+# 1e16 prints integral at 12 digits; the largest float stays finite there
+@example((["gap", "lambda"], [{"gap": 1e16, "lambda": 1.7976931348623157e308}]))
 def test_json_row_template_writes_what_json_dumps_writes(run):
     # the per-run row template and the cell texts give the bytes of
     # json.dumps on the whole document, for every cell _jnum passes on

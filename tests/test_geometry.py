@@ -163,6 +163,19 @@ def test_density_matches_product_tensor():
     assert abs(lattice - d) < 1e-12
 
 
+def test_density_is_the_even_sector_tensor_curvature():
+    # above the field the product state takes the even-sector momenta of the
+    # density's midpoint sum, and both take their sin(theta) dtheta/dgamma
+    # sum by the same row reduction, so at the density's ring size the two
+    # agree bit for bit
+    rng = np.random.default_rng(38)
+    for gamma, lam in zip(rng.uniform(0.05, 2.0, 12), rng.uniform(1.05, 3.0, 12)):
+        d = berry_curvature_density(gamma, lam)
+        n = 2 * d.nodes
+        q = qgt_product(P(0.0, gamma, lam), n).matrix
+        assert d.value.imag == (2.0 * np.pi / n) * 2.0 * q[0, 1].imag, (gamma, lam)
+
+
 def test_density_critical_point():
     with pytest.raises(CriticalPoint):
         berry_curvature_density(0.7, 1.0)
@@ -271,17 +284,36 @@ def _tensor_bits(result):
     return "tensor", result.matrix.tobytes()
 
 
-def _unblocked_bits(gamma, lam, n):
-    # one field's closed-form sums, on the pairing of its own sector alone
+def _unblocked_sums(gamma, lam, n):
+    # one field's (sin theta, dtheta/dgamma, dtheta/dlam) on the pairing of
+    # its own sector alone
     pairing = model._Pairing(_pair_grid(n, _odd_sector(lam)), gamma, lam)
-    s = pairing.sin_theta
-    d = np.stack((pairing.d_gamma, pairing.d_lam))
+    return pairing.sin_theta, pairing.d_gamma, pairing.d_lam
+
+
+def _unblocked_bits(gamma, lam, n):
+    # one field's closed-form sums, each by the kernel's row reduction
+    s, dg, dl = _unblocked_sums(gamma, lam, n)
+    dot = geometry._row_dots
+    q = np.empty((3, 3), dtype=complex)
+    q[0, 0] = dot(s, s)
+    q[1, 1], q[2, 2] = 0.25 * dot(dg, dg), 0.25 * dot(dl, dl)
+    q[1, 2] = q[2, 1] = 0.25 * dot(dg, dl)
+    q[0, 1], q[0, 2] = 0.5j * dot(dg, s), 0.5j * dot(dl, s)
+    q[1, 0], q[2, 0] = -0.5j * dot(dg, s), -0.5j * dot(dl, s)
+    return "tensor", q.tobytes()
+
+
+def _blas_tensor(gamma, lam, n):
+    # the same tensor from BLAS products, whose sums run in another order
+    s, dg, dl = _unblocked_sums(gamma, lam, n)
+    d = np.stack((dg, dl))
     q = np.empty((3, 3), dtype=complex)
     q[0, 0] = s @ s
     q[1:, 1:] = 0.25 * (d @ d.T)
     q[0, 1:] = 0.5j * (d @ s)
     q[1:, 0] = q[0, 1:].conj()
-    return "tensor", q.tobytes()
+    return q
 
 
 @pytest.mark.parametrize("n", [4, 6, 1024, 4096, 2 * geometry._BLOCK_PAIRS + 6])
@@ -304,6 +336,8 @@ def test_kernel_gives_every_field_the_bits_of_qgt_product(n):
             assert _tensor_bits(result) == _tensor_bits(expected), (gamma, lam)
             if not isinstance(result, CriticalPoint):
                 assert _tensor_bits(result) == _unblocked_bits(gamma, lam, n), (gamma, lam)
+                blas = _blas_tensor(gamma, lam, n)
+                assert np.abs(result.matrix - blas).max() <= 1e-13 * np.abs(blas).max()
         gapless = [lam for lam, r in zip(lams, batch) if isinstance(r, CriticalPoint)]
         assert gapless == [lam for lam in lams if gap(gamma, lam) < 1e-12]
         assert 1.0 in gapless and (gamma > 0.0 or 0.0 in gapless)

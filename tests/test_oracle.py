@@ -20,7 +20,7 @@ from artifact import (
     wilson_loop_berry_phase,
 )
 from artifact import model, oracle
-from artifact.ground_state import _pair_grid
+from artifact.ground_state import _pair_grid, _sector_energy
 from pauli import fock_vector, pauli_hamiltonian, sparse_hamiltonian
 
 P = ModelParams
@@ -296,6 +296,18 @@ def test_lanczos_solves_blocks_its_krylov_space_fills(monkeypatch, gamma, lam, n
         assert len(steps) <= start.size
         assert abs(energy - np.linalg.eigvalsh(block)[0]) <= 1e-12
         assert np.linalg.norm(block @ v - energy * v) <= 1e-9
+
+
+@pytest.mark.parametrize("phi, gamma, lam", [(0.3, 0.8, 0.6), (1.1, 0.45, 1.35)])
+def test_lanczos_basis_grows_to_sixteen_sites(phi, gamma, lam):
+    # the basis holds the steps taken, not the 32768-state block: a basis as
+    # wide as the block would take 8 GiB at N = 16
+    try:
+        even, odd, _ = oracle._ed_vector(phi, gamma, lam, 16)
+    finally:
+        oracle._spin_operators.cache_clear()  # the N = 16 blocks hold about 35 MB
+    assert abs(even - _sector_energy(16, gamma, lam, False)) <= 1e-10
+    assert abs(odd - _sector_energy(16, gamma, lam, True)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [np.uint8(4), np.int64(10)], ids=["uint8", "int64"])
