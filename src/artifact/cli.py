@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -67,7 +68,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _map_rows(fn, tasks):
     """Serial row map shared by the scans; a named function so traces can time it."""
-    return [fn(task) for task in tasks]
+    return list(map(fn, tasks))
 
 
 def _axis(lo: float, hi: float, steps: int, name: str, steps_flag: str = "--steps"):
@@ -471,6 +472,7 @@ def _add_output_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands on every call."""
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Scans and cross-checks for the rotated anisotropic spin ring.",
@@ -520,9 +522,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built by its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    ``main`` may be called any number of times in one process.  It parses
+    with one parser, built by the first call and reused after, so the
+    runners that parser's subcommands name (``_run_scan_chern`` and the
+    rest) are bound once per process, at that first call.  The row helpers
+    (``_map_rows``, ``_chern_row``, ``_metric_row``, ``_gap_row``,
+    ``_emit``) are looked up by name on every call.  No state is kept from
+    one call to the next: each parse builds a new namespace.
+    """
+    args = _parser().parse_args(argv)
     if getattr(args, "format", "") is None:
         # a subcommand with --format, left unset: json for a .json --out, else csv
         args.format = "json" if (args.out or "").lower().endswith(".json") else "csv"

@@ -90,7 +90,9 @@ class _Sector(NamedTuple):
         return self.hop + gamma * self.pair + lam * self.field
 
 
-@lru_cache(maxsize=None)
+# two ring sizes: an oracle-verify run solves at --n-sites and at the [qgt]
+# family's 6, and a ring of 16 sites holds about 35 MB
+@lru_cache(maxsize=2)
 def _spin_operators(n_sites: int) -> tuple[_Sector, _Sector]:
     """The even and odd parity blocks as one fixed-width pattern each.
 

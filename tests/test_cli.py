@@ -1052,3 +1052,93 @@ def test_oracle_verify_rejects_a_bad_seed_or_sample_count(cli, tmp_path):
         assert res.stdout == ""
         assert any(line.startswith("error:") and flag in line for line in res.stderr.splitlines())
         assert not out.exists(), flag
+
+
+_SCANS = [
+    ["gap-map", "--grid", "2x3"],
+    ["metric-scan", "--gamma", "1", "--lambda-min", "0.2", "--lambda-max", "0.6",
+     "--steps", "3", "--n-sites", "64"],
+    ["scan-chern", "--lambda-min", "0.2", "--lambda-max", "0.6", "--steps", "3",
+     "--grid", "16x16", "--n-sites", "256"],
+]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    # main builds one parser per process; build_parser itself still returns
+    # a new parser to every caller
+    builds = []
+    build = artifact_cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(artifact_cli, "build_parser", counted)
+    artifact_cli._parser.cache_clear()
+    try:
+        for argv in _SCANS:
+            assert _stdout_of(argv)[0] == 0, argv
+        assert len(builds) == 1
+    finally:
+        artifact_cli._parser.cache_clear()
+    assert build() is not build()
+
+
+def _called_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = artifact_cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _called_fresh(argv):
+    res = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", *argv], capture_output=True, timeout=600
+    )
+    return res.returncode, res.stdout, res.stderr
+
+
+def test_no_state_carries_from_one_call_to_the_next(monkeypatch, tmp_path):
+    # a sequence of in-process calls, usage errors and --help among them,
+    # writes the bytes a fresh process writes for each call
+    monkeypatch.setenv("COLUMNS", "80")  # the width of usage and help text, in both
+    sequence = [
+        ["metric-scan", "--gamma", "0.7", "--lambda-min", "0.1", "--lambda-max", "2.5",
+         "--steps", "9", "--n-sites", "512", "--format", "json"],
+        ["gap-map", "--out", "{out}/gap.json"],
+        ["scan-chern", "--lambda-min", "0.2", "--lambda-max", "0.6", "--steps", "two"],
+        ["scan-chern", "--lambda-min", "0.2", "--lambda-max", "0.6", "--steps", "1"],
+        ["oracle-verify", "--n-sites", "4", "--samples", "1"],
+        ["--help"],
+    ]
+    codes = []
+    for i, argv in enumerate(sequence):
+        runs = []
+        for how, call in (("warm", _called_in_process), ("fresh", _called_fresh)):
+            out = tmp_path / f"{i}-{how}"
+            out.mkdir()
+            result = call([arg.format(out=out) for arg in argv])
+            runs.append((result, sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        assert runs[0] == runs[1], argv
+        codes.append(runs[0][0][0])
+    assert codes == [0, 0, 2, 2, 0, 0]
+
+
+def test_row_helpers_are_looked_up_on_every_call(monkeypatch):
+    # the parser is cached after the first call, but each call still finds
+    # the row helper by name
+    argv = _SCANS[1]
+    first = _stdout_of(argv)
+    lams = []
+    shape = artifact_cli._metric_row
+
+    def counted(task):
+        lams.append(task[0])
+        return shape(task)
+
+    monkeypatch.setattr(artifact_cli, "_metric_row", counted)
+    assert _stdout_of(argv) == first
+    assert lams == artifact_cli._axis(0.2, 0.6, 3, "lambda")

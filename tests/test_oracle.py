@@ -301,11 +301,9 @@ def test_lanczos_solves_blocks_its_krylov_space_fills(monkeypatch, gamma, lam, n
 @pytest.mark.parametrize("phi, gamma, lam", [(0.3, 0.8, 0.6), (1.1, 0.45, 1.35)])
 def test_lanczos_basis_grows_to_sixteen_sites(phi, gamma, lam):
     # the basis holds the steps taken, not the 32768-state block: a basis as
-    # wide as the block would take 8 GiB at N = 16
-    try:
-        even, odd, _ = oracle._ed_vector(phi, gamma, lam, 16)
-    finally:
-        oracle._spin_operators.cache_clear()  # the N = 16 blocks hold about 35 MB
+    # wide as the block would take 8 GiB at N = 16; the operator cache keeps
+    # two ring sizes, so the next two sizes solved release these blocks
+    even, odd, _ = oracle._ed_vector(phi, gamma, lam, 16)
     assert abs(even - _sector_energy(16, gamma, lam, False)) <= 1e-10
     assert abs(odd - _sector_energy(16, gamma, lam, True)) <= 1e-10
 
