@@ -8,7 +8,8 @@ allocate (``main`` alone prints the ``error:`` line and nothing is written),
 3 runtime failure on one or more scan-chern rows (partial output is kept).
 
 Each runner imports the modules it runs, and numpy, itself, so ``gap-map``
-loads neither numpy nor any library module but ``model``.
+loads neither numpy nor any library module but ``model``; ``json`` is
+imported only where JSON is written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -106,8 +106,8 @@ def _jtext(value, words: dict) -> str:
     """``_jnum(value)`` as ``json.dumps`` writes it.
 
     A finite float is its ``float.__repr__`` and an int its ``int.__repr__``,
-    as ``json`` writes them; None, a bool and a non-finite float go through
-    ``json.dumps``, and so does a word, once per run: ``words`` keeps its text.
+    as ``json`` writes them; None, a bool, a non-finite float and a word go
+    through ``json.dumps`` once per run: ``words`` keeps their text.
     """
     if type(value) is float and math.isfinite(value):
         return float.__repr__(float(f"{value:.12g}"))
@@ -117,9 +117,12 @@ def _jtext(value, words: dict) -> str:
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is str:
-        return words.get(value) or words.setdefault(value, json.dumps(value))
-    return json.dumps(value)
+    text = words.get(value)
+    if text is None:
+        import json
+
+        text = words[value] = json.dumps(value)
+    return text
 
 
 def _json_template(fieldnames) -> str:
@@ -128,6 +131,8 @@ def _json_template(fieldnames) -> str:
     The text is that of ``json.dumps(indent=2, sort_keys=True)`` for an
     object in the ``rows`` list; no key holds a "%".
     """
+    import json
+
     keys = ",\n".join(f"      {json.dumps(key)}: %s" for key in sorted(fieldnames))
     return "    {\n" + keys + "\n    }"
 
@@ -200,6 +205,8 @@ def _emit(args, fieldnames, rows, summary) -> None:
     """
     with _output(args) as stream:
         if args.format == "json":
+            import json
+
             config = {
                 key: "x".join(map(str, value)) if key == "grid" else _jnum(value)
                 for key, value in vars(args).items()
@@ -275,6 +282,51 @@ def _gap_row(task):
     return model.gap(gamma, lam)
 
 
+def _shared_tail(bits: bytes, before: bytes) -> int:
+    """The smallest j from which the 8-byte cells of ``bits`` are those of ``before``.
+
+    Bits, not values: -0.0 == 0.0, but they print as "-0" and "0".  A tail
+    that agrees from j on agrees from every later cell too, so j is found
+    by bisection; ``before`` of another length agrees only on the empty tail.
+    """
+    lo, hi = 0, len(bits) // 8
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bits[8 * mid :] == before[8 * mid :]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _gap_blocks(g_cells, l_cells, gaps):
+    """The CSV text of each gamma block, formatting only the gaps the block before lacks.
+
+    One template per run holds a NUL where each row's gamma goes, its
+    lambda cell and a "%.12g" slot for its gap, which renders a float as
+    ``_fmt`` does; no rendered cell holds a "%" or a NUL.  A block formats
+    the cells before ``_shared_tail`` and copies the rest from the text of
+    the block before, from the row that the NUL, its lambda cell and a comma
+    mark (``_axis`` prints every lambda differently); then its gamma
+    replaces every NUL.
+    """
+    import struct
+
+    slot = "%.12g\n"
+    marks = [f"\0,{l}," for l in l_cells]
+    template = slot.join(marks) + slot
+    starts = list(itertools.accumulate([len(mark + slot) for mark in marks], initial=0))
+    n, text, bits = len(marks), "", b""
+    pack = struct.Struct(f"{n}d").pack  # a block's doubles, 8 bytes each
+    for g, block in zip(g_cells, zip(*[iter(gaps)] * n)):
+        block_bits = pack(*block)
+        j = _shared_tail(block_bits, bits)
+        tail = text[text.index(marks[j]) :] if j < n else ""
+        text = template[: starts[j]] % block[:j] + tail
+        bits = block_bits
+        yield text.replace("\0", g)
+
+
 def _run_gap_map(args) -> int:
     g_steps, l_steps = args.grid
     gammas = _axis(args.gamma_min, args.gamma_max, g_steps, "gamma", "--grid sizes")
@@ -283,8 +335,9 @@ def _run_gap_map(args) -> int:
     gaps = _map_rows(_gap_row, itertools.product(gammas, lams))
     zero_rows = gaps.count(0.0)  # -0.0 == 0.0, so a signed zero counts too
     summary = {"rows_written": len(gaps), "exact_zero_rows": zero_rows}
-    # render each value itself, with no cache keyed on values: -0.0 and 0.0
-    # are equal keys but render as "-0" and "0"
+    # no text is reused on equal values alone: -0.0 == 0.0, but they render
+    # as "-0" and "0"; JSON renders every gap from its own value, and CSV
+    # copies a gap's text only from the block before, where its bits match
     if args.format == "json":
         words = {}
         g_cells = [_jtext(g, words) for g in gammas]
@@ -293,14 +346,7 @@ def _run_gap_map(args) -> int:
         points = itertools.product(g_cells, l_cells)
         rows = (template % (g, _jtext(gap, words), l) for (g, l), gap in zip(points, gaps))
     else:
-        g_cells = [_fmt(g) for g in gammas]
-        l_cells = [_fmt(l) for l in lams]
-        # one template per gamma block, filled by one C-level % format:
-        # "%.12g" renders a float exactly as _fmt's f"{value:.12g}", and no
-        # rendered cell holds a "%"
-        tails = [f",{l},%.12g\n" for l in l_cells]
-        blocks = zip(*[iter(gaps)] * len(lams))  # the gaps of each gamma, in order
-        rows = ((g + g.join(tails)) % block for g, block in zip(g_cells, blocks))
+        rows = _gap_blocks([_fmt(g) for g in gammas], [_fmt(l) for l in lams], gaps)
     _emit(args, ["gamma", "lambda", "gap"], rows, summary)
     print(
         f"gap-map: {len(gaps)} rows written, {zero_rows} exactly gapless",

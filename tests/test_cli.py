@@ -291,9 +291,15 @@ def _gap_axes(draw):
 
 @settings(max_examples=60)
 @given(_gap_axes())
+# gamma across 1, where the gap stops depending on gamma, and lambda holding
+# exactly 1, where it is zero: most blocks share all or most of their gaps
+@example(([(0.0, 2.0), (0.0, 2.0)], 21, 9))
+@example(([(-0.0, 1.5), (-0.0, 1.25)], 31, 6))
+@example(([(0.5, 3.0), (1.0, 2.0)], 11, 2))
 def test_gap_map_blocks_match_a_cell_by_cell_rendering(axes):
-    # gap-map fills one "%.12g" template per gamma block; the bytes must be
-    # those of rendering every cell on its own, on stdout and through --out,
+    # gap-map formats a gamma block's gaps from one "%.12g" template, except
+    # those it copies from the block before; the bytes must be those of
+    # rendering every cell on its own, on stdout and through --out,
     # subnormal and 1e150 ends and signed-zero starts included
     ((g_lo, g_hi), (l_lo, l_hi)), g_steps, l_steps = axes
     gammas = np.linspace(g_lo, g_hi, g_steps).tolist()
@@ -313,6 +319,63 @@ def test_gap_map_blocks_match_a_cell_by_cell_rendering(axes):
         assert _stdout_of(argv + ["--out", out]) == (0, b"")
         with open(out, "rb") as handle:
             assert handle.read() == expected
+
+
+def _assert_gap_blocks_render(blocks):
+    """gap-map with ``_gap_row`` giving each gamma the gaps of its block
+    writes every cell as its own ``f"{v:.12g}"``, on stdout and to --out."""
+    gammas = artifact_cli._axis(0.0, 2.0, len(blocks), "gamma")
+    lams = artifact_cli._axis(0.0, 2.0, len(blocks[0]), "lambda")
+    gap_of = {(g, l): v for g, block in zip(gammas, blocks) for l, v in zip(lams, block)}
+    expected = "".join(
+        ["gamma,lambda,gap\n"]
+        + [f"{g:.12g},{l:.12g},{v:.12g}\n" for (g, l), v in gap_of.items()]
+    ).encode()
+    argv = ["gap-map", "--grid", f"{len(gammas)}x{len(lams)}", "--format", "csv"]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(artifact_cli, "_gap_row", gap_of.__getitem__)
+        assert _stdout_of(argv) == (0, expected)
+        out = f"{tmp}/gap.csv"
+        assert _stdout_of(argv + ["--out", out]) == (0, b"")
+        with open(out, "rb") as handle:
+            assert handle.read() == expected
+
+
+_BLOCK = [0.0, 1 / 3, 5e-324, 1e150, 0.0, 0.5, 0.0]
+
+
+def _changed(block, at, value):
+    return [value if i in at else v for i, v in enumerate(block)]
+
+
+def _other(block):
+    return [v + 1.0 for v in block]
+
+
+_CRAFTED_BLOCKS = {
+    "repeated": [_BLOCK, _BLOCK, _BLOCK],
+    # equal in value to the block before, but with -0.0 where it has 0.0:
+    # everywhere, in the last cell alone, and in the first cell alone
+    "signed-zero": [
+        _BLOCK,
+        _changed(_BLOCK, {0, 4, 6}, -0.0),
+        _BLOCK,
+        _changed(_BLOCK, {6}, -0.0),
+        _BLOCK,
+        _changed(_BLOCK, {0}, -0.0),
+    ],
+    "last-cell-shared": [_BLOCK, _other(_BLOCK)[:-1] + _BLOCK[-1:]],
+    "first-cell-differs": [_BLOCK, _changed(_BLOCK, {0}, 7.0), _BLOCK],
+    "earlier-block-repeated": [_BLOCK, _other(_BLOCK), _BLOCK],
+    "two-columns": [[0.5, 0.0], [0.5, -0.0], [0.25, -0.0], [0.25, -0.0], [0.0, 1.0], [0.5, 1.0]],
+}
+
+
+@pytest.mark.parametrize("blocks", _CRAFTED_BLOCKS.values(), ids=_CRAFTED_BLOCKS.keys())
+def test_gap_map_copies_only_gaps_with_the_bits_of_the_block_before(blocks):
+    # a gamma block formats only the gaps before the tail whose bits it
+    # shares with the block before, and copies that tail's text
+    _assert_gap_blocks_render(blocks)
 
 
 @st.composite
@@ -817,7 +880,7 @@ _DEFERRED = ["artifact.ground_state", "artifact.geometry", "artifact.topology", 
     "argv, unloaded",
     [
         ([], ["numpy", *_DEFERRED]),
-        (["gap-map", "--grid", "3x3", "--format", "csv"], ["numpy", *_DEFERRED]),
+        (["gap-map", "--grid", "3x3", "--format", "csv"], ["numpy", "json", *_DEFERRED]),
         (["gap-map", "--grid", "3x3", "--format", "json"], ["numpy", *_DEFERRED]),
         (["scan-chern", "--lambda-min", "0", "--lambda-max", "2", "--steps", "5",
           "--grid", "16x16", "--n-sites", "256"], ["artifact.geometry", "artifact.oracle"]),

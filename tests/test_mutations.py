@@ -8,11 +8,13 @@ xfail that names the ROADMAP item which will catch it.
 """
 
 import inspect
+from array import array
 
 import numpy as np
 import pytest
 
 import test_api
+import test_cli
 import test_geometry
 import test_ground_state
 import test_oracle
@@ -80,6 +82,18 @@ def _unconverted(check):
     return mutant
 
 
+def _values_compared(shared_tail):
+    def mutant(bits, before):
+        # the tail of equal values, in which -0.0 matches 0.0
+        values, earlier = array("d", bits), array("d", before)
+        j = len(values)
+        while len(earlier) == len(values) and j and values[j - 1] == earlier[j - 1]:
+            j -= 1
+        return j
+
+    return mutant
+
+
 def _chain_eigenstate():
     p = P(0.0, 0.5, 0.5)
     test_ground_state._assert_chain_eigenstate(p, 8, fock_vector(build_ground_state(p, 8)))
@@ -110,6 +124,12 @@ _ROWS = [
         id="sectors-swapped",
     ),
     pytest.param("_check_momentum", _unconverted, _momentum_walk, id="momentum-unconverted"),
+    pytest.param(
+        "_shared_tail",
+        _values_compared,
+        lambda: test_cli._assert_gap_blocks_render(test_cli._CRAFTED_BLOCKS["signed-zero"]),
+        id="gap-tail-by-value",
+    ),
     pytest.param(
         "_odd_sector", lambda rule: lambda lam: False, _chain_eigenstate, id="always-even"
     ),
